@@ -10,22 +10,39 @@ Four markets plus two policy exercises:
 * two-borrower value-at-risk under default correlation,
 * a tax-policy check for a planner who may misread the sampling pattern,
 * a two-period competitive market hit by a supply shock.
+
+Every rho-mixture residual here evaluates ``model.weighted_bernstein``, the
+same kernel as the equilibrium solvers; decreasing residuals are solved with
+``numerics.solve_decreasing`` and multi-root ones with ``numerics.find_roots``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .numerics import Bracket, Tolerance, find_sign_changes, norm_cdf, norm_quantile, owen_t, solve_bracketed
+from .numerics import (
+    Bracket,
+    Tolerance,
+    find_roots,
+    norm_cdf,
+    norm_quantile,
+    owen_t,
+    solve_bracketed,
+    solve_decreasing,
+)
 from .model import (
     CostFunction,
+    InadmissibleCorrelation,
     InferenceProcedure,
     MLE,
-    binom_pmf,
+    RhoMixture,
+    action_count_pmf,
     exp_decay_cost,
+    weighted_bernstein,
 )
 from .equilibrium import LARGE_N, cost_grid
 
@@ -114,26 +131,19 @@ class TwoSidedOutcome:
 
 
 def _side_response(
-    other: float,
-    m_count: float,
-    rho: float,
-    G: InferenceProcedure,
-    moment: float,
-) -> float:
-    """Expected participation mass Psi for one side of the market.
+    m_count: float, rho: float, G: InferenceProcedure, moment: float
+) -> Callable[[float], float]:
+    """Expected participation mass Psi for one side, as a function of the other side.
 
     ``moment`` is the Cobb-Douglas exponent of the integrand b^moment under
-    the estimate; infinite sample sizes use the consistent MLE limit.
+    the estimate; infinite sample sizes use the consistent MLE limit, whose
+    polarized term is the other side's share itself.
     """
-    fn = lambda x: x**moment
     if math.isinf(m_count):
-        base = other**moment
-    else:
-        k = int(m_count)
-        grid = np.array([G.expected_value(k, r / k, fn) for r in range(k + 1)])
-        base = float(binom_pmf(k, other) @ grid)
-    polarized = other * 1.0 + (1.0 - other) * 0.0  # fn(1)=1, fn(0)=0
-    return (1.0 - rho) * base + rho * polarized
+        return lambda other: (1.0 - rho) * other**moment + rho * other
+    k = int(m_count)
+    grid = cost_grid(G, k, lambda x: x**moment)
+    return lambda other: weighted_bernstein(k, other, rho, grid)
 
 
 def solve_two_sided(spec: TwoSidedSpec, rational: bool = False) -> TwoSidedOutcome:
@@ -145,16 +155,12 @@ def solve_two_sided(spec: TwoSidedSpec, rational: bool = False) -> TwoSidedOutco
     the sampled estimate with the true value (rational expectations / NE).
     """
     lam, v = spec.lam, spec.v
-
-    def s_w(beta: float) -> float:
-        if rational:
-            return beta ** (1.0 - v)
-        return _side_response(beta, spec.k, spec.rho_w, spec.G_w, 1.0 - v)
-
-    def s_f(alpha: float) -> float:
-        if rational:
-            return alpha**v
-        return _side_response(alpha, spec.n, spec.rho_f, spec.G_f, v)
+    if rational:
+        s_w = lambda beta: beta ** (1.0 - v)
+        s_f = lambda alpha: alpha**v
+    else:
+        s_w = _side_response(spec.k, spec.rho_w, spec.G_w, 1.0 - v)
+        s_f = _side_response(spec.n, spec.rho_f, spec.G_f, v)
 
     def alpha_of(beta: float) -> float:
         return (lam * s_w(beta)) ** (1.0 / (2.0 - v))
@@ -231,35 +237,31 @@ class MonopolyOutcome:
     concept: str
 
 
-def _monopoly_demand_from_grid(
-    p: float, rho: float, n: int, grid: np.ndarray, limit_cost: CostFunction | None
-) -> float:
-    """Demand theta(p): root of 1 - theta = sum_y mu_rho(y|theta) min(1+p-C_y, 1)."""
-    lam_grid = np.minimum(1.0 + p - grid, 1.0)
+def _demand_curve(
+    rho: float, t: float, n: int, G: InferenceProcedure
+) -> Callable[[float], float]:
+    """Demand p -> theta(p): root of 1 - theta = sum_y mu_rho(y|theta) min(1+p-C_y, 1)."""
+    cost = exp_decay_cost(t)
+    if n > LARGE_N and isinstance(G, MLE):  # consistent limit: C_y -> c(theta)
+        if not 0.0 <= rho <= 1.0:
+            raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
 
-    if limit_cost is not None:
-        c0 = min(1.0 + p - limit_cost(0.0), 1.0)
-        c1 = min(1.0 + p - limit_cost(1.0), 1.0)
+        def demand(p: float) -> float:
+            lam = lambda x: min(1.0 + p - cost(x), 1.0)
+            c0, c1 = lam(0.0), lam(1.0)
+            psi = lambda th: (1.0 - rho) * lam(th) + rho * (th * c1 + (1.0 - th) * c0)
+            return solve_decreasing(lambda th: 1.0 - th - psi(th), tol=_TOL)
 
-        def res(t: float) -> float:
-            lam_t = min(1.0 + p - limit_cost(t), 1.0)
-            rhs = (1.0 - rho) * lam_t + rho * (t * c1 + (1.0 - t) * c0)
-            return 1.0 - t - rhs
+        return demand
+    grid = cost_grid(G, n, cost)
 
-    else:
+    def demand(p: float) -> float:
+        lam_grid = np.minimum(1.0 + p - grid, 1.0)
+        return solve_decreasing(
+            lambda th: 1.0 - th - weighted_bernstein(n, th, rho, lam_grid), tol=_TOL
+        )
 
-        def res(t: float) -> float:
-            base = float(binom_pmf(n, t) @ lam_grid)
-            polarized = t * lam_grid[-1] + (1.0 - t) * lam_grid[0]
-            rhs = (1.0 - rho) * base + rho * polarized
-            return 1.0 - t - rhs
-
-    f0, f1 = res(0.0), res(1.0)
-    if f0 <= 0.0:
-        return 0.0
-    if f1 >= 0.0:
-        return 1.0
-    return solve_bracketed(res, Bracket(0.0, 1.0, f0, f1), _TOL)
+    return demand
 
 
 def monopoly_demand(
@@ -273,26 +275,12 @@ def monopoly_demand(
     """
     if not 0.0 <= p <= 1.0:
         raise ApplicationError(f"price must be in [0,1], got {p}")
-    G = G or MLE()
-    cost = exp_decay_cost(t)
-    if n > LARGE_N and isinstance(G, MLE):
-        return _monopoly_demand_from_grid(p, rho, n, np.empty(0), cost)
-    grid = cost_grid(G, n, cost)
-    return _monopoly_demand_from_grid(p, rho, n, grid, None)
+    return _demand_curve(rho, t, n, G or MLE())(p)
 
 
 def monopoly_rational_demand(p: float, t: float = 6.0) -> float:
     """Rational-expectations demand: root of theta = 1 - p - (1 - exp(-t*theta))."""
-
-    def res(theta: float) -> float:
-        return theta - math.exp(-t * theta) + p
-
-    f0, f1 = res(0.0), res(1.0)
-    if f0 >= 0.0:
-        return 0.0
-    if f1 <= 0.0:
-        return 1.0
-    return solve_bracketed(res, Bracket(0.0, 1.0, f0, f1), _TOL)
+    return solve_decreasing(lambda theta: math.exp(-t * theta) - theta - p, tol=_TOL)
 
 
 def monopoly_optimize(
@@ -309,16 +297,10 @@ def monopoly_optimize(
     """
     if price_grid_step > 1e-3:
         raise ApplicationError("price grid step must be <= 1e-3")
-    G = G or MLE()
     if rational:
         demand = lambda p: monopoly_rational_demand(p, t)
     else:
-        if n > LARGE_N and isinstance(G, MLE):
-            cost = exp_decay_cost(t)
-            demand = lambda p: _monopoly_demand_from_grid(p, rho, n, np.empty(0), cost)
-        else:
-            grid = cost_grid(G, n, exp_decay_cost(t))
-            demand = lambda p: _monopoly_demand_from_grid(p, rho, n, grid, None)
+        demand = _demand_curve(rho, t, n, G or MLE())
 
     prices = np.arange(0.0, 1.0 + price_grid_step / 2, price_grid_step)
     curve = [(float(p), demand(float(p))) for p in prices]
@@ -472,15 +454,9 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
 
     def res(theta: float) -> float:
         lam_vals = np.array([lam(c, theta) for c in grid])
-        base = float(binom_pmf(n, theta) @ lam_vals)
-        polarized = theta * lam_vals[-1] + (1.0 - theta) * lam_vals[0]
-        rhs = (1.0 - spec.rho) * base + spec.rho * polarized
-        return theta - rhs
+        return theta - weighted_bernstein(n, theta, spec.rho, lam_vals)
 
-    scan = find_sign_changes(res, 1e-3)
-    roots = list(scan.node_roots)
-    roots += [solve_bracketed(res, b, _TOL) for b in scan.brackets]
-    roots.sort()
+    roots = find_roots(res, 1e-3, _TOL)
     if not roots:
         raise ApplicationError("no bank equilibrium found on [0,1]")
     theta_star = roots[0]
@@ -541,26 +517,15 @@ def tax_policy_check(
 
     def solve_for(tax: float) -> float:
         taxed = np.minimum(base_grid + tax, 1.0)
-
-        def res(t: float) -> float:
-            base = float(binom_pmf(n, t) @ taxed)
-            polarized = t * taxed[-1] + (1.0 - t) * taxed[0]
-            return 1.0 - t - ((1.0 - rho) * base + rho * polarized)
-
-        f0, f1 = res(0.0), res(1.0)
-        if f0 <= 0.0:
-            return 0.0
-        if f1 >= 0.0:
-            return 1.0
-        return solve_bracketed(res, Bracket(0.0, 1.0, f0, f1), _TOL)
+        return solve_decreasing(
+            lambda t: 1.0 - t - weighted_bernstein(n, t, rho, taxed), tol=_TOL
+        )
 
     theta_tau = solve_for(tau)
     theta_zero = theta_tau if tau == 0.0 else solve_for(0.0)
 
     taxed = np.minimum(base_grid + tau, 1.0)
-    pmf = (1.0 - rho) * binom_pmf(n, theta_tau)
-    pmf[n] += rho * theta_tau
-    pmf[0] += rho * (1.0 - theta_tau)
+    pmf = action_count_pmf(RhoMixture(rho), n, theta_tau).probs
     c_at = c(theta_tau)
     # int_a^1 (eta - c) d eta = (1 - a^2)/2 - c (1 - a), per count cell
     welfare = float(
@@ -606,15 +571,7 @@ def two_part_supply(c: CostFunction, G: InferenceProcedure, eps: float) -> Suppl
         p2 = t * t2
         return 1.0 - t - (p0 * c0 + p1 * ch + p2 * c1)
 
-    lo = max(0.0, -eps)
-    hi = min(1.0, 1.0 - eps)
-    f_lo, f_hi = res(lo), res(hi)
-    if f_lo <= 0.0:
-        theta1 = lo
-    elif f_hi >= 0.0:
-        theta1 = hi
-    else:
-        theta1 = solve_bracketed(res, Bracket(lo, hi, f_lo, f_hi), _TOL)
+    theta1 = solve_decreasing(res, max(0.0, -eps), min(1.0, 1.0 - eps), _TOL)
 
     big_delta = c0 - 2.0 * ch + c1
     small_delta = (1.0 - theta1) * c0 + (2.0 * theta1 - 1.0) * ch - theta1 * c1

@@ -18,7 +18,7 @@ from .model import (
     InferenceProcedure,
     SignalDGP,
     action_count_pmf,
-    bernstein,
+    weighted_bernstein,
 )
 from .equilibrium import cost_grid
 from .sampling import SeedableRng
@@ -61,8 +61,12 @@ class MarkovShockChain:
                 raise DynamicsError(f"{name} must be in [0,1], got {v}")
 
     def step_probability(self, rho: float) -> float:
-        """One-step update of the state-1 probability."""
-        return self.p_xi + (1.0 - self.p_xi - self.q_xi) * rho
+        """One-step update of the state-1 probability, kept inside [0, 1].
+
+        The clamp only absorbs rounding: p + (1-p-q) rho can land an ulp
+        below 0 (p = 0.3, q = 1, rho = 1), which the rho-mixture kernel rejects.
+        """
+        return min(1.0, max(0.0, self.p_xi + (1.0 - self.p_xi - self.q_xi) * rho))
 
 
 def stationary_rho(chain: MarkovShockChain) -> float:
@@ -113,7 +117,6 @@ def simulate_dynamics(
     if not 0.0 <= theta0 <= 1.0 or not 0.0 <= rho0 <= 1.0:
         raise DynamicsError("theta0 and rho0 must be in [0,1]")
     grid = cost_grid(G, n, c)
-    e0, e1 = float(grid[0]), float(grid[-1])
     thetas = np.empty(T + 1)
     rhos = np.empty(T + 1)
     thetas[0], rhos[0] = theta0, rho0
@@ -124,8 +127,8 @@ def simulate_dynamics(
         xi_path = np.empty(T + 1, dtype=np.int8)
         xi_path[0] = gen.random() < rho0
     for t in range(1, T + 1):
-        th, rh = thetas[t - 1], rhos[t - 1]
-        psi = (1.0 - rh) * bernstein(n, th, grid) + rh * (th * e1 + (1.0 - th) * e0)
+        th, rh = float(thetas[t - 1]), float(rhos[t - 1])
+        psi = weighted_bernstein(n, th, rh, grid)
         thetas[t] = (1.0 - gamma) * th + gamma * (1.0 - psi)
         rhos[t] = chain.step_probability(rh)
         if xi_path is not None:

@@ -10,9 +10,12 @@ relevant action-count law:
 * variants:  assortative, Bayesian partial neglect, heterogeneous groups,
              general Conway-Maxwell-Binomial counts.
 
-The left side is strictly decreasing and the right side increasing for
-increasing costs, so every solve is a bracketed bisection on [0, 1]; no
-damped iteration is used anywhere.  Requests with n above 100000 and MLE
+Under the rho-mixture law the right side is ``model.weighted_bernstein``,
+the one kernel every residual here and in the applications evaluates.  The
+left side is strictly decreasing and the right side increasing for
+increasing costs, so a unique-root solve is one bracketed refinement on
+[0, 1]; enumerating solvers scan and refine with ``numerics.find_roots``.
+No damped iteration is used anywhere.  Requests with n above 100000 and MLE
 inference switch the Bernstein sum to its consistent limit C(theta).
 """
 
@@ -27,7 +30,7 @@ import numpy as np
 from .numerics import (
     Bracket,
     Tolerance,
-    find_sign_changes,
+    find_roots,
     integrate,
     solve_bracketed,
 )
@@ -131,12 +134,10 @@ def _bisect_decreasing(residual: Callable[[float], float]) -> float:
 
 
 def _scan_single(residual: Callable[[float], float]) -> float:
-    scan = find_sign_changes(residual, 1e-3)
-    if scan.node_roots:
-        return scan.node_roots[0]
-    if not scan.brackets:
+    roots = find_roots(residual, 1e-3, _SOLVE_TOL)
+    if not roots:
         raise ValueError("no root of the equilibrium equation on [0,1]")
-    return solve_bracketed(residual, scan.brackets[0], _SOLVE_TOL)
+    return roots[0]
 
 
 def solve_ne(c: CostFunction) -> EquilibriumResult:
@@ -206,12 +207,8 @@ def enumerate_cosesi(
     def res(t: float) -> float:
         return t - weighted_bernstein(n, t, rho, grid)
 
-    scan = find_sign_changes(res, grid_step)
-    roots = list(scan.node_roots)
-    roots += [solve_bracketed(res, b, _SOLVE_TOL) for b in scan.brackets]
-    roots.sort()
     dedup: list[float] = []
-    for r in roots:
+    for r in find_roots(res, grid_step, _SOLVE_TOL):
         if not dedup or r - dedup[-1] > 1e-6:
             dedup.append(r)
     residual = max((abs(res(r)) for r in dedup), default=math.inf)
@@ -308,17 +305,11 @@ def solve_bayesian_cosesi(
     if not 0.0 <= zeta <= 1.0:
         raise BadWeights(f"zeta must be in [0,1], got {zeta}")
     if rho == 0.0:
-        g0 = BayesBeta(alpha, beta, rho=0.0, zeta=1.0)
-        grid = cost_grid(g0, n, c)
-
-        def res(t: float) -> float:
-            return 1.0 - t - bernstein(n, t, grid)
-
-        theta = _bisect_decreasing(res)
+        sesi = solve_cosesi(c, BayesBeta(alpha, beta, 0.0), n, 0.0)
         return EquilibriumResult(
-            theta,
+            sesi.theta,
             "BayesianCoSESI",
-            abs(res(theta)),
+            sesi.residual,
             {"cost": c.name, "prior": (alpha, beta), "n": n, "rho": 0.0, "zeta": zeta},
         )
 
@@ -388,10 +379,7 @@ def solve_with_dgp(
         pmf = action_count_pmf(dgp, n, t)
         return 1.0 - t - float(pmf.probs @ grid)
 
-    scan = find_sign_changes(res, 1e-4)
-    roots = list(scan.node_roots)
-    roots += [solve_bracketed(res, b, _SOLVE_TOL) for b in scan.brackets]
-    roots.sort()
+    roots = find_roots(res, 1e-4, _SOLVE_TOL)
     residual = max((abs(res(r)) for r in roots), default=math.inf)
     return EquilibriumResult(
         tuple(roots), "GeneralCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp)}

@@ -56,6 +56,7 @@ __all__ = [
     "dgp_variance",
     "mean_limit_variance",
     "additive_binomial_rho_bounds",
+    "joint_count_probs",
     "binom_pmf",
     "bernstein",
     "weighted_bernstein",
@@ -478,7 +479,7 @@ def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]
     if not 0.0 <= rho <= 1.0:
         raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
     values = np.asarray(values, dtype=float)
-    polarized = theta * values[-1] + (1.0 - theta) * values[0]
+    polarized = theta * float(values[-1]) + (1.0 - theta) * float(values[0])
     if rho == 1.0:
         return float(polarized)
     return float((1.0 - rho) * bernstein(n, theta, values) + rho * polarized)
@@ -623,6 +624,14 @@ def _bahadur_joint_probs(n: int, theta: float, r2: Sequence[float], r3: float) -
     return np.clip(probs, 0.0, None)
 
 
+def joint_count_probs(n: int, joint: Sequence[float]) -> np.ndarray:
+    """Fold a joint over 2^n outcomes (binary little-endian) onto the count y."""
+    probs = np.zeros(n + 1)
+    for b, p in enumerate(joint):
+        probs[bin(b).count("1")] += p
+    return probs
+
+
 def _sequential_count_pmf(n: int, theta: float, lambdas: Sequence[float]) -> np.ndarray:
     """Exact count pmf of the sequential process by forward recursion on (i, y)."""
     lams = list(lambdas)
@@ -701,10 +710,7 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
         probs = binom_pmf(n, theta) * kernel
         probs = np.clip(probs, 0.0, None)
     elif isinstance(dgp, BahadurJoint):
-        joint = _bahadur_joint_probs(n, theta, dgp.r2, dgp.r3)
-        probs = np.zeros(n + 1)
-        for b, p in enumerate(joint):
-            probs[bin(b).count("1")] += p
+        probs = joint_count_probs(n, _bahadur_joint_probs(n, theta, dgp.r2, dgp.r3))
     elif isinstance(dgp, Sequential):
         probs = _sequential_count_pmf(n, theta, dgp.lambdas)
     elif isinstance(dgp, MarkovShock):

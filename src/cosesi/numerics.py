@@ -1,11 +1,13 @@
 """Scalar numerics shared by every solver in the package.
 
-Normal CDF/quantile, Owen's T function, adaptive quadrature, and bracketed
-root finding.  Everything here is pure and dependency-light: the normal CDF
-goes through ``math.erfc`` (double-precision complementary error function),
-the quantile through safeguarded Newton on that CDF, and the quadrature is
-adaptive Simpson.  No scipy is used in this module so the accuracy claims
-are testable against independent oracles.
+Normal CDF/quantile, Owen's T function, adaptive quadrature, bracketed
+root finding, and the two root helpers the solvers share: the clamped solve
+of a decreasing residual and the scan-plus-refine root enumeration.
+Everything here is pure and dependency-light: the normal CDF goes through
+``math.erfc`` (double-precision complementary error function), the quantile
+through safeguarded Newton on that CDF, and the quadrature is adaptive
+Simpson.  No scipy is used in this module so the accuracy claims are
+testable against independent oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ __all__ = [
     "owen_t",
     "integrate",
     "solve_bracketed",
+    "solve_decreasing",
     "find_sign_changes",
+    "find_roots",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -247,6 +251,25 @@ def solve_bracketed(
     raise MaxIterExceeded(f"no root to tolerance {tol.abs_tol} in {tol.max_iter} iterations")
 
 
+def solve_decreasing(
+    f: Callable[[float], float],
+    lo: float = 0.0,
+    hi: float = 1.0,
+    tol: Tolerance = Tolerance(),
+) -> float:
+    """Root of a decreasing residual on [lo, hi], clamped to the interval.
+
+    Returns ``lo`` when f(lo) <= 0 and ``hi`` when f(hi) >= 0; otherwise
+    refines the sign change with :func:`solve_bracketed`.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo <= 0.0:
+        return lo
+    if f_hi >= 0.0:
+        return hi
+    return solve_bracketed(f, Bracket(lo, hi, f_lo, f_hi), tol)
+
+
 def find_sign_changes(
     f: Callable[[float], float],
     grid_step: float = 1e-4,
@@ -273,3 +296,19 @@ def find_sign_changes(
             brackets.append(Bracket(prev_x, x, prev_f, v))
         prev_x, prev_f = x, v
     return SignChangeScan(tuple(brackets), tuple(node_roots))
+
+
+def find_roots(
+    f: Callable[[float], float],
+    grid_step: float = 1e-4,
+    tol: Tolerance = Tolerance(),
+) -> list[float]:
+    """Every root found on a :func:`find_sign_changes` scan, sorted.
+
+    Exact node roots are kept as they are; each bracket is refined with
+    :func:`solve_bracketed`.  Returns ``[]`` when the scan finds no root.
+    """
+    scan = find_sign_changes(f, grid_step)
+    roots = list(scan.node_roots)
+    roots += [solve_bracketed(f, b, tol) for b in scan.brackets]
+    return sorted(roots)

@@ -29,6 +29,7 @@ from .model import (
     UnsupportedN,
     _bahadur_joint_probs,
     binom_pmf,
+    joint_count_probs,
 )
 
 __all__ = [
@@ -113,10 +114,7 @@ class JointPMF:
         return bool(np.ptp(m) <= tol)
 
     def count_pmf(self) -> ActionCountPMF:
-        probs = np.zeros(self.n + 1)
-        for b, p in enumerate(self.probs):
-            probs[bin(b).count("1")] += p
-        return ActionCountPMF(self.n, probs)
+        return ActionCountPMF(self.n, joint_count_probs(self.n, self.probs))
 
     def moment(self, indices: Sequence[int]) -> float:
         """E[prod of the indicated signals]."""

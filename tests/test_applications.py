@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cosesi.model import (
+    BayesBeta,
     CostFunction,
+    InadmissibleCorrelation,
     MLE,
     linear_cost,
+    weighted_bernstein,
 )
 from cosesi.equilibrium import solve_cosesi
 from cosesi.applications import (
@@ -93,6 +96,25 @@ class TestTwoSidedMarket:
         with pytest.raises(ApplicationError):
             TwoSidedSpec(lam=1.5)
 
+    def test_polarized_term_uses_grid_endpoints(self):
+        # Bayes posteriors give C_{k,0} > 0 and C_{k,1} < 1, so the polarized
+        # term theta C_{k,1} + (1 - theta) C_{k,0} is not theta itself
+        from scipy.optimize import brentq
+
+        spec = TwoSidedSpec(0.4, 0.5, 3, 4, 0.6, 0.3, BayesBeta(1, 1, 0), BayesBeta(2, 1, 0))
+
+        def side(G, m, rho):
+            grid = [G.expected_value(m, y / m, math.sqrt) for y in range(m + 1)]
+            return lambda other: weighted_bernstein(m, other, rho, grid)
+
+        s_w, s_f = side(spec.G_w, 3, 0.6), side(spec.G_f, 4, 0.3)
+        alpha_of = lambda b: (0.4 * s_w(b)) ** (1 / 1.5)
+        beta = brentq(lambda b: b - (0.4 * s_f(alpha_of(b))) ** (1 / 1.5), 1e-12, 1.0, xtol=1e-15)
+        out = solve_two_sided(spec)
+        assert out.beta_star == pytest.approx(beta, abs=1e-10)
+        assert out.alpha_star == pytest.approx(alpha_of(beta), abs=1e-10)
+        assert out.alpha_star == pytest.approx(0.3956, abs=1e-4)
+
 
 class TestMonopoly:
     def test_full_correlation_inverse_demand(self):
@@ -149,6 +171,13 @@ class TestMonopoly:
     def test_grid_step_validated(self):
         with pytest.raises(ApplicationError):
             monopoly_optimize(rho=0.0, price_grid_step=0.01)
+
+    @pytest.mark.parametrize("n", [2, 200_000])
+    def test_inadmissible_rho(self, n):
+        with pytest.raises(InadmissibleCorrelation):
+            monopoly_optimize(rho=1.5, t=6.0, n=n)
+        with pytest.raises(InadmissibleCorrelation):
+            monopoly_demand(0.3, rho=-0.1, n=n)
 
 
 class TestVasicek:
@@ -388,6 +417,10 @@ class TestTaxPolicy:
             for w, a in zip(pmf, grid)
         )
         assert out.welfare == pytest.approx(want, abs=1e-9)
+
+    def test_inadmissible_rho(self, mle, pow2):
+        with pytest.raises(InadmissibleCorrelation):
+            tax_policy_check(pow2, mle, 2, -0.2, 0.1)
 
     def test_taxing_lowers_participation(self, mle, pow2):
         t0 = tax_policy_check(pow2, mle, 2, 0.0, 0.0).theta_tau

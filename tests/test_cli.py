@@ -1,5 +1,7 @@
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,17 @@ def run_cli(args, capsys):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _readme_commands():
+    """The `cosesi ...` lines of the README's command-line block, comments dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("cosesi ")]
+
+
+README_COMMANDS = _readme_commands()
 
 
 class TestParsing:
@@ -161,6 +174,16 @@ class TestCommands:
         fields = dict(line.split("=") for line in out.strip().splitlines())
         assert float(fields["theta_hat"]) == pytest.approx(0.6046, abs=0.01)
 
+    @pytest.mark.parametrize("args", [
+        ["monopoly", "--rho", "1.5"],
+        ["tax", "--cost", "pow:2", "--rho", "-0.2", "--tax", "0.1"],
+    ])
+    def test_inadmissible_rho_exits_1(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert "rho must be in [0,1]" in err
+
     def test_solver_error_exits_1(self, capsys):
         code, _, err = run_cli(
             ["bayes", "--cost", "pow:2", "--n", "2", "--rho", "0.5"], capsys
@@ -219,6 +242,17 @@ class TestReproCommand:
         assert "nearly three times" in out
         header = out_path.read_text().splitlines()[0]
         assert header == "name,expected,computed,abs_err,tol,status,note"
+
+
+class TestReadmeCommands:
+    def test_every_subcommand_has_an_example(self):
+        assert sorted(shlex.split(c)[1] for c in README_COMMANDS) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", README_COMMANDS)
+    def test_exits_0(self, command, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(shlex.split(command)[1:], capsys)
+        assert code == 0, err
 
 
 def test_installed_entry_point():

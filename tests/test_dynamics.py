@@ -86,6 +86,11 @@ class TestSimulateDynamics:
         assert traj.xi is not None
         assert set(np.unique(traj.xi)) <= {0, 1}
 
+    def test_rho_stays_a_probability(self, mle, pow2):
+        # unclamped, p + (1-p-q) rho rounds to -5.6e-17 at p = 0.3, q = 1, rho = 1
+        traj = simulate_dynamics(pow2, mle, 2, MarkovShockChain(0.3, 1.0), 0.1, 0.5, 1.0, 5)
+        assert traj.rho.min() >= 0.0 and traj.rho.max() <= 1.0
+
     def test_gamma_validated(self, mle, pow2):
         with pytest.raises(DynamicsError):
             simulate_dynamics(pow2, mle, 2, MarkovShockChain(0.2, 0.8), 0.0, 0.5, 0.5, 10)

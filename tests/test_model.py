@@ -317,6 +317,20 @@ class TestBernstein:
             bernstein(3, 0.4, vals), abs=1e-15
         )
 
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("shift", [0.0, 0.35])
+    def test_weighted_equals_hand_rolled_mixture(self, rho, shift):
+        # the residual every application used to spell out by hand; the kernel
+        # must reproduce it bit for bit, including min(., 1)-clipped grids
+        def reference(n, t, rho, g):
+            base = float(binom_pmf(n, t) @ g)
+            return (1.0 - rho) * base + rho * (t * g[-1] + (1.0 - t) * g[0])
+
+        for n in (1, 2, 5, 12):
+            g = np.minimum(np.array([(y / n) ** 1.7 for y in range(n + 1)]) + shift, 1.0)
+            for t in (0.0, 1e-9, 0.23, 0.5, 0.81, 1.0):
+                assert weighted_bernstein(n, t, rho, g) == reference(n, t, rho, g)
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1))
     def test_weighted_monotone_for_increasing_grid(self, t1, t2, rho):

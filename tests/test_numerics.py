@@ -11,6 +11,7 @@ from cosesi.numerics import (
     MaxIterExceeded,
     NoSignChange,
     Tolerance,
+    find_roots,
     find_sign_changes,
     integrate,
     norm_cdf,
@@ -18,6 +19,7 @@ from cosesi.numerics import (
     norm_quantile,
     owen_t,
     solve_bracketed,
+    solve_decreasing,
 )
 
 
@@ -188,3 +190,34 @@ class TestFindSignChanges:
     def test_step_validation(self):
         with pytest.raises(DomainError):
             find_sign_changes(lambda t: t, 0.5)
+
+
+class TestSolveDecreasing:
+    def test_clamps_at_lo(self):
+        assert solve_decreasing(lambda t: -0.1 - t) == 0.0
+
+    def test_clamps_at_hi(self):
+        assert solve_decreasing(lambda t: 2.0 - t) == 1.0
+
+    def test_solves_on_sub_interval(self):
+        f = lambda t: 0.6 - t**2
+        tol = Tolerance(abs_tol=1e-13)
+        root = solve_decreasing(f, 0.5, 0.9, tol)
+        assert root == solve_bracketed(f, Bracket(0.5, 0.9, f(0.5), f(0.9)), tol)
+        assert root == pytest.approx(math.sqrt(0.6), abs=1e-12)
+        # the clamps use the sub-interval's endpoints, not 0 and 1
+        assert solve_decreasing(f, 0.8, 0.9) == 0.8
+        assert solve_decreasing(f, 0.1, 0.2) == 0.2
+
+
+class TestFindRoots:
+    def test_node_root_sorted_among_refined_roots(self):
+        f = lambda t: (t - 0.2123) * (t - 0.5) * (t - 0.7789)
+        roots = find_roots(f, 1e-3, Tolerance(abs_tol=1e-13))
+        assert len(roots) == 3
+        assert roots[1] == 0.5  # exact node root, found by the scan itself
+        assert roots[0] == pytest.approx(0.2123, abs=1e-12)
+        assert roots[2] == pytest.approx(0.7789, abs=1e-12)
+
+    def test_no_root(self):
+        assert find_roots(lambda t: 1.0 + t, 1e-3) == []
