@@ -11,9 +11,13 @@ Four markets plus two policy exercises:
 * a tax-policy check for a planner who may misread the sampling pattern,
 * a two-period competitive market hit by a supply shock.
 
-Every rho-mixture residual here evaluates ``model.weighted_bernstein``, the
-same kernel as the equilibrium solvers; decreasing residuals are solved with
-``numerics.solve_decreasing`` and multi-root ones with ``numerics.find_roots``.
+Every rho-mixture residual here evaluates the same kernel as the equilibrium
+solvers.  The two-sided market and monopoly demand read their costs through
+``equilibrium.expected_costs``, which also decides the large-n limit; the
+bank and tax residuals need the grid cells themselves and call
+``model.weighted_bernstein`` on ``equilibrium.cost_grid``.  Decreasing
+residuals are solved with ``numerics.solve_decreasing`` and multi-root ones
+with ``numerics.find_roots``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .numerics import (
 )
 from .model import (
     CostFunction,
-    InadmissibleCorrelation,
     InferenceProcedure,
     MLE,
     RhoMixture,
@@ -44,7 +47,7 @@ from .model import (
     exp_decay_cost,
     weighted_bernstein,
 )
-from .equilibrium import LARGE_N, cost_grid
+from .equilibrium import cost_grid, expected_costs
 
 __all__ = [
     "ApplicationError",
@@ -136,14 +139,10 @@ def _side_response(
     """Expected participation mass Psi for one side, as a function of the other side.
 
     ``moment`` is the Cobb-Douglas exponent of the integrand b^moment under
-    the estimate; infinite sample sizes use the consistent MLE limit, whose
-    polarized term is the other side's share itself.
+    the estimate; infinite sample sizes use the consistent limit.
     """
-    if math.isinf(m_count):
-        return lambda other: (1.0 - rho) * other**moment + rho * other
-    k = int(m_count)
-    grid = cost_grid(G, k, lambda x: x**moment)
-    return lambda other: weighted_bernstein(k, other, rho, grid)
+    costs = expected_costs(G, m_count, lambda x: x**moment)
+    return lambda other: costs.psi(other, rho)
 
 
 def solve_two_sided(spec: TwoSidedSpec, rational: bool = False) -> TwoSidedOutcome:
@@ -241,25 +240,11 @@ def _demand_curve(
     rho: float, t: float, n: int, G: InferenceProcedure
 ) -> Callable[[float], float]:
     """Demand p -> theta(p): root of 1 - theta = sum_y mu_rho(y|theta) min(1+p-C_y, 1)."""
-    cost = exp_decay_cost(t)
-    if n > LARGE_N and isinstance(G, MLE):  # consistent limit: C_y -> c(theta)
-        if not 0.0 <= rho <= 1.0:
-            raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
-
-        def demand(p: float) -> float:
-            lam = lambda x: min(1.0 + p - cost(x), 1.0)
-            c0, c1 = lam(0.0), lam(1.0)
-            psi = lambda th: (1.0 - rho) * lam(th) + rho * (th * c1 + (1.0 - th) * c0)
-            return solve_decreasing(lambda th: 1.0 - th - psi(th), tol=_TOL)
-
-        return demand
-    grid = cost_grid(G, n, cost)
+    costs = expected_costs(G, n, exp_decay_cost(t))
 
     def demand(p: float) -> float:
-        lam_grid = np.minimum(1.0 + p - grid, 1.0)
-        return solve_decreasing(
-            lambda th: 1.0 - th - weighted_bernstein(n, th, rho, lam_grid), tol=_TOL
-        )
+        lam = costs.map(lambda v: min(1.0 + p - v, 1.0))
+        return solve_decreasing(lambda th: 1.0 - th - lam.psi(th, rho), tol=_TOL)
 
     return demand
 
@@ -406,9 +391,8 @@ class CreditSpec:
     ``omega`` is the borrowers' contractual obligation; ``gaussian_omega``
     switches to obligations drawn N(0, theta^-2).  ``rho`` is both the asset
     correlation and the signal correlation (the dual role of the model).
-    ``k`` is the number of borrowers per portfolio; the equilibrium loss law
-    is its large-k limit, and the finite two-borrower case is covered by
-    :func:`var_two_borrowers`.
+    The equilibrium loss law is the large-portfolio limit; the finite
+    two-borrower case is covered by :func:`var_two_borrowers`.
     """
 
     omega: float
@@ -417,13 +401,10 @@ class CreditSpec:
     cost: CostFunction
     G: InferenceProcedure = field(default_factory=MLE)
     gaussian_omega: bool = False
-    k: float = math.inf
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= 1.0:
             raise ApplicationError(f"credit market needs rho in (0,1], got {self.rho}")
-        if self.k < 1:
-            raise ApplicationError(f"portfolio needs at least one borrower, got {self.k}")
 
 
 @dataclass(frozen=True)

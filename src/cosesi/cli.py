@@ -174,16 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subparsers_by_name = {}
-
-    _original_add_parser = sub.add_parser
-
-    def add_parser(name, **kwargs):
-        p = _original_add_parser(name, **kwargs)
-        parser.subparsers_by_name[name] = p
-        return p
-
-    sub.add_parser = add_parser
+    parser.subparsers_by_name = sub.choices  # argparse's own name -> subparser map
 
     def common(p: argparse.ArgumentParser, cost=True, inference=True, n=True, rho=True):
         p.add_argument("--config", help="flat KEY=VALUE config file; flags override")

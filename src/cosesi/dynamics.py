@@ -13,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CostFunction,
-    InferenceProcedure,
-    SignalDGP,
-    action_count_pmf,
-    weighted_bernstein,
-)
-from .equilibrium import cost_grid
+from .model import CostFunction, InferenceProcedure, SignalDGP, action_count_pmf
+from .equilibrium import cost_grid, expected_costs
 from .sampling import SeedableRng
 
 __all__ = [
@@ -34,6 +28,13 @@ __all__ = [
     "simulate_dynamics",
     "mc_population_equilibrium",
 ]
+
+# population-oracle iteration: sweep budget, damping of the share update,
+# convergence tolerance between sweeps, and sweeps averaged after convergence
+_MAX_SWEEPS = 400
+_DAMPING = 0.5
+_CONV_TOL = 1e-4
+_RECORD_SWEEPS = 20
 
 
 class DynamicsError(Exception):
@@ -116,7 +117,7 @@ def simulate_dynamics(
         raise DynamicsError(f"T must be >= 1, got {T}")
     if not 0.0 <= theta0 <= 1.0 or not 0.0 <= rho0 <= 1.0:
         raise DynamicsError("theta0 and rho0 must be in [0,1]")
-    grid = cost_grid(G, n, c)
+    costs = expected_costs(G, n, c)
     thetas = np.empty(T + 1)
     rhos = np.empty(T + 1)
     thetas[0], rhos[0] = theta0, rho0
@@ -128,7 +129,7 @@ def simulate_dynamics(
         xi_path[0] = gen.random() < rho0
     for t in range(1, T + 1):
         th, rh = float(thetas[t - 1]), float(rhos[t - 1])
-        psi = weighted_bernstein(n, th, rh, grid)
+        psi = costs.psi(th, rh)
         thetas[t] = (1.0 - gamma) * th + gamma * (1.0 - psi)
         rhos[t] = chain.step_probability(rh)
         if xi_path is not None:
@@ -151,11 +152,7 @@ def mc_population_equilibrium(
     n: int,
     dgp: SignalDGP,
     num_agents: int = 100_000,
-    max_sweeps: int = 400,
-    damping: float = 0.5,
     rng: SeedableRng | None = None,
-    record_sweeps: int = 20,
-    conv_tol: float = 1e-4,
 ) -> McEquilibrium:
     """Agent-population fixed point, the independent Monte Carlo oracle.
 
@@ -167,13 +164,11 @@ def mc_population_equilibrium(
     the full signal vector since the estimate depends on the sample only
     through its mean.
 
-    Returns the mean of the last ``record_sweeps`` share values with the
+    Returns the mean of the last ``_RECORD_SWEEPS`` share values with the
     lag-1-autocorrelation-adjusted standard error.
     """
     if num_agents < 10_000:
         raise DynamicsError(f"population oracle needs at least 1e4 agents, got {num_agents}")
-    if not 0.0 < damping <= 1.0:
-        raise DynamicsError(f"damping must be in (0,1], got {damping}")
     gen = (rng or SeedableRng(0)).generator()
     eta = (np.arange(num_agents) + 0.5) / num_agents
     grid = cost_grid(G, n, c)
@@ -181,22 +176,22 @@ def mc_population_equilibrium(
     converged_at = None
     recorded: list[float] = []
     prev = theta_hat
-    for sweep_idx in range(1, max_sweeps + 1):
+    for sweep_idx in range(1, _MAX_SWEEPS + 1):
         pmf = action_count_pmf(dgp, n, theta_hat)
         counts = gen.choice(n + 1, size=num_agents, p=pmf.probs)
         take_action = eta >= grid[counts]
         br = float(take_action.mean())
-        theta_hat = (1.0 - damping) * theta_hat + damping * br
-        if converged_at is None and abs(theta_hat - prev) < conv_tol:
+        theta_hat = (1.0 - _DAMPING) * theta_hat + _DAMPING * br
+        if converged_at is None and abs(theta_hat - prev) < _CONV_TOL:
             converged_at = sweep_idx
         prev = theta_hat
         if converged_at is not None:
             recorded.append(theta_hat)
-            if len(recorded) >= record_sweeps:
+            if len(recorded) >= _RECORD_SWEEPS:
                 break
-    if converged_at is None or len(recorded) < record_sweeps:
+    if converged_at is None or len(recorded) < _RECORD_SWEEPS:
         raise NonConvergence(
-            f"no convergence within {max_sweeps} sweeps (tol {conv_tol})"
+            f"no convergence within {_MAX_SWEEPS} sweeps (tol {_CONV_TOL})"
         )
     values = np.array(recorded)
     mean = float(values.mean())

@@ -10,13 +10,15 @@ relevant action-count law:
 * variants:  assortative, Bayesian partial neglect, heterogeneous groups,
              general Conway-Maxwell-Binomial counts.
 
-Under the rho-mixture law the right side is ``model.weighted_bernstein``,
-the one kernel every residual here and in the applications evaluates.  The
+Under the rho-mixture law the right side is ``ExpectedCosts.psi``: the
+kernel ``model.weighted_bernstein`` on the cost grid, or its large-n limit
+``model.weighted_limit`` on the cost itself.  :func:`expected_costs` is the
+one place that picks between them: MLE requests with n above ``LARGE_N``
+and infinite n use the consistent limit B_n(theta; C_n) -> c(theta).  The
 left side is strictly decreasing and the right side increasing for
-increasing costs, so a unique-root solve is one bracketed refinement on
-[0, 1]; enumerating solvers scan and refine with ``numerics.find_roots``.
-No damped iteration is used anywhere.  Requests with n above 100000 and MLE
-inference switch the Bernstein sum to its consistent limit C(theta).
+increasing costs, so a unique-root solve is one ``numerics.solve_decreasing``
+on [0, 1]; enumerating solvers scan and refine with ``numerics.find_roots``.
+No damped iteration is used anywhere.
 """
 
 from __future__ import annotations
@@ -27,13 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (
-    Bracket,
-    Tolerance,
-    find_roots,
-    integrate,
-    solve_bracketed,
-)
+from .numerics import Tolerance, find_roots, integrate, solve_decreasing
 from .model import (
     CMB,
     BayesBeta,
@@ -44,7 +40,7 @@ from .model import (
     SignalDGP,
     action_count_pmf,
     weighted_bernstein,
-    bernstein,
+    weighted_limit,
 )
 
 __all__ = [
@@ -65,6 +61,8 @@ __all__ = [
     "solve_with_dgp",
     "sweep",
     "cost_grid",
+    "ExpectedCosts",
+    "expected_costs",
 ]
 
 LARGE_N = 100_000  # above this, MLE Bernstein sums switch to the limit C(theta)
@@ -123,32 +121,48 @@ def cost_grid(G: InferenceProcedure, n: int, cost: Callable[[float], float]) -> 
     return np.array([G.expected_cost(n, y / n, cost) for y in range(n + 1)])
 
 
-def _bisect_decreasing(residual: Callable[[float], float]) -> float:
-    """Root of a residual that is positive at 0 and negative at 1 (weakly)."""
-    f0, f1 = residual(0.0), residual(1.0)
-    if f0 <= 0.0:
-        return 0.0 if f0 == 0.0 or abs(f0) < 1e-12 else _scan_single(residual)
-    if f1 >= 0.0:
-        return 1.0 if f1 == 0.0 or abs(f1) < 1e-12 else _scan_single(residual)
-    return solve_bracketed(residual, Bracket(0.0, 1.0, f0, f1), _SOLVE_TOL)
+@dataclass(frozen=True)
+class ExpectedCosts:
+    """Expected costs C_{n, y/n} of one inference procedure and sample size.
+
+    ``values`` is the :func:`cost_grid` array, or in the large-n limit
+    (``n`` is ``math.inf``) the cost function itself.  Build it with
+    :func:`expected_costs`.
+    """
+
+    n: float
+    values: np.ndarray | Callable[[float], float]
+
+    def psi(self, theta: float, rho: float) -> float:
+        """Psi_n(theta, rho; C): the rho-mixture expectation of the costs."""
+        if callable(self.values):
+            return weighted_limit(theta, rho, self.values)
+        return weighted_bernstein(self.n, theta, rho, self.values)
+
+    def map(self, f: Callable[[float], float]) -> ExpectedCosts:
+        """``f`` applied to every grid value, or composed with the limit cost."""
+        values = self.values
+        if callable(values):
+            return ExpectedCosts(self.n, lambda x: f(values(x)))
+        return ExpectedCosts(self.n, np.array([f(v) for v in values.tolist()]))
 
 
-def _scan_single(residual: Callable[[float], float]) -> float:
-    roots = find_roots(residual, 1e-3, _SOLVE_TOL)
-    if not roots:
-        raise ValueError("no root of the equilibrium equation on [0,1]")
-    return roots[0]
+def expected_costs(G: InferenceProcedure, n: float, c: Callable[[float], float]) -> ExpectedCosts:
+    """The costs every solver reads: the grid, or c itself in the large-n limit.
+
+    MLE with n above ``LARGE_N``, and any infinite n, take the consistent
+    limit C_{n, y/n} -> c(theta); otherwise the grid of :func:`cost_grid`.
+    """
+    if math.isinf(n) or (n > LARGE_N and isinstance(G, MLE)):
+        return ExpectedCosts(math.inf, c)
+    return ExpectedCosts(int(n), cost_grid(G, int(n), c))
 
 
 def solve_ne(c: CostFunction) -> EquilibriumResult:
     """Nash equilibrium: the unique root of 1 - theta = c(theta)."""
     res = lambda t: 1.0 - t - c(t)
-    theta = _bisect_decreasing(res)
+    theta = solve_decreasing(res, tol=_SOLVE_TOL)
     return EquilibriumResult(theta, "NE", abs(res(theta)), {"cost": c.name})
-
-
-def _mle_limit_mode(G: InferenceProcedure, n: int) -> bool:
-    return n > LARGE_N and isinstance(G, MLE)
 
 
 def solve_cosesi(
@@ -161,20 +175,9 @@ def solve_cosesi(
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0,1], got {rho}")
-    if _mle_limit_mode(G, n):
-        c0, c1 = c(0.0), c(1.0)
-
-        def res(t: float) -> float:
-            psi = (1.0 - rho) * c(t) + rho * (t * c1 + (1.0 - t) * c0)
-            return 1.0 - t - psi
-
-    else:
-        grid = cost_grid(G, n, c)
-
-        def res(t: float) -> float:
-            return 1.0 - t - weighted_bernstein(n, t, rho, grid)
-
-    theta = _bisect_decreasing(res)
+    costs = expected_costs(G, n, c)
+    res = lambda t: 1.0 - t - costs.psi(t, rho)
+    theta = solve_decreasing(res, tol=_SOLVE_TOL)
     concept = "SESI" if rho == 0.0 else "CoSESI"
     return EquilibriumResult(
         theta, concept, abs(res(theta)), {"cost": c.name, "G": G.kind, "n": n, "rho": rho}
@@ -183,11 +186,8 @@ def solve_cosesi(
 
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: int) -> EquilibriumResult:
     """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1})."""
-    if _mle_limit_mode(G, n):
-        c0, c1 = c(0.0), c(1.0)
-    else:
-        c0 = G.expected_cost(n, 0.0, c)
-        c1 = G.expected_cost(n, 1.0, c)
+    c0 = G.expected_cost(n, 0.0, c)
+    c1 = G.expected_cost(n, 1.0, c)
     theta = (1.0 - c0) / (1.0 - c0 + c1)
     residual = abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0))
     return EquilibriumResult(theta, "CoSESI", residual, {"cost": c.name, "G": G.kind, "n": n})
@@ -260,27 +260,10 @@ def solve_assortative(
         hi = min(1.0, max(cval, 0.0))
         return integrate(rho_fn, hi, 1.0, quad_tol)
 
-    if _mle_limit_mode(G, n):
-        c0, c1 = c(0.0), c(1.0)
-        lam0, lam1 = lam_of(c0), lam_of(c1)
-
-        def res(t: float) -> float:
-            rhs = c(t) + lam_of(c(t)) - (t * lam1 + (1.0 - t) * lam0)
-            return 1.0 - t - rhs
-
-    else:
-        grid = cost_grid(G, n, c)
-        lam_grid = np.array([lam_of(v) for v in grid])
-
-        def res(t: float) -> float:
-            rhs = (
-                bernstein(n, t, grid)
-                + bernstein(n, t, lam_grid)
-                - (t * lam_grid[-1] + (1.0 - t) * lam_grid[0])
-            )
-            return 1.0 - t - rhs
-
-    theta = _bisect_decreasing(res)
+    costs = expected_costs(G, n, c)
+    lam = costs.map(lam_of)
+    res = lambda t: 1.0 - t - (costs.psi(t, 0.0) + lam.psi(t, 0.0) - lam.psi(t, 1.0))
+    theta = solve_decreasing(res, tol=_SOLVE_TOL)
     return EquilibriumResult(
         theta, "AssortativeCoSESI", abs(res(theta)), {"cost": c.name, "G": G.kind, "n": n}
     )
@@ -324,7 +307,7 @@ def solve_bayesian_cosesi(
         )
         return 1.0 - t - mixed
 
-    theta = _bisect_decreasing(res)
+    theta = solve_decreasing(res, tol=_SOLVE_TOL)
     num = 1.0 - zeta * c0[0] - (1.0 - zeta) * c1[0]
     den = 1.0 + zeta * (c0[1] - c0[0]) + (1.0 - zeta) * (c1[1] - c1[0])
     closed = num / den
@@ -353,13 +336,9 @@ def solve_heterogeneous(
     weights = [w for w, _, _ in specs]
     if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise BadWeights(f"weights must be nonnegative and sum to 1, got {weights}")
-    grids = [(w, n, cost_grid(G, n, c)) for w, G, n in specs]
-
-    def res(t: float) -> float:
-        rhs = sum(w * weighted_bernstein(n, t, rho, g) for w, n, g in grids)
-        return 1.0 - t - rhs
-
-    theta = _bisect_decreasing(res)
+    groups = [(w, expected_costs(G, n, c)) for w, G, n in specs]
+    res = lambda t: 1.0 - t - sum(w * costs.psi(t, rho) for w, costs in groups)
+    theta = solve_decreasing(res, tol=_SOLVE_TOL)
     return EquilibriumResult(
         theta,
         "HeterogeneousCoSESI",

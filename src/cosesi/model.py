@@ -11,7 +11,8 @@ signals as independent.  This module supplies:
 * every distribution of the action count y used by the solvers (iid
   binomial, rho-mixture, Conway-Maxwell-Binomial, additive-binomial,
   Bahadur joints for n <= 3, sequential sampling, Markov-shock),
-* plain and rho-weighted Bernstein polynomial evaluation.
+* plain and rho-weighted Bernstein polynomial evaluation, and the
+  large-n limit of the latter (``weighted_limit``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ __all__ = [
     "binom_pmf",
     "bernstein",
     "weighted_bernstein",
+    "weighted_limit",
     "bayes_posterior",
     "beta_expectation",
 ]
@@ -485,6 +487,20 @@ def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]
     return float((1.0 - rho) * bernstein(n, theta, values) + rho * polarized)
 
 
+def weighted_limit(theta: float, rho: float, fn: Callable[[float], float]) -> float:
+    """Large-n limit of :func:`weighted_bernstein`, where B_n(theta; C) -> fn(theta).
+
+    (1 - rho) * fn(theta) + rho * [theta fn(1) + (1 - theta) fn(0)], with the
+    same rho check and the polarized term alone at rho = 1.
+    """
+    if not 0.0 <= rho <= 1.0:
+        raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
+    polarized = theta * fn(1.0) + (1.0 - theta) * fn(0.0)
+    if rho == 1.0:
+        return polarized
+    return (1.0 - rho) * fn(theta) + rho * polarized
+
+
 # ---------------------------------------------------------------------------
 # Signal DGPs (action-count distributions)
 # ---------------------------------------------------------------------------
@@ -529,10 +545,6 @@ class Sequential:
     """Popularity-weighted sequential sampling with weights lambda_i in [0, 1)."""
 
     lambdas: tuple[float, ...]
-
-    @staticmethod
-    def constant(lam: float, n: int) -> "Sequential":
-        return Sequential(tuple([lam] * max(0, n - 1)))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .numerics import norm_cdf
 from .model import (
@@ -297,8 +296,11 @@ def chi_square_gof(
 
     Adjacent bins are merged until every expected count reaches
     ``min_expected`` (mass concentrates on {0, n} when rho is near one).
-    Returns (statistic, p-value, degrees of freedom).
+    Returns (statistic, p-value, degrees of freedom).  scipy is imported
+    here, not at module level, so ``import cosesi`` does not pay for it.
     """
+    from scipy.special import chdtrc
+
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     total = counts.sum()
@@ -326,7 +328,7 @@ def chi_square_gof(
         return 0.0, 1.0, 0
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    return stat, float(chi2.sf(stat, dof)), dof
+    return stat, float(chdtrc(dof, stat)), dof
 
 
 def pairwise_correlation(bits: np.ndarray) -> float:

@@ -1,8 +1,18 @@
 import math
+import os
+from pathlib import Path
 
 import pytest
 
+import cosesi
 from cosesi import MLE, BetaEstimation, SeedableRng, power_cost
+
+
+def subprocess_env() -> dict:
+    """Environment whose PYTHONPATH finds the cosesi package this run imported."""
+    src = str(Path(cosesi.__file__).resolve().parent.parent)
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 # Analytic targets, each frozen from its stated oracle.

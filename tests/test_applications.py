@@ -323,12 +323,6 @@ class TestBankEquilibrium:
         with pytest.raises(ApplicationError):
             CreditSpec(omega=0.0, rho=0.0, n=2, cost=linear_cost())
 
-    def test_borrower_count_defaults_to_limit(self):
-        spec = CreditSpec(omega=0.3, rho=0.5, n=2, cost=linear_cost())
-        assert math.isinf(spec.k)
-        with pytest.raises(ApplicationError):
-            CreditSpec(omega=0.3, rho=0.5, n=2, cost=linear_cost(), k=0)
-
 
 class TestVarTwoBorrowers:
     def test_independent_defaults(self):

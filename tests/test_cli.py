@@ -7,6 +7,8 @@ import pytest
 
 from cosesi.cli import build_parser, main
 
+from conftest import subprocess_env
+
 SUBCOMMANDS = [
     "ne", "cosesi", "sweep", "enumerate", "assortative", "bayes", "hetero",
     "market", "monopoly", "bank", "var", "tax", "supply-shock", "dynamics",
@@ -258,7 +260,7 @@ class TestReadmeCommands:
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cosesi.cli", "ne", "--cost", "linear"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert "0.5" in proc.stdout

@@ -8,13 +8,19 @@ from cosesi.model import (
     RhoMixture,
     BahadurJoint,
     InteriorRhoUnsupported,
+    affine_cost,
+    exp_decay_cost,
     linear_cost,
     power_cost,
     s_shaped_cost,
+    weighted_bernstein,
 )
 from cosesi.equilibrium import (
+    LARGE_N,
     BadWeights,
+    cost_grid,
     cosesi_rho1_closed,
+    expected_costs,
     enumerate_cosesi,
     solve_assortative,
     solve_bayesian_cosesi,
@@ -283,6 +289,58 @@ class TestHeterogeneous:
     def test_bad_weights(self, mle, pow4):
         with pytest.raises(BadWeights):
             solve_heterogeneous([(0.6, mle, 2), (0.6, mle, 3)], pow4, 0.0)
+
+    @pytest.mark.parametrize("n", [2, 200_000])
+    def test_single_group_equals_cosesi_exactly(self, mle, pow3, n):
+        # both solvers read the costs through expected_costs, so the limit
+        # switch at n > LARGE_N is the same and the roots agree bit for bit
+        got = solve_heterogeneous([(1.0, mle, n)], pow3, 0.3).theta
+        assert got == solve_cosesi(pow3, mle, n, 0.3).theta
+
+    def test_weights_within_tolerance_clamp_at_zero(self, mle):
+        # weights pass the 1e-9 sum check; with c = 1 the residual is
+        # -5e-10 at theta = 0 and negative everywhere, so the clamped root is 0
+        got = solve_heterogeneous([(0.5 + 5e-10, mle, 2), (0.5, mle, 2)], affine_cost(1.0, 0.0), 0.3)
+        assert got.theta == 0.0
+
+
+class TestExpectedCosts:
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_limit_psi_equals_hand_written_mixture(self, mle, pow3, rho):
+        costs = expected_costs(mle, 200_000, pow3)
+        assert math.isinf(costs.n)
+        c0, c1 = pow3(0.0), pow3(1.0)
+        for t in (0.0, 1e-9, 0.23, 0.5, 0.81, 1.0):
+            assert costs.psi(t, rho) == (1.0 - rho) * pow3(t) + rho * (t * c1 + (1.0 - t) * c0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_grid_psi_equals_weighted_bernstein(self, beta_est, pow3, rho):
+        costs = expected_costs(beta_est, 5, pow3)
+        grid = cost_grid(beta_est, 5, pow3)
+        assert costs.values.tobytes() == grid.tobytes()
+        for t in (0.0, 0.23, 0.5, 1.0):
+            assert costs.psi(t, rho) == weighted_bernstein(5, t, rho, grid)
+
+    def test_map_on_grid_is_bitwise_elementwise(self, mle):
+        grid = cost_grid(mle, 7, exp_decay_cost(6.0))
+        costs = expected_costs(mle, 7, exp_decay_cost(6.0))
+        for p in (0.0, 0.137, 0.5, 1.0):
+            got = costs.map(lambda v: min(1.0 + p - v, 1.0)).values
+            assert got.tobytes() == np.minimum(1.0 + p - grid, 1.0).tobytes()
+
+    def test_map_in_limit_composes(self, mle, pow3):
+        costs = expected_costs(mle, math.inf, pow3).map(lambda v: 2.0 * v)
+        assert costs.psi(0.4, 0.0) == 2.0 * pow3(0.4)
+
+    def test_float_sample_size_is_stored_as_int(self, mle, pow3):
+        costs = expected_costs(mle, 4.0, pow3)
+        assert costs.n == 4 and isinstance(costs.n, int)
+        assert costs.psi(0.3, 0.5) == expected_costs(mle, 4, pow3).psi(0.3, 0.5)
+
+    def test_limit_switch_only_above_large_n_for_mle(self, mle, beta_est, pow3):
+        assert expected_costs(mle, LARGE_N, pow3).n == LARGE_N
+        assert math.isinf(expected_costs(mle, LARGE_N + 1, pow3).n)
+        assert math.isinf(expected_costs(beta_est, math.inf, pow3).n)
 
 
 class TestGeneralCMB:

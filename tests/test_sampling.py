@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from cosesi.sampling import (
     sequential_sample,
 )
 from cosesi.numerics import norm_cdf
+
+from conftest import subprocess_env
 
 
 class TestSeedableRng:
@@ -75,6 +79,22 @@ class TestSampleCorrelated:
             probs = action_count_pmf(RhoMixture(rho), n, theta).probs
             _, pvalue, _ = chi_square_gof(counts, probs)
             assert pvalue > 0.001
+
+    def test_chi_square_pvalue_matches_scipy_stats(self):
+        from scipy.stats import chi2
+
+        counts = [120, 260, 310, 200, 90, 20]
+        probs = [0.12, 0.25, 0.3, 0.2, 0.1, 0.03]
+        stat, pvalue, dof = chi_square_gof(counts, probs)
+        assert dof == 5
+        assert pvalue == float(chi2.sf(stat, dof))
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, cosesi, cosesi.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_invalid_rho(self, rng):
         with pytest.raises(InadmissibleCorrelation):
