@@ -23,7 +23,7 @@ with ``numerics.find_roots``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -211,12 +211,8 @@ def mixed_population_employment(spec: TwoSidedSpec, kappa: float) -> MixedPopula
     """
     if not 0.0 <= kappa <= 1.0:
         raise ApplicationError(f"kappa must be in [0,1], got {kappa}")
-    indep = solve_two_sided(
-        TwoSidedSpec(spec.lam, spec.v, spec.k, spec.n, 0.0, spec.rho_f, spec.G_w, spec.G_f)
-    )
-    corr = solve_two_sided(
-        TwoSidedSpec(spec.lam, spec.v, spec.k, spec.n, 1.0, spec.rho_f, spec.G_w, spec.G_f)
-    )
+    indep = solve_two_sided(replace(spec, rho_w=0.0))
+    corr = solve_two_sided(replace(spec, rho_w=1.0))
     total = (1.0 - kappa) * indep.employment + kappa * corr.employment
     factor = corr.employment / indep.employment
     return MixedPopulationOutcome(total, indep.employment, corr.employment, factor, 1.0 / factor)
@@ -495,17 +491,13 @@ def tax_policy_check(
     if tau < 0.0:
         raise ApplicationError(f"tax must be >= 0, got {tau}")
     base_grid = cost_grid(G, n, c)
-
-    def solve_for(tax: float) -> float:
-        taxed = np.minimum(base_grid + tax, 1.0)
-        return solve_decreasing(
-            lambda t: 1.0 - t - weighted_bernstein(n, t, rho, taxed), tol=_TOL
-        )
-
-    theta_tau = solve_for(tau)
-    theta_zero = theta_tau if tau == 0.0 else solve_for(0.0)
-
     taxed = np.minimum(base_grid + tau, 1.0)
+
+    def solve_on(grid: np.ndarray) -> float:
+        return solve_decreasing(lambda t: 1.0 - t - weighted_bernstein(n, t, rho, grid), tol=_TOL)
+
+    theta_tau = solve_on(taxed)
+    theta_zero = theta_tau if tau == 0.0 else solve_on(np.minimum(base_grid, 1.0))
     pmf = action_count_pmf(RhoMixture(rho), n, theta_tau).probs
     c_at = c(theta_tau)
     # int_a^1 (eta - c) d eta = (1 - a^2)/2 - c (1 - a), per count cell

@@ -7,7 +7,9 @@ and prints a pass/fail table.  Flat KEY = VALUE config files are accepted
 through `--config`, with command-line flags taking precedence; unknown
 config keys are rejected.
 
-Exit codes: 0 success, 1 solver error, 2 configuration error.
+Exit codes: 0 success, 1 solver error, 2 configuration error.  Every spec
+string (--cost, --inference, --dgp, --rho-fn, --groups, --values) is parsed
+before any solve, and one that fails to parse is a configuration error.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .model import (
     parse_cost,
 )
 from .equilibrium import (
-    BadWeights,
     enumerate_cosesi,
     solve_assortative,
     solve_bayesian_cosesi,
@@ -68,7 +69,6 @@ _SOLVER_ERRORS = (
     ApplicationError,
     DynamicsError,
     SamplingError,
-    BadWeights,
     ValueError,
     ArithmeticError,
 )
@@ -123,6 +123,38 @@ def _parse_rho_fn(spec: str):
         k = float(rest)
         return lambda eta: eta**k
     raise ConfigError(f"unknown rho function '{spec}'")
+
+
+def _parse_groups(spec: str):
+    groups = []
+    for part in spec.split(","):
+        w, inf, nn = part.split(":")
+        groups.append((float(w), _parse_inference(inf), int(nn)))
+    return groups
+
+
+# args attribute -> parser of its spec string; _parse_specs runs them all
+# before any solve, so a malformed spec is a configuration error
+_SPEC_PARSERS = {
+    "cost": parse_cost,
+    "inference": _parse_inference,
+    "dgp": _parse_dgp,
+    "rho_fn": _parse_rho_fn,
+    "groups": _parse_groups,
+    "values": lambda spec: [float(v) for v in spec.split(",")],
+}
+
+
+def _parse_specs(args) -> None:
+    """Replace every spec string on ``args`` by its object; any failure is a ConfigError."""
+    for key, parse in _SPEC_PARSERS.items():
+        text = getattr(args, key, None)
+        if text is None:
+            continue
+        try:
+            setattr(args, key, parse(str(text)))
+        except Exception as exc:
+            raise ConfigError(f"bad --{key.replace('_', '-')} value {text!r}: {exc}") from exc
 
 
 def _fmt(v) -> str:
@@ -291,59 +323,48 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
     return parser.parse_args(argv)  # reparse so explicit flags still win
 
 
+def _emit_result(args, res) -> None:
+    _emit(args, ["concept", "theta_star", "residual"], [[res.concept, res.theta, res.residual]],
+          [("theta_star", res.theta)])
+
+
 def _run(args) -> int:
+    _parse_specs(args)
     cmd = args.command
     if cmd == "ne":
-        res = solve_ne(parse_cost(args.cost))
-        _emit(args, ["concept", "theta_star", "residual"], [[res.concept, res.theta, res.residual]],
-              [("theta_star", res.theta)])
+        _emit_result(args, solve_ne(args.cost))
         return 0
     if cmd == "cosesi":
-        cost = parse_cost(args.cost)
-        G = _parse_inference(args.inference)
-        if args.dgp:
-            res = solve_with_dgp(cost, G, args.n, _parse_dgp(args.dgp))
-            roots = res.roots
+        if args.dgp is not None:
+            res = solve_with_dgp(args.cost, args.inference, args.n, args.dgp)
         else:
-            res = solve_cosesi(cost, G, args.n, args.rho)
-            roots = res.roots
+            res = solve_cosesi(args.cost, args.inference, args.n, args.rho)
+        roots = res.roots
         rows = [[res.concept, i, r, res.residual] for i, r in enumerate(roots)]
         _emit(args, ["concept", "root_index", "theta_star", "residual"], rows,
               [("theta_star", roots[0] if len(roots) == 1 else ",".join(_fmt(r) for r in roots))])
         return 0
     if cmd == "sweep":
-        values = [float(v) for v in args.values.split(",")]
-        table = sweep(args.axis, values, parse_cost(args.cost), _parse_inference(args.inference),
-                      n=args.n, rho=args.rho)
+        table = sweep(args.axis, args.values, args.cost, args.inference, n=args.n, rho=args.rho)
         rows = [[args.axis, v, th] for v, th in table.rows]
         _emit(args, ["axis", "value", "theta_star"], rows,
               [("rows", len(rows)), ("last_theta", table.rows[-1][1])])
         return 0
     if cmd == "enumerate":
-        res = enumerate_cosesi(parse_cost(args.cost), args.n, args.rho, args.grid_step)
+        res = enumerate_cosesi(args.cost, args.n, args.rho, args.grid_step)
         rows = [[i, r] for i, r in enumerate(res.roots)]
         _emit(args, ["root_index", "theta_star"], rows, [("num_roots", len(res.roots))] + [
             (f"theta_{i}", r) for i, r in enumerate(res.roots)])
         return 0
     if cmd == "assortative":
-        res = solve_assortative(parse_cost(args.cost), _parse_inference(args.inference), args.n,
-                                _parse_rho_fn(args.rho_fn))
-        _emit(args, ["concept", "theta_star", "residual"], [[res.concept, res.theta, res.residual]],
-              [("theta_star", res.theta)])
+        _emit_result(args, solve_assortative(args.cost, args.inference, args.n, args.rho_fn))
         return 0
     if cmd == "bayes":
-        res = solve_bayesian_cosesi(parse_cost(args.cost), (args.alpha, args.beta), args.n, args.rho, args.zeta)
-        _emit(args, ["concept", "theta_star", "residual"], [[res.concept, res.theta, res.residual]],
-              [("theta_star", res.theta)])
+        _emit_result(args, solve_bayesian_cosesi(args.cost, (args.alpha, args.beta), args.n,
+                                                 args.rho, args.zeta))
         return 0
     if cmd == "hetero":
-        specs = []
-        for part in args.groups.split(","):
-            w, inf, nn = part.split(":")
-            specs.append((float(w), _parse_inference(inf), int(nn)))
-        res = solve_heterogeneous(specs, parse_cost(args.cost), args.rho)
-        _emit(args, ["concept", "theta_star", "residual"], [[res.concept, res.theta, res.residual]],
-              [("theta_star", res.theta)])
+        _emit_result(args, solve_heterogeneous(args.groups, args.cost, args.rho))
         return 0
     if cmd == "market":
         spec = TwoSidedSpec(lam=args.lam, v=args.v, k=args.k, n=args.n,
@@ -360,8 +381,7 @@ def _run(args) -> int:
         _emit(args, ["concept", "alpha_star", "beta_star", "employment"], rows, summary)
         return 0
     if cmd == "monopoly":
-        out = monopoly_optimize(rho=args.rho, t=args.t, n=args.n,
-                                G=_parse_inference(args.inference),
+        out = monopoly_optimize(rho=args.rho, t=args.t, n=args.n, G=args.inference,
                                 price_grid_step=args.grid_step, rational=args.rational)
         rows = [[p, q] for p, q in out.demand_curve]
         _emit(args, ["price", "demand"], rows,
@@ -369,8 +389,8 @@ def _run(args) -> int:
                ("profit_star", out.profit_star)])
         return 0
     if cmd == "bank":
-        spec = CreditSpec(omega=args.omega, rho=args.rho, n=args.n, cost=parse_cost(args.cost),
-                          G=_parse_inference(args.inference), gaussian_omega=args.gaussian_omega)
+        spec = CreditSpec(omega=args.omega, rho=args.rho, n=args.n, cost=args.cost,
+                          G=args.inference, gaussian_omega=args.gaussian_omega)
         out = solve_bank_cosesi(spec)
         rows = [[i, r] for i, r in enumerate(out.roots)]
         _emit(args, ["root_index", "theta"], rows,
@@ -382,21 +402,20 @@ def _run(args) -> int:
               [("var", loss)])
         return 0
     if cmd == "tax":
-        out = tax_policy_check(parse_cost(args.cost), _parse_inference(args.inference),
-                               args.n, args.rho, args.tax)
+        out = tax_policy_check(args.cost, args.inference, args.n, args.rho, args.tax)
         _emit(args, ["theta_tau", "theta_zero", "welfare", "check_value", "recommend_tax"],
               [[out.theta_tau, out.theta_zero, out.welfare, out.check_value, out.recommend_tax]],
               [("theta_tau", out.theta_tau), ("welfare", out.welfare),
                ("recommend_tax", out.recommend_tax)])
         return 0
     if cmd == "supply-shock":
-        out = two_part_supply(parse_cost(args.cost), _parse_inference(args.inference), args.eps)
+        out = two_part_supply(args.cost, args.inference, args.eps)
         _emit(args, ["theta1", "theta2", "condition_ok"],
               [[out.theta1, out.theta2, out.condition_ok]],
               [("theta1", out.theta1), ("theta2", out.theta2), ("condition_ok", out.condition_ok)])
         return 0
     if cmd == "dynamics":
-        traj = simulate_dynamics(parse_cost(args.cost), _parse_inference(args.inference), args.n,
+        traj = simulate_dynamics(args.cost, args.inference, args.n,
                                  MarkovShockChain(args.p_xi, args.q_xi), args.gamma,
                                  args.theta0, args.rho0, args.T)
         rows = [[int(t), th, rh] for t, th, rh in zip(traj.t, traj.theta, traj.rho)]
@@ -404,27 +423,26 @@ def _run(args) -> int:
               [("theta_final", traj.final_theta()), ("rho_final", float(traj.rho[-1]))])
         return 0
     if cmd == "simulate":
-        dgp = _parse_dgp(args.dgp)
-        if not isinstance(dgp, RhoMixture):
+        if not isinstance(args.dgp, RhoMixture):
             raise ConfigError("simulate currently draws from rho-mixture laws (rho:<value>)")
-        bits = sample_correlated(args.n, args.theta, dgp.rho, SeedableRng(args.seed), size=args.draws)
+        bits = sample_correlated(args.n, args.theta, args.dgp.rho, SeedableRng(args.seed),
+                                 size=args.draws)
         counts = np.bincount(bits.sum(axis=1), minlength=args.n + 1)
-        pmf = action_count_pmf(dgp, args.n, args.theta)
+        pmf = action_count_pmf(args.dgp, args.n, args.theta)
         rows = [[y, int(counts[y]), pmf.probs[y]] for y in range(args.n + 1)]
         corr = pairwise_correlation(bits) if args.n > 1 else 0.0
         _emit(args, ["count", "observed", "exact_prob"], rows,
               [("draws", args.draws), ("pairwise_correlation", corr)])
         return 0
     if cmd == "info":
-        pmf = action_count_pmf(_parse_dgp(args.dgp), args.n, args.theta)
+        pmf = action_count_pmf(args.dgp, args.n, args.theta)
         psi = informativeness(args.n, pmf, args.theta)
         _emit(args, ["n", "theta", "informativeness"], [[args.n, args.theta, psi]],
               [("informativeness", psi)])
         return 0
     if cmd == "mc":
-        out = mc_population_equilibrium(parse_cost(args.cost), _parse_inference(args.inference),
-                                        args.n, _parse_dgp(args.dgp), num_agents=args.agents,
-                                        rng=SeedableRng(args.seed))
+        out = mc_population_equilibrium(args.cost, args.inference, args.n, args.dgp,
+                                        num_agents=args.agents, rng=SeedableRng(args.seed))
         _emit(args, ["theta_hat", "stderr", "sweeps"],
               [[out.theta_hat, out.stderr, out.sweeps_used]],
               [("theta_hat", out.theta_hat), ("stderr", out.stderr)])
@@ -432,13 +450,8 @@ def _run(args) -> int:
     if cmd == "repro":
         rows = run_repro()
         print(format_table(rows))
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["name", "expected", "computed", "abs_err", "tol", "status", "note"])
-                for r in rows:
-                    writer.writerow([r.name, _fmt(r.expected), _fmt(r.computed),
-                                     _fmt(r.err), _fmt(r.tol), r.status, r.note])
+        _emit(args, ["name", "expected", "computed", "abs_err", "tol", "status", "note"],
+              [[r.name, r.expected, r.computed, r.err, r.tol, r.status, r.note] for r in rows], [])
         return 0 if all(r.status != "FAIL" for r in rows) else 1
     raise ConfigError(f"unhandled command {cmd}")
 
@@ -447,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -126,24 +126,28 @@ class ExpectedCosts:
     """Expected costs C_{n, y/n} of one inference procedure and sample size.
 
     ``values`` is the :func:`cost_grid` array, or in the large-n limit
-    (``n`` is ``math.inf``) the cost function itself.  Build it with
+    (``n`` is ``math.inf``) the cost function itself, with its endpoint
+    values (values(0), values(1)) kept once in ``ends``.  Build it with
     :func:`expected_costs`.
     """
 
     n: float
     values: np.ndarray | Callable[[float], float]
+    ends: tuple[float, float] | None = None
 
     def psi(self, theta: float, rho: float) -> float:
         """Psi_n(theta, rho; C): the rho-mixture expectation of the costs."""
         if callable(self.values):
-            return weighted_limit(theta, rho, self.values)
+            return weighted_limit(theta, rho, self.values, self.ends)
         return weighted_bernstein(self.n, theta, rho, self.values)
 
     def map(self, f: Callable[[float], float]) -> ExpectedCosts:
-        """``f`` applied to every grid value, or composed with the limit cost."""
+        """``f`` applied to every grid value, or composed with the limit cost
+        (its endpoint images taken from ``ends``)."""
         values = self.values
         if callable(values):
-            return ExpectedCosts(self.n, lambda x: f(values(x)))
+            f0, f1 = self.ends
+            return ExpectedCosts(self.n, lambda x: f(values(x)), (f(f0), f(f1)))
         return ExpectedCosts(self.n, np.array([f(v) for v in values.tolist()]))
 
 
@@ -154,7 +158,7 @@ def expected_costs(G: InferenceProcedure, n: float, c: Callable[[float], float])
     limit C_{n, y/n} -> c(theta); otherwise the grid of :func:`cost_grid`.
     """
     if math.isinf(n) or (n > LARGE_N and isinstance(G, MLE)):
-        return ExpectedCosts(math.inf, c)
+        return ExpectedCosts(math.inf, c, (c(0.0), c(1.0)))
     return ExpectedCosts(int(n), cost_grid(G, int(n), c))
 
 
@@ -173,15 +177,24 @@ def solve_cosesi(
     Unique for any increasing cost, n, G, and rho in [0, 1]; rho = 0 is the
     SESI and rho = 1 admits the closed form of :func:`cosesi_rho1_closed`.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0,1], got {rho}")
-    costs = expected_costs(G, n, c)
-    res = lambda t: 1.0 - t - costs.psi(t, rho)
-    theta = solve_decreasing(res, tol=_SOLVE_TOL)
+    _check_rho(rho)
+    theta, residual = _cosesi_root(expected_costs(G, n, c), rho)
     concept = "SESI" if rho == 0.0 else "CoSESI"
     return EquilibriumResult(
-        theta, concept, abs(res(theta)), {"cost": c.name, "G": G.kind, "n": n, "rho": rho}
+        theta, concept, residual, {"cost": c.name, "G": G.kind, "n": n, "rho": rho}
     )
+
+
+def _check_rho(rho: float) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0,1], got {rho}")
+
+
+def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
+    """The root of 1 - theta = costs.psi(theta, rho) and its |residual|."""
+    res = lambda t: 1.0 - t - costs.psi(t, rho)
+    theta = solve_decreasing(res, tol=_SOLVE_TOL)
+    return theta, abs(res(theta))
 
 
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: int) -> EquilibriumResult:
@@ -278,9 +291,10 @@ def solve_bayesian_cosesi(
 ) -> EquilibriumResult:
     """Bayesian CoSESI under zeta-degree correlation neglect, rho in {0, 1}.
 
-    rho = 0 reduces to the SESI with iid-posterior expected costs for any
-    zeta.  rho = 1 solves the zeta-mixed polarized equation, which also has a
-    closed form that is cross-checked to 1e-9.
+    rho = 0 is the SESI with iid-posterior expected costs for any zeta.
+    rho = 1 is :func:`cosesi_rho1_closed` under ``BayesBeta(alpha, beta, 1,
+    zeta)``, whose endpoint costs are the zeta-mixture of the naive and the
+    correlation-aware posteriors.
     """
     alpha, beta = prior
     if rho not in (0.0, 1.0, 0, 1):
@@ -288,38 +302,14 @@ def solve_bayesian_cosesi(
     if not 0.0 <= zeta <= 1.0:
         raise BadWeights(f"zeta must be in [0,1], got {zeta}")
     if rho == 0.0:
-        sesi = solve_cosesi(c, BayesBeta(alpha, beta, 0.0), n, 0.0)
-        return EquilibriumResult(
-            sesi.theta,
-            "BayesianCoSESI",
-            sesi.residual,
-            {"cost": c.name, "prior": (alpha, beta), "n": n, "rho": 0.0, "zeta": zeta},
-        )
-
-    naive = BayesBeta(alpha, beta, rho=0.0, zeta=1.0)
-    aware = BayesBeta(alpha, beta, rho=1.0, zeta=0.0)
-    c0 = (naive.expected_cost(n, 0.0, c), naive.expected_cost(n, 1.0, c))
-    c1 = (aware.expected_cost(n, 0.0, c), aware.expected_cost(n, 1.0, c))
-
-    def res(t: float) -> float:
-        mixed = zeta * (t * c0[1] + (1.0 - t) * c0[0]) + (1.0 - zeta) * (
-            t * c1[1] + (1.0 - t) * c1[0]
-        )
-        return 1.0 - t - mixed
-
-    theta = solve_decreasing(res, tol=_SOLVE_TOL)
-    num = 1.0 - zeta * c0[0] - (1.0 - zeta) * c1[0]
-    den = 1.0 + zeta * (c0[1] - c0[0]) + (1.0 - zeta) * (c1[1] - c1[0])
-    closed = num / den
-    if abs(theta - closed) > 1e-9:
-        raise ArithmeticError(
-            f"bisection {theta} disagrees with the closed form {closed} beyond 1e-9"
-        )
+        result = solve_cosesi(c, BayesBeta(alpha, beta, 0.0), n, 0.0)
+    else:
+        result = cosesi_rho1_closed(c, BayesBeta(alpha, beta, 1.0, zeta), n)
     return EquilibriumResult(
-        theta,
+        result.theta,
         "BayesianCoSESI",
-        abs(res(theta)),
-        {"cost": c.name, "prior": (alpha, beta), "n": n, "rho": 1.0, "zeta": zeta},
+        result.residual,
+        {"cost": c.name, "prior": (alpha, beta), "n": n, "rho": float(rho), "zeta": zeta},
     )
 
 
@@ -388,14 +378,15 @@ def sweep(
     n: int = 2,
     rho: float = 0.0,
 ) -> SweepTable:
-    """theta* as a function of rho or n, holding the other parameters fixed."""
-    rows: list[tuple[float, float]] = []
+    """theta* as a function of rho (on one set of expected costs) or of n."""
     if axis == "rho":
-        for v in values:
-            rows.append((float(v), solve_cosesi(c, G, n, float(v)).theta))
+        rhos = [float(v) for v in values]
+        for r in rhos:
+            _check_rho(r)
+        costs = expected_costs(G, n, c)
+        rows = [(r, _cosesi_root(costs, r)[0]) for r in rhos]
     elif axis == "n":
-        for v in values:
-            rows.append((float(v), solve_cosesi(c, G, int(v), rho).theta))
+        rows = [(float(v), solve_cosesi(c, G, int(v), rho).theta) for v in values]
     else:
         raise ValueError(f"axis must be 'rho' or 'n', got '{axis}'")
     rows.sort(key=lambda r: r[0])

@@ -98,9 +98,7 @@ class InteriorRhoUnsupported(ModelError, ValueError):
 _SHAPE_GRID = 1001  # 1e-3 grid used to classify/validate shapes
 
 
-def _classify_shape(fn: Callable[[float], float]) -> frozenset[str]:
-    xs = np.linspace(0.0, 1.0, _SHAPE_GRID)
-    ys = np.array([fn(float(x)) for x in xs])
+def _classify_shape(ys: np.ndarray) -> frozenset[str]:
     tags: set[str] = set()
     d1 = np.diff(ys)
     d2 = np.diff(ys, 2)
@@ -139,10 +137,10 @@ class CostFunction:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if not self.shape_tags:
-            object.__setattr__(self, "shape_tags", _classify_shape(self.fn))
         xs = np.linspace(0.0, 1.0, _SHAPE_GRID)
         ys = np.array([self.fn(float(x)) for x in xs])
+        if not self.shape_tags:
+            object.__setattr__(self, "shape_tags", _classify_shape(ys))
         if ys.min() < -1e-12 or ys.max() > 1.0 + 1e-12:
             raise ModelError(f"cost '{self.name}' leaves [0,1] on the unit interval")
 
@@ -363,7 +361,8 @@ class BayesBeta(InferenceProcedure):
 
     The belief is the zeta-mixture of the naive iid posterior and the
     correlation-aware posterior.  Only rho in {0, 1} yields an inference
-    procedure; interior rho is rejected at construction.  Under rho = 1 the
+    procedure; interior rho is rejected at construction.  Under rho = 0 the
+    aware posterior is the iid one, so zeta has no effect.  Under rho = 1 the
     aware posterior exists only for polarized samples y in {0, n}.
     """
 
@@ -385,16 +384,11 @@ class BayesBeta(InferenceProcedure):
 
     def expected_value(self, n: int, z: float, fn: Callable[[float], float]) -> float:
         y = _check_sample_mean(n, z)
-        a0, b0 = bayes_posterior(self.alpha, self.beta, n, y, "iid")
-        val = self.zeta * beta_expectation(fn, a0, b0)
-        if self.zeta < 1.0:
-            if self.rho == 0.0:
-                aware = beta_expectation(fn, a0, b0)
-            else:
-                a1, b1 = bayes_posterior(self.alpha, self.beta, n, y, "polarized")
-                aware = beta_expectation(fn, a1, b1)
-            val += (1.0 - self.zeta) * aware
-        return val
+        naive = beta_expectation(fn, *bayes_posterior(self.alpha, self.beta, n, y, "iid"))
+        if self.rho == 0.0 or self.zeta == 1.0:
+            return naive
+        aware = beta_expectation(fn, *bayes_posterior(self.alpha, self.beta, n, y, "polarized"))
+        return self.zeta * naive + (1.0 - self.zeta) * aware
 
 
 def expected_cost(
@@ -487,15 +481,20 @@ def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]
     return float((1.0 - rho) * bernstein(n, theta, values) + rho * polarized)
 
 
-def weighted_limit(theta: float, rho: float, fn: Callable[[float], float]) -> float:
+def weighted_limit(
+    theta: float, rho: float, fn: Callable[[float], float], ends: tuple[float, float]
+) -> float:
     """Large-n limit of :func:`weighted_bernstein`, where B_n(theta; C) -> fn(theta).
 
     (1 - rho) * fn(theta) + rho * [theta fn(1) + (1 - theta) fn(0)], with the
-    same rho check and the polarized term alone at rho = 1.
+    same rho check and the polarized term alone at rho = 1.  ``ends`` is
+    (fn(0), fn(1)), evaluated once by the caller; ``fn`` itself is called
+    only when rho < 1.
     """
     if not 0.0 <= rho <= 1.0:
         raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
-    polarized = theta * fn(1.0) + (1.0 - theta) * fn(0.0)
+    f0, f1 = ends
+    polarized = theta * f1 + (1.0 - theta) * f0
     if rho == 1.0:
         return polarized
     return (1.0 - rho) * fn(theta) + rho * polarized
@@ -553,6 +552,13 @@ class MarkovShock:
 
     p_xi: float
     q_xi: float
+
+    def __post_init__(self) -> None:
+        p, q = self.p_xi, self.q_xi
+        if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0 and p + q > 0.0):
+            raise InadmissibleCorrelation(
+                f"Markov shock needs p_xi, q_xi in [0,1], not both 0; got {p}, {q}"
+            )
 
 
 SignalDGP = IID | RhoMixture | CMB | AdditiveBinomial | BahadurJoint | Sequential | MarkovShock
@@ -726,8 +732,6 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
     elif isinstance(dgp, Sequential):
         probs = _sequential_count_pmf(n, theta, dgp.lambdas)
     elif isinstance(dgp, MarkovShock):
-        if dgp.p_xi + dgp.q_xi <= 0.0:
-            raise InadmissibleCorrelation("Markov shock chain needs p_xi + q_xi > 0")
         rho_star = dgp.p_xi / (dgp.p_xi + dgp.q_xi)
         return action_count_pmf(RhoMixture(rho_star), n, theta)
     else:

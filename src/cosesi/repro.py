@@ -100,10 +100,12 @@ def run_repro() -> list[ReproRow]:
     rows.append(_row("cosesi pow3 rho=1, all n (persistence)", 0.0, worst, 1e-9))
 
     # -- Beta estimation vs MLE table --------------------------------------
-    rows.append(_row("table beta rho=0 (quadratic root)", t_beta0, solve_cosesi(pow4, beta_est, 2, 0.0).theta, 1e-6))
-    rows.append(_row("  same, source-rounded 0.57", 0.57, solve_cosesi(pow4, beta_est, 2, 0.0).theta, 5e-3))
-    rows.append(_row("table mle rho=0.5 (quadratic root)", t_mle5, solve_cosesi(pow4, mle, 2, 0.5).theta, 1e-6))
-    rows.append(_row("  same, source-rounded 0.55", 0.55, solve_cosesi(pow4, mle, 2, 0.5).theta, 5e-3))
+    got = solve_cosesi(pow4, beta_est, 2, 0.0).theta
+    rows.append(_row("table beta rho=0 (quadratic root)", t_beta0, got, 1e-6))
+    rows.append(_row("  same, source-rounded 0.57", 0.57, got, 5e-3))
+    got = solve_cosesi(pow4, mle, 2, 0.5).theta
+    rows.append(_row("table mle rho=0.5 (quadratic root)", t_mle5, got, 1e-6))
+    rows.append(_row("  same, source-rounded 0.55", 0.55, got, 5e-3))
     got = solve_cosesi(pow4, beta_est, 2, 0.5).theta
     rows.append(_row("table beta rho=0.5 (quadratic root)", t_beta5, got, 1e-6))
     rows.append(
@@ -232,8 +234,7 @@ def run_repro() -> list[ReproRow]:
     cmb1 = solve_general_cmb(pow2, mle, 4, 1.0).roots[0]
     rows.append(_row("CMB nu=1 reproduces SESI", sesi, cmb1, 1e-9))
     mix = solve_heterogeneous([(0.5, mle, 2), (0.5, mle, 5)], pow4, 0.0).theta
-    lo = min(solve_cosesi(pow4, mle, 2, 0.0).theta, solve_cosesi(pow4, mle, 5, 0.0).theta)
-    hi = max(solve_cosesi(pow4, mle, 2, 0.0).theta, solve_cosesi(pow4, mle, 5, 0.0).theta)
+    lo, hi = sorted(solve_cosesi(pow4, mle, n, 0.0).theta for n in (2, 5))
     rows.append(_bound_row("heterogeneous mix inside pure SESIs", hi, mix))
     rows.append(_bound_row("  lower side (neg check)", -lo, -mix))
 

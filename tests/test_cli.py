@@ -31,6 +31,7 @@ def _readme_commands():
 
 
 README_COMMANDS = _readme_commands()
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParsing:
@@ -186,6 +187,26 @@ class TestCommands:
         assert out == ""
         assert "rho must be in [0,1]" in err
 
+    @pytest.mark.parametrize("args", [
+        ["cosesi", "--dgp", "rho"],
+        ["cosesi", "--dgp", "markov:0.2"],
+        ["cosesi", "--dgp", "markov:2,0.5"],
+        ["cosesi", "--dgp", "walrus:1"],
+        ["cosesi", "--cost", "pow:abc"],
+        ["cosesi", "--inference", "bayes:1,x,0"],
+        ["cosesi", "--inference", "bayes:1,1,0.5"],
+        ["assortative", "--rho-fn", "const:"],
+        ["hetero", "--groups", "0.5:mle"],
+        ["hetero", "--groups", "0.5:mle:x,0.5:mle:2"],
+        ["sweep", "--values", "0,x"],
+        ["mc", "--dgp", "cmb"],
+    ])
+    def test_malformed_spec_exits_2(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ")
+
     def test_solver_error_exits_1(self, capsys):
         code, _, err = run_cli(
             ["bayes", "--cost", "pow:2", "--n", "2", "--rho", "0.5"], capsys
@@ -252,9 +273,17 @@ class TestReadmeCommands:
 
     @pytest.mark.parametrize("command", README_COMMANDS)
     def test_exits_0(self, command, capsys, tmp_path, monkeypatch):
+        # stdout and the --out file must match the recorded golden files byte
+        # for byte; a deliberate change of output re-records them
         monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(shlex.split(command)[1:], capsys)
+        monkeypatch.delenv("COSESI_SEED", raising=False)
+        argv = shlex.split(command)[1:]
+        code, out, err = run_cli(argv, capsys)
         assert code == 0, err
+        assert out == (GOLDEN / f"{argv[0]}.stdout").read_text()
+        if "--out" in argv:
+            written = tmp_path / argv[argv.index("--out") + 1]
+            assert written.read_bytes() == (GOLDEN / f"{argv[0]}.out").read_bytes()
 
 
 def test_installed_entry_point():

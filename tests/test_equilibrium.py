@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cosesi import equilibrium
 from cosesi.model import (
+    IID,
+    MLE,
     BayesBeta,
+    BetaEstimation,
     RhoMixture,
     BahadurJoint,
     InteriorRhoUnsupported,
@@ -13,6 +17,8 @@ from cosesi.model import (
     linear_cost,
     power_cost,
     s_shaped_cost,
+    action_count_pmf,
+    parse_cost,
     weighted_bernstein,
 )
 from cosesi.equilibrium import (
@@ -32,7 +38,7 @@ from cosesi.equilibrium import (
     sweep,
     variation_diagnostic,
 )
-from cosesi.numerics import find_sign_changes, solve_bracketed
+from cosesi.numerics import Tolerance, find_sign_changes, solve_bracketed, solve_decreasing
 
 from conftest import (
     ASSORT_LIMIT,
@@ -265,6 +271,34 @@ class TestBayesianCosesi:
         assert gap(0.5, 0.2) > 1e-4   # increasing in zeta
         assert gap(0.2, 0.2) < -1e-4  # decreasing in zeta
 
+    @pytest.mark.parametrize("spec, prior, n, zeta", [
+        ("pow:2", (1.0, 1.0), 2, 0.5),
+        ("exp:3", (2.0, 3.0), 10, 0.9),
+        ("pow:3.7", (0.4, 2.5), 37, 0.13),
+        ("linear", (5.0, 0.6), 1, 0.0),
+        ("sshape", (1.3, 1.3), 120, 1.0),
+    ])
+    def test_rho_one_is_the_closed_form(self, spec, prior, n, zeta):
+        c = parse_cost(spec)
+        got = solve_bayesian_cosesi(c, prior, n, 1.0, zeta)
+        closed = cosesi_rho1_closed(c, BayesBeta(*prior, 1.0, zeta), n)
+        assert (got.theta, got.residual) == (closed.theta, closed.residual)
+        assert got.concept == "BayesianCoSESI" and got.params["zeta"] == zeta
+        # reference: the zeta-mixed polarized equation, solved iteratively
+        naive = BayesBeta(*prior, 0.0)
+        aware = BayesBeta(*prior, 1.0, 0.0)
+        c0 = (naive.expected_cost(n, 0.0, c), naive.expected_cost(n, 1.0, c))
+        c1 = (aware.expected_cost(n, 0.0, c), aware.expected_cost(n, 1.0, c))
+
+        def res(t):
+            mixed = zeta * (t * c0[1] + (1.0 - t) * c0[0]) + (1.0 - zeta) * (
+                t * c1[1] + (1.0 - t) * c1[0]
+            )
+            return 1.0 - t - mixed
+
+        iterative = solve_decreasing(res, tol=Tolerance(abs_tol=1e-15, max_iter=300))
+        assert abs(got.theta - iterative) <= 1e-12
+
     def test_monotone_in_zeta_pointwise(self, pow2):
         vals = [solve_bayesian_cosesi(pow2, (0.2, 0.2), 2, 1.0, z).theta for z in np.linspace(0, 1, 11)]
         diffs = np.diff(vals)
@@ -453,3 +487,79 @@ class TestComparativeStatics:
         thetas = table.thetas()
         assert len(set(round(t, 6) for t in thetas)) == 4
         assert all(b < a for a, b in zip(thetas, thetas[1:]))
+
+
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestComputedOnce:
+    def test_sweep_rho_builds_one_grid(self, beta_est, pow3, monkeypatch):
+        values = [0.0, 0.1, 0.5, 0.9, 1.0]
+        want = tuple((v, solve_cosesi(pow3, beta_est, 20, v).theta) for v in values)
+        calls = []
+        monkeypatch.setattr(equilibrium, "cost_grid", _counting(calls, equilibrium.cost_grid))
+        table = sweep("rho", values, pow3, beta_est, n=20)
+        assert len(calls) == 1
+        assert table.rows == want
+
+    def test_sweep_rho_outside_unit_interval_raises_before_solving(self, mle, pow3, monkeypatch):
+        calls = []
+        monkeypatch.setattr(equilibrium, "cost_grid", _counting(calls, equilibrium.cost_grid))
+        with pytest.raises(ValueError, match="rho must be in"):
+            sweep("rho", [0.5, 1.5], pow3, mle, n=3)
+        assert calls == []
+
+    def test_limit_endpoints_evaluated_once(self, mle):
+        calls = []
+        cost = _counting(calls, lambda t: t**3)
+        costs = expected_costs(mle, math.inf, cost)
+        doubled = costs.map(lambda v: 2.0 * v)
+        for t in (0.2, 0.5, 0.8):
+            for rho in (0.0, 0.3, 1.0):
+                assert doubled.psi(t, rho) == 2.0 * costs.psi(t, rho)
+        assert calls.count((0.0,)) == 1 and calls.count((1.0,)) == 1
+        assert doubled.ends == (0.0, 2.0)
+
+    def test_assortative_limit_one_quadrature_per_residual(self, monkeypatch):
+        rho_fn = lambda eta: eta**1.5
+        want = solve_assortative(linear_cost(), MLE(), 200_000, rho_fn)
+        evals, quads = [], []
+        real_solve = equilibrium.solve_decreasing
+        monkeypatch.setattr(equilibrium, "integrate", _counting(quads, equilibrium.integrate))
+        monkeypatch.setattr(
+            equilibrium, "solve_decreasing",
+            lambda f, *a, **k: real_solve(_counting(evals, f), *a, **k),
+        )
+        got = solve_assortative(linear_cost(), MLE(), 200_000, rho_fn)
+        assert got.theta == want.theta
+        # one quadrature per residual, one for the reported residual, two endpoints
+        assert len(quads) <= len(evals) + 3
+
+
+class TestQuadratureDepth:
+    """Endpoint cusps that exhausted the old 60-level quadrature cap now solve."""
+
+    @pytest.mark.parametrize("spec, G, n, rho", [
+        ("exp:3.8", BayesBeta(1.25, 0.93, 0.0, 0.42), 2, 0.08),
+        ("exp:4.67", BayesBeta(1.24, 1.66, 0.0, 0.97), 7, 0.0),
+    ])
+    def test_bayes_prior_shape_just_above_one(self, spec, G, n, rho):
+        c = parse_cost(spec)
+        got = solve_cosesi(c, G, n, rho).theta
+        grid = cost_grid(G, n, c)
+        law = RhoMixture(rho)
+        assert abs(1.0 - got - float(action_count_pmf(law, n, got).probs @ grid)) <= 1e-9
+
+    def test_assortative_root_cusp(self):
+        c, G, n = power_cost(3), BetaEstimation(), 6
+        got = solve_assortative(c, G, n, lambda e: e**0.5).theta
+        grid = cost_grid(G, n, c)
+        lam = np.array([(1.0 - min(1.0, max(v, 0.0)) ** 1.5) / 1.5 for v in grid])
+        b = action_count_pmf(IID(), n, got).probs
+        resid = 1.0 - got - (float(b @ grid) + float(b @ lam) - (got * lam[-1] + (1.0 - got) * lam[0]))
+        assert abs(resid) <= 1e-9

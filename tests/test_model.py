@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import beta as sp_beta
 
+from cosesi import model
 from cosesi.model import (
     CMB,
     AdditiveBinomial,
@@ -101,6 +102,12 @@ class TestBetaExpectation:
         with pytest.raises(ModelError):
             beta_expectation(lambda t: t, 0.0, 1.0)
 
+    def test_values_bitwise_pinned(self):
+        # the quadrature depth budget is Tolerance.max_iter; integrals that
+        # converged under the older depth cap of 60 keep every bit
+        assert beta_expectation(power_cost(3), 2.5, 0.7).hex() == "0x1.207627627626ep-1"
+        assert beta_expectation(power_cost(3), 0.4, 3.0).hex() == "0x1.1094756dad0b1p-6"
+
 
 class TestExpectedCost:
     def test_mle_is_plugin(self, pow4):
@@ -136,6 +143,29 @@ class TestExpectedCost:
         G = BayesBeta(1.0, 1.0, 1.0, 0.0)
         with pytest.raises(PolarizedInteriorSample):
             G.expected_cost(2, 0.5, pow3)
+
+    def test_bayes_rho_zero_takes_one_posterior_per_cell(self, monkeypatch):
+        # at rho = 0 the aware posterior is the iid one, so zeta must not
+        # matter; at this cell 0.3 x + 0.7 x rounds away from x
+        c = parse_cost("pow:2.2577")
+        x = beta_expectation(c, *bayes_posterior(1.886, 3.435, 62, 5, "iid"))
+        assert 0.3 * x + 0.7 * x != x
+        calls = []
+        real = model.beta_expectation
+        monkeypatch.setattr(model, "beta_expectation", lambda *a: calls.append(a) or real(*a))
+        assert BayesBeta(1.886, 3.435, 0.0, 0.3).expected_cost(62, 5 / 62, c) == x
+        assert len(calls) == 1
+        mixed = [BayesBeta(1.886, 3.435, 0.0, 0.3).expected_cost(62, y / 62, c) for y in range(63)]
+        naive = [BayesBeta(1.886, 3.435, 0.0).expected_cost(62, y / 62, c) for y in range(63)]
+        assert np.array(mixed).tobytes() == np.array(naive).tobytes()
+        assert len(calls) == 1 + 2 * 63
+
+    def test_bayes_rho_one_mixes_the_two_posteriors(self, pow3):
+        naive = BayesBeta(2.0, 3.0, 0.0).expected_cost(4, 1.0, pow3)
+        aware = BayesBeta(2.0, 3.0, 1.0, 0.0).expected_cost(4, 1.0, pow3)
+        got = BayesBeta(2.0, 3.0, 1.0, 0.4).expected_cost(4, 1.0, pow3)
+        assert got == 0.4 * naive + (1.0 - 0.4) * aware
+        assert BayesBeta(2.0, 3.0, 1.0, 1.0).expected_cost(4, 1.0, pow3) == naive
 
 
 class TestBayesPosterior:
@@ -224,6 +254,11 @@ class TestActionCountPMF:
     def test_bahadur_unsupported_n(self):
         with pytest.raises(UnsupportedN):
             action_count_pmf(BahadurJoint(r2=(0.1,) * 6), 4, 0.5)
+
+    @pytest.mark.parametrize("p, q", [(2.0, 0.5), (0.5, 1.5), (-0.1, 0.5), (0.0, 0.0), (math.nan, 0.5)])
+    def test_markov_shock_validated_at_construction(self, p, q):
+        with pytest.raises(InadmissibleCorrelation):
+            MarkovShock(p, q)
 
     def test_markov_shock_uses_stationary_rho(self):
         got = action_count_pmf(MarkovShock(0.2, 0.6), 3, 0.4).probs
