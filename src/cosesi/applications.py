@@ -11,13 +11,13 @@ Four markets plus two policy exercises:
 * a tax-policy check for a planner who may misread the sampling pattern,
 * a two-period competitive market hit by a supply shock.
 
-Every rho-mixture residual here evaluates the same kernel as the equilibrium
-solvers.  The two-sided market and monopoly demand read their costs through
-``equilibrium.expected_costs``, which also decides the large-n limit; the
-bank and tax residuals need the grid cells themselves and call
-``model.weighted_bernstein`` on ``equilibrium.cost_grid``.  Decreasing
-residuals are solved with ``numerics.solve_decreasing`` and multi-root ones
-with ``numerics.find_roots``.
+Every rho-mixture expectation here evaluates the same kernel as the
+equilibrium solvers.  The two-sided market (rational expectations being its
+infinite-sample, uncorrelated limit) and monopoly demand read their costs
+through ``equilibrium.expected_costs``, which decides the large-n limit; the
+bank and tax computations call ``model.weighted_bernstein`` on the cells of
+``equilibrium.cost_grid``.  Decreasing residuals are solved with
+``numerics.solve_decreasing`` and multi-root ones with ``numerics.find_roots``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from .model import (
     CostFunction,
     InferenceProcedure,
     MLE,
-    RhoMixture,
-    action_count_pmf,
     exp_decay_cost,
     weighted_bernstein,
 )
@@ -133,39 +131,25 @@ class TwoSidedOutcome:
     concept: str
 
 
-def _side_response(
-    m_count: float, rho: float, G: InferenceProcedure, moment: float
-) -> Callable[[float], float]:
-    """Expected participation mass Psi for one side, as a function of the other side.
-
-    ``moment`` is the Cobb-Douglas exponent of the integrand b^moment under
-    the estimate; infinite sample sizes use the consistent limit.
-    """
-    costs = expected_costs(G, m_count, lambda x: x**moment)
-    return lambda other: costs.psi(other, rho)
-
-
 def solve_two_sided(spec: TwoSidedSpec, rational: bool = False) -> TwoSidedOutcome:
     """Unique positive-participation equilibrium of the two-sided market.
 
     Bisects on beta the composed map beta -> (lam * S_f(alpha*(beta)))^{1/(1+v)}
     with alpha*(beta) = (lam * S_w(beta))^{1/(2-v)}; the trivial (0, 0)
-    equilibrium is excluded by the positive bracket.  ``rational`` replaces
-    the sampled estimate with the true value (rational expectations / NE).
+    equilibrium is excluded by the positive bracket.  ``rational`` solves the
+    rational-expectations benchmark (NE), the spec with k = n = inf and rho = 0.
     """
-    lam, v = spec.lam, spec.v
     if rational:
-        s_w = lambda beta: beta ** (1.0 - v)
-        s_f = lambda alpha: alpha**v
-    else:
-        s_w = _side_response(spec.k, spec.rho_w, spec.G_w, 1.0 - v)
-        s_f = _side_response(spec.n, spec.rho_f, spec.G_f, v)
+        spec = replace(spec, k=math.inf, n=math.inf, rho_w=0.0, rho_f=0.0)
+    lam, v = spec.lam, spec.v
+    costs_w = expected_costs(spec.G_w, spec.k, lambda b: b ** (1.0 - v))
+    costs_f = expected_costs(spec.G_f, spec.n, lambda a: a**v)
 
     def alpha_of(beta: float) -> float:
-        return (lam * s_w(beta)) ** (1.0 / (2.0 - v))
+        return (lam * costs_w.psi(beta, spec.rho_w)) ** (1.0 / (2.0 - v))
 
     def res(beta: float) -> float:
-        return beta - (lam * s_f(alpha_of(beta))) ** (1.0 / (1.0 + v))
+        return beta - (lam * costs_f.psi(alpha_of(beta), spec.rho_f)) ** (1.0 / (1.0 + v))
 
     lo = 1e-12
     f_lo, f_hi = res(lo), res(1.0)
@@ -176,12 +160,7 @@ def solve_two_sided(spec: TwoSidedSpec, rational: bool = False) -> TwoSidedOutco
     beta = solve_bracketed(res, Bracket(lo, 1.0, f_lo, f_hi), _TOL)
     alpha = alpha_of(beta)
     employment = lam * alpha**v * beta ** (1.0 - v)
-    if rational:
-        concept = "NE"
-    elif spec.rho_w == 0.0 and spec.rho_f == 0.0:
-        concept = "SESI"
-    else:
-        concept = "CoSESI"
+    concept = "NE" if rational else ("SESI" if spec.rho_w == spec.rho_f == 0.0 else "CoSESI")
     return TwoSidedOutcome(alpha, beta, employment, concept)
 
 
@@ -484,9 +463,9 @@ def tax_policy_check(
     The taxed equilibrium solves 1 - theta = sum_y mu_rho(y|theta)
     min(C_{n,y/n} + tau, 1).  Social welfare integrates eta - c(theta) over
     the acting types, a union of intervals [C_y + tau, 1] weighted by the
-    count pmf (closed form, no sampling).  ``recommend_tax`` is the sign test
-    1 - c(theta_0) - theta_0 c'(theta_0) < 0 at the untaxed equilibrium of
-    the supplied DGP.
+    count law (``weighted_bernstein``, no sampling).  ``recommend_tax`` is
+    the sign test 1 - c(theta_0) - theta_0 c'(theta_0) < 0 at the untaxed
+    equilibrium of the supplied DGP.
     """
     if tau < 0.0:
         raise ApplicationError(f"tax must be >= 0, got {tau}")
@@ -498,12 +477,9 @@ def tax_policy_check(
 
     theta_tau = solve_on(taxed)
     theta_zero = theta_tau if tau == 0.0 else solve_on(np.minimum(base_grid, 1.0))
-    pmf = action_count_pmf(RhoMixture(rho), n, theta_tau).probs
     c_at = c(theta_tau)
     # int_a^1 (eta - c) d eta = (1 - a^2)/2 - c (1 - a), per count cell
-    welfare = float(
-        np.sum(pmf * ((1.0 - taxed**2) / 2.0 - c_at * (1.0 - taxed)))
-    )
+    welfare = weighted_bernstein(n, theta_tau, rho, (1.0 - taxed**2) / 2.0 - c_at * (1.0 - taxed))
     check = 1.0 - c(theta_zero) - theta_zero * c.derivative(theta_zero)
     return TaxOutcome(theta_tau, theta_zero, welfare, check, check < 0.0)
 

@@ -126,9 +126,18 @@ def _parse_rho_fn(spec: str):
 
 
 def _parse_groups(spec: str):
+    # a token with exactly two colons starts a group; any other token continues
+    # the previous group's inference spec, so bayes:alpha,beta,rho keeps its commas
+    parts: list[str] = []
+    for token in spec.split(","):
+        if token.count(":") == 2 or not parts:
+            parts.append(token)
+        else:
+            parts[-1] += "," + token
     groups = []
-    for part in spec.split(","):
-        w, inf, nn = part.split(":")
+    for part in parts:
+        w, rest = part.split(":", 1)
+        inf, nn = rest.rsplit(":", 1)
         groups.append((float(w), _parse_inference(inf), int(nn)))
     return groups
 

@@ -4,21 +4,20 @@ Every concept here is a root of "one minus theta equals the expected measure
 of agents choosing the outside action", with the expectation taken under the
 relevant action-count law:
 
-* NE:        1 - theta = c(theta)
 * SESI:      1 - theta = B_n(theta; C_n)                      (iid sampling)
 * CoSESI:    1 - theta = (1-rho) B_n(theta; C_n) + rho BB_n(theta; C_n)
+* NE:        1 - theta = c(theta), the SESI with infinitely many signals
 * variants:  assortative, Bayesian partial neglect, heterogeneous groups,
-             general Conway-Maxwell-Binomial counts.
+             general count laws.
 
-Under the rho-mixture law the right side is ``ExpectedCosts.psi``: the
-kernel ``model.weighted_bernstein`` on the cost grid, or its large-n limit
+Under a rho-mixture law the right side is ``ExpectedCosts.psi``: the kernel
+``model.weighted_bernstein`` on the cost grid, or its large-n limit
 ``model.weighted_limit`` on the cost itself.  :func:`expected_costs` is the
 one place that picks between them: MLE requests with n above ``LARGE_N``
-and infinite n use the consistent limit B_n(theta; C_n) -> c(theta).  The
-left side is strictly decreasing and the right side increasing for
-increasing costs, so a unique-root solve is one ``numerics.solve_decreasing``
-on [0, 1]; enumerating solvers scan and refine with ``numerics.find_roots``.
-No damped iteration is used anywhere.
+and infinite n (hence NE) use the limit B_n(theta; C_n) -> c(theta).  For
+increasing costs the left side decreases and the right side increases, so a
+unique-root solve is one ``numerics.solve_decreasing`` on [0, 1] (a closed
+form at rho = 1); enumerating solvers use ``numerics.find_roots``.
 """
 
 from __future__ import annotations
@@ -34,9 +33,12 @@ from .model import (
     CMB,
     BayesBeta,
     CostFunction,
+    IID,
     InferenceProcedure,
     InteriorRhoUnsupported,
     MLE,
+    MarkovShock,
+    RhoMixture,
     SignalDGP,
     action_count_pmf,
     weighted_bernstein,
@@ -126,9 +128,9 @@ class ExpectedCosts:
     """Expected costs C_{n, y/n} of one inference procedure and sample size.
 
     ``values`` is the :func:`cost_grid` array, or in the large-n limit
-    (``n`` is ``math.inf``) the cost function itself, with its endpoint
-    values (values(0), values(1)) kept once in ``ends``.  Build it with
-    :func:`expected_costs`.
+    (``n`` is ``math.inf``) the cost function itself.  :func:`expected_costs`
+    builds it and keeps (C_{n,0}, C_{n,1}) once in ``ends``: the limit reads
+    them on every evaluation, and the rho = 1 closed form reads nothing else.
     """
 
     n: float
@@ -159,14 +161,14 @@ def expected_costs(G: InferenceProcedure, n: float, c: Callable[[float], float])
     """
     if math.isinf(n) or (n > LARGE_N and isinstance(G, MLE)):
         return ExpectedCosts(math.inf, c, (c(0.0), c(1.0)))
-    return ExpectedCosts(int(n), cost_grid(G, int(n), c))
+    grid = cost_grid(G, int(n), c)
+    return ExpectedCosts(int(n), grid, (float(grid[0]), float(grid[-1])))
 
 
 def solve_ne(c: CostFunction) -> EquilibriumResult:
-    """Nash equilibrium: the unique root of 1 - theta = c(theta)."""
-    res = lambda t: 1.0 - t - c(t)
-    theta = solve_decreasing(res, tol=_SOLVE_TOL)
-    return EquilibriumResult(theta, "NE", abs(res(theta)), {"cost": c.name})
+    """Nash equilibrium 1 - theta = c(theta): the SESI with infinitely many signals."""
+    theta, residual = _cosesi_root(expected_costs(MLE(), math.inf, c), 0.0)
+    return EquilibriumResult(theta, "NE", residual, {"cost": c.name})
 
 
 def solve_cosesi(
@@ -175,10 +177,14 @@ def solve_cosesi(
     """Simple CoSESI: root of 1 - theta = Psi_n(theta, rho; C_n).
 
     Unique for any increasing cost, n, G, and rho in [0, 1]; rho = 0 is the
-    SESI and rho = 1 admits the closed form of :func:`cosesi_rho1_closed`.
+    SESI and rho = 1 is the closed form of :func:`cosesi_rho1_closed`.
     """
     _check_rho(rho)
-    theta, residual = _cosesi_root(expected_costs(G, n, c), rho)
+    if rho == 1.0:
+        closed = cosesi_rho1_closed(c, G, n)
+        theta, residual = closed.theta, closed.residual
+    else:
+        theta, residual = _cosesi_root(expected_costs(G, n, c), rho)
     concept = "SESI" if rho == 0.0 else "CoSESI"
     return EquilibriumResult(
         theta, concept, residual, {"cost": c.name, "G": G.kind, "n": n, "rho": rho}
@@ -192,17 +198,28 @@ def _check_rho(rho: float) -> None:
 
 def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
     """The root of 1 - theta = costs.psi(theta, rho) and its |residual|."""
-    res = lambda t: 1.0 - t - costs.psi(t, rho)
+    if rho == 1.0:
+        return _rho1_root(*costs.ends)
+    return _root(lambda t: costs.psi(t, rho))
+
+
+def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
+    """The root of 1 - theta = rhs(theta) by the clamped decreasing solve, and its |residual|."""
+    res = lambda t: 1.0 - t - rhs(t)
     theta = solve_decreasing(res, tol=_SOLVE_TOL)
     return theta, abs(res(theta))
 
 
-def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: int) -> EquilibriumResult:
-    """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1})."""
-    c0 = G.expected_cost(n, 0.0, c)
-    c1 = G.expected_cost(n, 1.0, c)
+def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
     theta = (1.0 - c0) / (1.0 - c0 + c1)
-    residual = abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0))
+    return theta, abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0))
+
+
+def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> EquilibriumResult:
+    """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1}),
+    from these two cells alone (c(0) and c(1) at infinite n)."""
+    ends = (c(0.0), c(1.0)) if math.isinf(n) else (G.expected_cost(n, 0.0, c), G.expected_cost(n, 1.0, c))
+    theta, residual = _rho1_root(*ends)
     return EquilibriumResult(theta, "CoSESI", residual, {"cost": c.name, "G": G.kind, "n": n})
 
 
@@ -275,10 +292,9 @@ def solve_assortative(
 
     costs = expected_costs(G, n, c)
     lam = costs.map(lam_of)
-    res = lambda t: 1.0 - t - (costs.psi(t, 0.0) + lam.psi(t, 0.0) - lam.psi(t, 1.0))
-    theta = solve_decreasing(res, tol=_SOLVE_TOL)
+    theta, residual = _root(lambda t: costs.psi(t, 0.0) + lam.psi(t, 0.0) - lam.psi(t, 1.0))
     return EquilibriumResult(
-        theta, "AssortativeCoSESI", abs(res(theta)), {"cost": c.name, "G": G.kind, "n": n}
+        theta, "AssortativeCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n}
     )
 
 
@@ -289,22 +305,18 @@ def solve_bayesian_cosesi(
     rho: float,
     zeta: float,
 ) -> EquilibriumResult:
-    """Bayesian CoSESI under zeta-degree correlation neglect, rho in {0, 1}.
+    """Bayesian CoSESI under zeta-degree correlation neglect, rho in {0, 1}:
+    the CoSESI under ``BayesBeta(alpha, beta, rho, zeta)``.
 
-    rho = 0 is the SESI with iid-posterior expected costs for any zeta.
-    rho = 1 is :func:`cosesi_rho1_closed` under ``BayesBeta(alpha, beta, 1,
-    zeta)``, whose endpoint costs are the zeta-mixture of the naive and the
-    correlation-aware posteriors.
+    At rho = 0 zeta has no effect; at rho = 1 the two endpoint costs are the
+    zeta-mixture of the naive and the correlation-aware posteriors.
     """
     alpha, beta = prior
     if rho not in (0.0, 1.0, 0, 1):
         raise InteriorRhoUnsupported(f"solve_bayesian_cosesi needs rho in {{0,1}}, got {rho}")
     if not 0.0 <= zeta <= 1.0:
         raise BadWeights(f"zeta must be in [0,1], got {zeta}")
-    if rho == 0.0:
-        result = solve_cosesi(c, BayesBeta(alpha, beta, 0.0), n, 0.0)
-    else:
-        result = cosesi_rho1_closed(c, BayesBeta(alpha, beta, 1.0, zeta), n)
+    result = solve_cosesi(c, BayesBeta(alpha, beta, rho, zeta), n, rho)
     return EquilibriumResult(
         result.theta,
         "BayesianCoSESI",
@@ -327,13 +339,9 @@ def solve_heterogeneous(
     if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise BadWeights(f"weights must be nonnegative and sum to 1, got {weights}")
     groups = [(w, expected_costs(G, n, c)) for w, G, n in specs]
-    res = lambda t: 1.0 - t - sum(w * costs.psi(t, rho) for w, costs in groups)
-    theta = solve_decreasing(res, tol=_SOLVE_TOL)
+    theta, residual = _root(lambda t: sum(w * costs.psi(t, rho) for w, costs in groups))
     return EquilibriumResult(
-        theta,
-        "HeterogeneousCoSESI",
-        abs(res(theta)),
-        {"cost": c.name, "rho": rho, "groups": len(specs)},
+        theta, "HeterogeneousCoSESI", residual, {"cost": c.name, "rho": rho, "groups": len(specs)}
     )
 
 
@@ -341,12 +349,13 @@ def solve_with_dgp(
     c: CostFunction, G: InferenceProcedure, n: int, dgp: SignalDGP
 ) -> EquilibriumResult:
     """General CoSESI for an arbitrary action-count law: roots of
-    1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection."""
+    1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection.
+    Under a rho-mixture law (iid, Markov shock) the sum is ``weighted_bernstein``."""
     grid = cost_grid(G, n, c)
-
-    def res(t: float) -> float:
-        pmf = action_count_pmf(dgp, n, t)
-        return 1.0 - t - float(pmf.probs @ grid)
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        res = lambda t: 1.0 - t - weighted_bernstein(n, t, dgp.rho, grid)
+    else:
+        res = lambda t: 1.0 - t - float(action_count_pmf(dgp, n, t).probs @ grid)
 
     roots = find_roots(res, 1e-4, _SOLVE_TOL)
     residual = max((abs(res(r)) for r in roots), default=math.inf)
@@ -386,7 +395,11 @@ def sweep(
         costs = expected_costs(G, n, c)
         rows = [(r, _cosesi_root(costs, r)[0]) for r in rhos]
     elif axis == "n":
-        rows = [(float(v), solve_cosesi(c, G, int(v), rho).theta) for v in values]
+        ns = [float(v) for v in values]
+        bad = [m for m in ns if not (m >= 1 and m.is_integer())]
+        if bad:
+            raise ValueError(f"sample size n must be a positive integer, got {bad[0]:g}")
+        rows = [(m, solve_cosesi(c, G, int(m), rho).theta) for m in ns]
     else:
         raise ValueError(f"axis must be 'rho' or 'n', got '{axis}'")
     rows.sort(key=lambda r: r[0])

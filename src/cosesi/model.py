@@ -8,11 +8,11 @@ signals as independent.  This module supplies:
 
 * cost functions with shape metadata and derivatives,
 * the inference procedures (MLE, Beta estimation, Bayes with Beta prior),
-* every distribution of the action count y used by the solvers (iid
-  binomial, rho-mixture, Conway-Maxwell-Binomial, additive-binomial,
-  Bahadur joints for n <= 3, sequential sampling, Markov-shock),
-* plain and rho-weighted Bernstein polynomial evaluation, and the
-  large-n limit of the latter (``weighted_limit``).
+* every distribution of the action count y used by the solvers: the
+  rho-mixtures (iid, rho-mixture, Markov shock), Conway-Maxwell-Binomial,
+  additive-binomial, Bahadur joints for n <= 3, sequential sampling,
+* plain and rho-weighted Bernstein polynomial evaluation (the expectation
+  under a rho-mixture) and the large-n limit of the latter.
 """
 
 from __future__ import annotations
@@ -509,12 +509,18 @@ def weighted_limit(
 class IID:
     """Independent Bernoulli signals; the action count is Binomial(n, theta)."""
 
+    rho = 0.0  # the rho-mixture without the duplicated signal
+
 
 @dataclass(frozen=True)
 class RhoMixture:
     """Compound lottery: Binomial with prob 1-rho, duplicated signal with prob rho."""
 
     rho: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.rho <= 1.0:
+            raise InadmissibleCorrelation(f"rho-mixture needs rho in [0,1], got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -548,7 +554,7 @@ class Sequential:
 
 @dataclass(frozen=True)
 class MarkovShock:
-    """Two-state sampling-shock chain; pmf evaluated at the stationary correlation."""
+    """Two-state sampling-shock chain: the rho-mixture at rho = p_xi / (p_xi + q_xi)."""
 
     p_xi: float
     q_xi: float
@@ -559,6 +565,10 @@ class MarkovShock:
             raise InadmissibleCorrelation(
                 f"Markov shock needs p_xi, q_xi in [0,1], not both 0; got {p}, {q}"
             )
+
+    @property
+    def rho(self) -> float:
+        return self.p_xi / (self.p_xi + self.q_xi)
 
 
 SignalDGP = IID | RhoMixture | CMB | AdditiveBinomial | BahadurJoint | Sequential | MarkovShock
@@ -704,15 +714,10 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
         raise UnsupportedN(f"n must be >= 1, got {n}")
     if not 0.0 <= theta <= 1.0:
         raise ModelError(f"theta must be in [0,1], got {theta}")
-    if isinstance(dgp, IID):
-        probs = binom_pmf(n, theta)
-    elif isinstance(dgp, RhoMixture):
-        rho = dgp.rho
-        if not 0.0 <= rho <= 1.0:
-            raise InadmissibleCorrelation(f"rho-mixture needs rho in [0,1], got {rho}")
-        probs = (1.0 - rho) * binom_pmf(n, theta)
-        probs[n] += rho * theta
-        probs[0] += rho * (1.0 - theta)
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        probs = (1.0 - dgp.rho) * binom_pmf(n, theta)
+        probs[n] += dgp.rho * theta
+        probs[0] += dgp.rho * (1.0 - theta)
     elif isinstance(dgp, CMB):
         probs = _cmb_pmf(n, theta, dgp.nu)
     elif isinstance(dgp, AdditiveBinomial):
@@ -731,9 +736,6 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
         probs = joint_count_probs(n, _bahadur_joint_probs(n, theta, dgp.r2, dgp.r3))
     elif isinstance(dgp, Sequential):
         probs = _sequential_count_pmf(n, theta, dgp.lambdas)
-    elif isinstance(dgp, MarkovShock):
-        rho_star = dgp.p_xi / (dgp.p_xi + dgp.q_xi)
-        return action_count_pmf(RhoMixture(rho_star), n, theta)
     else:
         raise ModelError(f"unknown DGP {dgp!r}")
     probs = probs / probs.sum()  # remove float drift, keeps 1e-12 normalization
@@ -744,8 +746,6 @@ def dgp_variance(dgp: RhoMixture, n: int, theta: float) -> float:
     """Variance of the action count under the rho-mixture: theta(1-theta)(n + rho n(n-1))."""
     if not isinstance(dgp, RhoMixture):
         raise ModelError("dgp_variance is defined for the rho-mixture law")
-    if not 0.0 <= dgp.rho <= 1.0:
-        raise InadmissibleCorrelation(f"rho must be in [0,1], got {dgp.rho}")
     return theta * (1.0 - theta) * (n + dgp.rho * n * (n - 1))
 
 

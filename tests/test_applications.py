@@ -1,17 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cosesi.model import (
     BayesBeta,
+    BetaEstimation,
     CostFunction,
     InadmissibleCorrelation,
     MLE,
+    RhoMixture,
+    action_count_pmf,
     linear_cost,
     weighted_bernstein,
 )
-from cosesi.equilibrium import solve_cosesi
+from cosesi.equilibrium import cost_grid, solve_cosesi
 from cosesi.applications import (
     ApplicationError,
     CreditSpec,
@@ -44,6 +48,17 @@ class TestTwoSidedMarket:
         assert out.beta_star == pytest.approx(lam, abs=1e-8)
         assert out.employment == pytest.approx(lam**2, abs=1e-8)
         assert out.concept == "NE"
+
+    @pytest.mark.parametrize("spec", [
+        TwoSidedSpec(lam=0.3),
+        TwoSidedSpec(lam=0.45, v=0.3, k=5, n=3, rho_w=0.4, rho_f=0.9, G_w=BetaEstimation()),
+    ])
+    def test_rational_is_the_infinite_uncorrelated_market_bitwise(self, spec):
+        got = solve_two_sided(spec, rational=True)
+        limit = solve_two_sided(replace(spec, k=math.inf, n=math.inf, rho_w=0.0, rho_f=0.0))
+        assert (got.alpha_star, got.beta_star, got.employment) == (
+            limit.alpha_star, limit.beta_star, limit.employment)
+        assert got.concept == "NE"
 
     @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5])
     def test_full_correlation_both_sides(self, lam):
@@ -411,6 +426,14 @@ class TestTaxPolicy:
             for w, a in zip(pmf, grid)
         )
         assert out.welfare == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("n, rho, tau", [(2, 0.0, 0.0), (5, 0.4, 0.1), (3, 0.25, 0.05), (7, 1.0, 0.3)])
+    def test_welfare_is_the_pmf_weighted_cell_welfare(self, mle, pow2, n, rho, tau):
+        out = tax_policy_check(pow2, mle, n, rho, tau)
+        taxed = np.minimum(cost_grid(mle, n, pow2) + tau, 1.0)
+        cells = (1.0 - taxed**2) / 2.0 - pow2(out.theta_tau) * (1.0 - taxed)
+        pmf = action_count_pmf(RhoMixture(rho), n, out.theta_tau).probs
+        assert abs(out.welfare - float(np.sum(pmf * cells))) <= 1e-14
 
     def test_inadmissible_rho(self, mle, pow2):
         with pytest.raises(InadmissibleCorrelation):

@@ -207,6 +207,35 @@ class TestCommands:
         assert out == ""
         assert err.startswith("config error: ")
 
+    @pytest.mark.parametrize("cmd", ["cosesi", "simulate", "info", "mc"])
+    def test_rho_mixture_outside_unit_interval_exits_2(self, cmd, capsys):
+        code, out, err = run_cli([cmd, "--dgp", "rho:1.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: bad --dgp value 'rho:1.5'")
+
+    def test_bayes_group(self, capsys):
+        code, out, err = run_cli(["hetero", "--groups", "0.5:bayes:1,1,0:3,0.5:mle:2"], capsys)
+        assert code == 0, err
+        assert out == "theta_star=0.584267399204\n"
+
+    def test_polarized_bayes_at_full_correlation(self, capsys):
+        code, out, err = run_cli(
+            ["cosesi", "--inference", "bayes:1,1,1,0.5", "--rho", "1", "--n", "3"], capsys
+        )
+        assert code == 0, err
+        assert out.startswith("theta_star=")
+
+    def test_sweep_non_integer_n_exits_1(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            ["sweep", "--axis", "n", "--values", "2.5,3", "--cost", "pow:3", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert "positive integer, got 2.5" in err
+
     def test_solver_error_exits_1(self, capsys):
         code, _, err = run_cli(
             ["bayes", "--cost", "pow:2", "--n", "2", "--rho", "0.5"], capsys
@@ -284,6 +313,34 @@ class TestReadmeCommands:
         if "--out" in argv:
             written = tmp_path / argv[argv.index("--out") + 1]
             assert written.read_bytes() == (GOLDEN / f"{argv[0]}.out").read_bytes()
+
+
+# NE, the rational market, the infinite-sample market, tax welfare and a
+# rho-mixture count-law scan run through the shared kernel and its large-n
+# limit; their output was recorded before that routing.  The rational
+# monopoly solves its own equation and guards that it stays unchanged.
+KERNEL_COMMANDS = {
+    "limit-ne": "ne --cost exp:2 --out ne.csv",
+    "limit-market-rational": "market --lam 0.3 --rational --out market.csv",
+    "limit-market-rational-kappa": "market --lam 0.45 --v 0.3 --rational --kappa 0.2",
+    "limit-market-inf": "market --lam 0.3 --k inf --n inf --kappa 0.5 --rho-w 0.3",
+    "limit-tax": "tax --cost pow:2 --n 5 --rho 0.4 --tax 0.1 --out tax.csv",
+    "limit-monopoly-rational": "monopoly --rational --t 6 --out monopoly.csv",
+    "limit-cosesi-dgp-rho": "cosesi --dgp rho:0.4 --n 6 --cost pow:2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_COMMANDS))
+def test_kernel_paths_match_golden(name, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("COSESI_SEED", raising=False)
+    argv = shlex.split(KERNEL_COMMANDS[name])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+    if "--out" in argv:
+        written = tmp_path / argv[argv.index("--out") + 1]
+        assert written.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_installed_entry_point():

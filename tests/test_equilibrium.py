@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosesi import equilibrium
 from cosesi.model import (
@@ -9,6 +10,7 @@ from cosesi.model import (
     MLE,
     BayesBeta,
     BetaEstimation,
+    MarkovShock,
     RhoMixture,
     BahadurJoint,
     InteriorRhoUnsupported,
@@ -38,7 +40,7 @@ from cosesi.equilibrium import (
     sweep,
     variation_diagnostic,
 )
-from cosesi.numerics import Tolerance, find_sign_changes, solve_bracketed, solve_decreasing
+from cosesi.numerics import Tolerance, find_roots, find_sign_changes, solve_bracketed, solve_decreasing
 
 from conftest import (
     ASSORT_LIMIT,
@@ -83,6 +85,18 @@ class TestSolveNE:
 
     def test_residual_recorded(self, pow3):
         assert solve_ne(pow3).residual <= 1e-9
+
+    @pytest.mark.parametrize("spec", ["linear", "pow:3", "pow:0.4", "exp:2", "sshape"])
+    def test_is_the_infinite_sample_sesi_bitwise(self, spec):
+        c = parse_cost(spec)
+        got = solve_ne(c)
+        limit = solve_cosesi(c, MLE(), math.inf, 0.0)
+        assert (got.theta, got.residual) == (limit.theta, limit.residual)
+        assert got.concept == "NE" and got.params == {"cost": c.name}
+        # reference: the hand-written NE residual 1 - theta - c(theta)
+        res = lambda t: 1.0 - t - c(t)
+        theta = solve_decreasing(res, tol=Tolerance(abs_tol=1e-12, max_iter=300))
+        assert (got.theta, got.residual) == (theta, abs(res(theta)))
 
 
 class TestSolveCosesi:
@@ -140,8 +154,30 @@ class TestClosedFormRhoOne:
     def test_agrees_with_bisection(self, beta_est, pow4):
         for n in (2, 4, 6):
             closed = cosesi_rho1_closed(pow4, beta_est, n).theta
-            iterated = solve_cosesi(pow4, beta_est, n, 1.0).theta
+            grid = cost_grid(beta_est, n, pow4)
+            iterated = solve_decreasing(lambda t: 1.0 - t - weighted_bernstein(n, t, 1.0, grid))
             assert closed == pytest.approx(iterated, abs=1e-9)
+
+    def test_solve_cosesi_builds_only_the_polarized_cells(self, pow3, monkeypatch):
+        # the rho = 1 Bayes procedure with zeta < 1 has no interior cell, and
+        # the rho = 1 equation needs none
+        G = BayesBeta(1.0, 1.0, 1.0, 0.5)
+        calls = []
+        monkeypatch.setattr(equilibrium, "cost_grid", _counting(calls, equilibrium.cost_grid))
+        got = solve_cosesi(pow3, G, 3, 1.0)
+        closed = cosesi_rho1_closed(pow3, G, 3)
+        assert calls == []
+        assert (got.theta, got.residual) == (closed.theta, closed.residual)
+        assert got.concept == "CoSESI" and got.params["rho"] == 1.0
+
+    @pytest.mark.parametrize("spec", ["pow:3", "sshape", "affine:0.2,0.5"])
+    def test_infinite_n(self, spec):
+        c = parse_cost(spec)
+        got = solve_cosesi(c, MLE(), math.inf, 1.0)
+        c0, c1 = c(0.0), c(1.0)
+        assert got.theta == (1.0 - c0) / (1.0 - c0 + c1)
+        assert got.theta == solve_cosesi(c, MLE(), 10**6, 1.0).theta
+        assert got.residual <= 1e-15
 
     def test_direct_substitution(self, mle, pow2):
         # C_{2,0} = 0 and C_{2,1} = 1 give (1-0)/(1-0+1) = 1/2
@@ -299,6 +335,14 @@ class TestBayesianCosesi:
         iterative = solve_decreasing(res, tol=Tolerance(abs_tol=1e-15, max_iter=300))
         assert abs(got.theta - iterative) <= 1e-12
 
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0])
+    def test_is_solve_cosesi_under_bayes_beta(self, rho, zeta):
+        c = parse_cost("pow:2.5")
+        got = solve_bayesian_cosesi(c, (1.5, 0.8), 4, rho, zeta)
+        want = solve_cosesi(c, BayesBeta(1.5, 0.8, rho, zeta), 4, rho)
+        assert (got.theta, got.residual) == (want.theta, want.residual)
+
     def test_monotone_in_zeta_pointwise(self, pow2):
         vals = [solve_bayesian_cosesi(pow2, (0.2, 0.2), 2, 1.0, z).theta for z in np.linspace(0, 1, 11)]
         diffs = np.diff(vals)
@@ -452,6 +496,43 @@ class TestGeneralDGPSolver:
         got = solve_with_dgp(pow4, mle, 2, RhoMixture(0.5))
         assert got.roots[0] == pytest.approx(solve_cosesi(pow4, mle, 2, 0.5).theta, abs=1e-9)
 
+    @pytest.mark.parametrize("law", [IID(), RhoMixture(0.3), MarkovShock(0.2, 0.6)])
+    def test_mixture_laws_build_no_pmf(self, mle, pow3, law, monkeypatch):
+        def no_pmf(*args):
+            raise AssertionError("mixture laws are evaluated by weighted_bernstein")
+
+        monkeypatch.setattr(equilibrium, "action_count_pmf", no_pmf)
+        got = solve_with_dgp(pow3, mle, 3, law)
+        assert got.roots[0] == pytest.approx(solve_cosesi(pow3, mle, 3, law.rho).theta, abs=1e-9)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        c=st.one_of(
+            st.floats(0.3, 6.0).map(power_cost),
+            st.just(linear_cost()),
+            st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.6)).map(lambda p: affine_cost(*p)),
+            st.tuples(st.floats(0.01, 0.3), st.floats(0.7, 0.99), st.floats(8.0, 30.0),
+                      st.floats(0.3, 0.7)).map(lambda p: s_shaped_cost(*p)),
+        ),
+        n=st.integers(1, 30),
+        law=st.one_of(
+            st.just(IID()),
+            st.floats(0.0, 1.0).map(RhoMixture),
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+            .filter(lambda pq: pq[0] + pq[1] > 0.0).map(lambda pq: MarkovShock(*pq)),
+        ),
+    )
+    def test_mixture_laws_match_the_pmf_scan(self, c, n, law):
+        # reference: the scan of the pmf-weighted residual that the kernel replaced
+        grid = cost_grid(MLE(), n, c)
+        ref = find_roots(
+            lambda t: 1.0 - t - float(action_count_pmf(law, n, t).probs @ grid),
+            1e-4, Tolerance(abs_tol=1e-12, max_iter=300),
+        )
+        got = solve_with_dgp(c, MLE(), n, law).roots
+        assert len(got) == len(ref)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref))
+
 
 class TestComparativeStatics:
     def test_prop2_cosesi_below_ne(self, mle, beta_est, pow2):
@@ -512,6 +593,14 @@ class TestComputedOnce:
         monkeypatch.setattr(equilibrium, "cost_grid", _counting(calls, equilibrium.cost_grid))
         with pytest.raises(ValueError, match="rho must be in"):
             sweep("rho", [0.5, 1.5], pow3, mle, n=3)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [2.5, 0, -3, math.inf, math.nan])
+    def test_sweep_n_rejects_a_non_integer_before_solving(self, mle, pow3, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(equilibrium, "cost_grid", _counting(calls, equilibrium.cost_grid))
+        with pytest.raises(ValueError, match=f"positive integer, got {bad:g}"):
+            sweep("n", [3, bad], pow3, mle)
         assert calls == []
 
     def test_limit_endpoints_evaluated_once(self, mle):

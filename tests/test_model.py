@@ -260,6 +260,18 @@ class TestActionCountPMF:
         with pytest.raises(InadmissibleCorrelation):
             MarkovShock(p, q)
 
+    @pytest.mark.parametrize("rho", [-0.1, 1.2, math.nan, math.inf])
+    def test_rho_mixture_validated_at_construction(self, rho):
+        with pytest.raises(InadmissibleCorrelation):
+            RhoMixture(rho)
+
+    @pytest.mark.parametrize("n, theta", [(1, 0.3), (5, 0.0), (7, 0.62), (12, 0.999), (30, 1.0)])
+    def test_iid_and_markov_shock_are_rho_mixtures_bitwise(self, n, theta):
+        for law, rho in ((IID(), 0.0), (MarkovShock(0.2, 0.6), 0.25), (MarkovShock(0.7, 0.0), 1.0)):
+            assert law.rho == rho
+            got = action_count_pmf(law, n, theta).probs
+            assert got.tobytes() == action_count_pmf(RhoMixture(rho), n, theta).probs.tobytes()
+
     def test_markov_shock_uses_stationary_rho(self):
         got = action_count_pmf(MarkovShock(0.2, 0.6), 3, 0.4).probs
         want = action_count_pmf(RhoMixture(0.25), 3, 0.4).probs
