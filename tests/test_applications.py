@@ -12,6 +12,7 @@ from cosesi.model import (
     MLE,
     RhoMixture,
     action_count_pmf,
+    exp_decay_cost,
     linear_cost,
     weighted_bernstein,
 )
@@ -137,6 +138,15 @@ class TestMonopoly:
         for p in (0.01, 0.3, 0.586, 0.9):
             got = monopoly_demand(p, rho=1.0, t=6.0, n=4)
             assert got == pytest.approx((1 - p) / (2 - p), abs=1e-9)
+
+    @pytest.mark.parametrize("n, G", [(2, MLE()), (4, MLE()), (3, BetaEstimation())])
+    def test_full_correlation_is_the_closed_form_bitwise(self, n, G):
+        # theta = (1 - lam_0) / (1 - lam_0 + lam_1), lam_z = min(1 + p - C_{n,z}, 1)
+        cost = exp_decay_cost(6.0)
+        for p in (0.0, 0.001, 0.137, 0.586, 0.9, 1.0):
+            lam0, lam1 = (min(1.0 + p - G.expected_cost(n, z, cost), 1.0) for z in (0.0, 1.0))
+            want = (1.0 - lam0) / (1.0 - lam0 + lam1)
+            assert monopoly_demand(p, rho=1.0, t=6.0, n=n, G=G) == want
 
     def test_no_buyers_at_max_price(self):
         assert monopoly_demand(1.0, rho=1.0, t=6.0, n=3) == pytest.approx(0.0, abs=1e-9)

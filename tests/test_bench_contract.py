@@ -64,6 +64,9 @@ def test_limit_paths_never_reach_the_count_law(traced):
     app.monopoly_demand(0.3, 0.5, n=200_000)
     app.solve_two_sided(app.TwoSidedSpec(0.3, k=math.inf, n=math.inf, rho_w=0.5))
     dyn.simulate_dynamics(c, model.MLE(), 200_000, dyn.MarkovShockChain(0.2, 0.8), 0.1, 0.5, 0.0, 20)
+    app.tax_policy_check(c, model.MLE(), 200_000, 0.3, 0.1)
+    eq.enumerate_cosesi(model.s_shaped_cost(), 200_000, 0.3, 1e-3)
+    app.solve_bank_cosesi(app.CreditSpec(0.0, 0.5, 200_000, model.affine_cost(1.0, -1.0)))
     metrics = tracer.layer_metrics()
     assert metrics["model.count_law.calls"] == 0
     assert metrics["equilibrium.cost_grid.calls"] == 0

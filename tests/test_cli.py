@@ -214,6 +214,28 @@ class TestCommands:
         assert out == ""
         assert err.startswith("config error: bad --dgp value 'rho:1.5'")
 
+    @pytest.mark.parametrize("rho", ["0.9", "0"])
+    def test_rho_with_dgp_exits_2(self, rho, capsys):
+        # the count law fixes the correlation, so an explicit --rho is refused, 0 included
+        code, out, err = run_cli(["cosesi", "--dgp", "rho:0.4", "--rho", rho, "--n", "3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("config error: ") and "--rho" in err and "--dgp" in err
+
+    @pytest.mark.parametrize("args", [
+        ["dynamics", "--rho", "0.5"],
+        ["simulate", "--rho", "0.5"],
+        ["info", "--rho", "0.5"],
+        ["mc", "--rho", "0.5"],
+        ["bayes", "--inference", "beta"],
+    ])
+    def test_unread_flag_exits_2(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unrecognized arguments: {' '.join(args[1:])}" in err
+
     def test_bayes_group(self, capsys):
         code, out, err = run_cli(["hetero", "--groups", "0.5:bayes:1,1,0:3,0.5:mle:2"], capsys)
         assert code == 0, err
@@ -318,7 +340,8 @@ class TestReadmeCommands:
 # NE, the rational market, the infinite-sample market, tax welfare and a
 # rho-mixture count-law scan run through the shared kernel and its large-n
 # limit; their output was recorded before that routing.  The rational
-# monopoly solves its own equation and guards that it stays unchanged.
+# monopoly solves its own equation; its demand rows were re-recorded when the
+# solver tolerance became the shared 1e-12.
 KERNEL_COMMANDS = {
     "limit-ne": "ne --cost exp:2 --out ne.csv",
     "limit-market-rational": "market --lam 0.3 --rational --out market.csv",

@@ -14,6 +14,7 @@ from cosesi.model import (
     RhoMixture,
     BahadurJoint,
     InteriorRhoUnsupported,
+    UnsupportedN,
     affine_cost,
     exp_decay_cost,
     linear_cost,
@@ -293,6 +294,22 @@ class TestBayesianCosesi:
         with pytest.raises(InteriorRhoUnsupported):
             solve_bayesian_cosesi(pow2, (1.0, 1.0), 2, 0.5, 0.5)
 
+    def test_partial_neglect_at_full_correlation_has_no_infinite_limit(self, pow3):
+        # the aware posterior Beta(alpha + z, beta + 1 - z) does not depend on n,
+        # so the roots do not tend to the MLE limit 0.5: n = inf is refused
+        G = BayesBeta(1.0, 1.0, 1.0, 0.5)
+        for solve in (lambda: solve_cosesi(pow3, G, math.inf, 1.0),
+                      lambda: cosesi_rho1_closed(pow3, G, math.inf),
+                      lambda: expected_costs(G, math.inf, pow3)):
+            with pytest.raises(UnsupportedN, match="n must be finite"):
+                solve()
+        assert solve_cosesi(pow3, G, 100_000, 1.0).theta == pytest.approx(0.57576, abs=1e-5)
+        ends = (G.expected_cost(10, 0.0, pow3), G.expected_cost(10, 1.0, pow3))
+        assert cosesi_rho1_closed(pow3, G, 10).theta == (1.0 - ends[0]) / (1.0 - ends[0] + ends[1])
+        # the procedures whose posteriors concentrate keep the limit
+        for G in (BayesBeta(1.0, 1.0, 1.0, 1.0), BayesBeta(2.0, 1.0, 0.0, 0.5)):
+            assert solve_cosesi(pow3, G, math.inf, 1.0).theta == 0.5
+
     def test_zeta_direction_depends_on_prior(self, pow2):
         # theta*(zeta) is a Moebius function of zeta at rho = 1, hence monotone
         # pointwise; the non-monotonicity claim is that its direction flips
@@ -405,6 +422,11 @@ class TestExpectedCosts:
         for p in (0.0, 0.137, 0.5, 1.0):
             got = costs.map(lambda v: min(1.0 + p - v, 1.0)).values
             assert got.tobytes() == np.minimum(1.0 + p - grid, 1.0).tobytes()
+
+    def test_map_on_grid_keeps_ends(self, beta_est, pow3):
+        costs = expected_costs(beta_est, 5, pow3).map(lambda v: 1.0 - 2.0 * v)
+        assert costs.ends == (float(costs.values[0]), float(costs.values[-1]))
+        assert costs.ends == (1.0 - 2.0 * pow3(0.0), 1.0 - 2.0 * pow3(1.0))
 
     def test_map_in_limit_composes(self, mle, pow3):
         costs = expected_costs(mle, math.inf, pow3).map(lambda v: 2.0 * v)
