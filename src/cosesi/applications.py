@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
+    SOLVE_TOL,
     Bracket,
     norm_cdf,
     norm_quantile,
@@ -391,6 +392,8 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
     as the CDF complement 1 - F(C_y) rather than by quadrature of the
     displayed density (identical for rho < 1, and free of the endpoint
     singularity).  The borrower default rate is p* = Phi(omega * theta*).
+    A residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid is
+    taken for a continuum of equilibria and raises :class:`ApplicationError`.
     """
     shutdown_cost = lambda t: min(1.0, max(0.0, spec.cost(1.0 - t)))
     # clamped once more: quadrature may leave [0, 1], where vasicek_cdf is undefined
@@ -400,6 +403,8 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
         tail = lambda v: 1.0 - vasicek_cdf(v, theta, spec.omega, spec.rho, spec.gaussian_omega)
         return theta - costs.map(tail).psi(theta, spec.rho)
 
+    if all(abs(res(i / 10)) <= SOLVE_TOL.abs_tol for i in range(11)):
+        raise ApplicationError("a continuum of bank equilibria: every theta in [0,1] solves")
     roots, _ = _roots(res, 1e-3)
     if not roots:
         raise ApplicationError("no bank equilibrium found on [0,1]")

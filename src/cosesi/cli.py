@@ -59,7 +59,7 @@ from .applications import (
     two_part_supply,
     var_two_borrowers,
 )
-from .dynamics import DynamicsError, MarkovShockChain, simulate_dynamics, mc_population_equilibrium
+from .dynamics import DynamicsError, simulate_dynamics, mc_population_equilibrium
 from .sampling import SamplingError, SeedableRng, informativeness, pairwise_correlation, sample_correlated
 from .repro import format_table, run_repro
 
@@ -217,15 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subparsers_by_name = sub.choices  # argparse's own name -> subparser map
 
-    def common(p: argparse.ArgumentParser, cost=True, inference=True, n=True, rho=True):
+    def common(p: argparse.ArgumentParser, cost=True, inference=True, n=True, rho=True, seed=False):
         p.add_argument("--config", help="flat KEY=VALUE config file; flags override")
         p.add_argument("--out", help="write results to this CSV path")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=int(os.environ.get("COSESI_SEED", "0")),
-            help="random seed (default: COSESI_SEED or 0)",
-        )
+        if seed:  # only the commands that draw random numbers
+            p.add_argument("--seed", type=int, default=int(os.environ.get("COSESI_SEED", "0")),
+                           help="random seed (default: COSESI_SEED or 0)")
         if cost:
             p.add_argument("--cost", default="pow:2", help="cost spec, e.g. pow:4, linear, exp:6, sshape")
         if inference:
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=int, default=500)
 
     p = common(sub.add_parser("simulate", help="Monte Carlo signal draws and diagnostics"),
-               cost=False, inference=False, rho=False)
+               cost=False, inference=False, rho=False, seed=True)
     p.add_argument("--dgp", default="rho:0.5")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--draws", type=int, default=100000)
@@ -313,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dgp", default="rho:1")
     p.add_argument("--theta", type=float, default=0.3)
 
-    p = common(sub.add_parser("mc", help="agent-population Monte Carlo equilibrium"), rho=False)
+    p = common(sub.add_parser("mc", help="agent-population Monte Carlo equilibrium"), rho=False, seed=True)
     p.add_argument("--dgp", default="rho:0")
     p.add_argument("--agents", type=int, default=100000)
 
@@ -432,7 +429,7 @@ def _run(args) -> int:
         return 0
     if cmd == "dynamics":
         traj = simulate_dynamics(args.cost, args.inference, args.n,
-                                 MarkovShockChain(args.p_xi, args.q_xi), args.gamma,
+                                 MarkovShock(args.p_xi, args.q_xi), args.gamma,
                                  args.theta0, args.rho0, args.T)
         rows = [[int(t), th, rh] for t, th, rh in zip(traj.t, traj.theta, traj.rho)]
         _emit(args, ["t", "theta", "rho"], rows,

@@ -1,10 +1,12 @@
 """Generational dynamics and the agent-population Monte Carlo oracle.
 
 The dynamic model evolves the action share theta_t by partial cohort
-replacement while a two-state Markov chain drives the sampling correlation
-rho_t.  The population oracle simulates a large stratified population of
-agents drawing signals, estimating, and best-responding; it validates every
-analytic equilibrium independently of the Bernstein machinery.
+replacement while the Markov shock law ``model.MarkovShock`` drives the
+sampling correlation rho_t toward its stationary ``rho``.  The population
+oracle simulates a large stratified population of agents drawing action
+counts from any ``model.SignalDGP``, estimating, and best-responding; it
+validates every analytic equilibrium independently of the Bernstein
+machinery.  Neither defines or validates a law of its own.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CostFunction, InferenceProcedure, SignalDGP, action_count_pmf
+from .model import CostFunction, InferenceProcedure, MarkovShock, SignalDGP, action_count_pmf
 from .equilibrium import cost_grid, expected_costs
 from .sampling import SeedableRng
 
 __all__ = [
     "DynamicsError",
-    "DegenerateChain",
     "NonConvergence",
     "MarkovShockChain",
     "Trajectory",
@@ -41,41 +42,21 @@ class DynamicsError(Exception):
     """Base error for the dynamic model."""
 
 
-class DegenerateChain(DynamicsError, ValueError):
-    """Markov shock chain with p_xi = q_xi = 0 has no unique stationary law."""
-
-
 class NonConvergence(DynamicsError):
     """Population oracle kept oscillating beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class MarkovShockChain:
-    """Two-state sampling-shock chain: p_xi = P(1|0), q_xi = P(0|1)."""
-
-    p_xi: float
-    q_xi: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("p_xi", self.p_xi), ("q_xi", self.q_xi)):
-            if not 0.0 <= v <= 1.0:
-                raise DynamicsError(f"{name} must be in [0,1], got {v}")
-
-    def step_probability(self, rho: float) -> float:
-        """One-step update of the state-1 probability, kept inside [0, 1].
-
-        The clamp only absorbs rounding: p + (1-p-q) rho can land an ulp
-        below 0 (p = 0.3, q = 1, rho = 1), which the rho-mixture kernel rejects.
-        """
-        return min(1.0, max(0.0, self.p_xi + (1.0 - self.p_xi - self.q_xi) * rho))
+# the model's Markov shock law, under the name the benchmark workloads import
+MarkovShockChain = MarkovShock
 
 
-def stationary_rho(chain: MarkovShockChain) -> float:
-    """Stationary state-1 probability p_xi / (p_xi + q_xi)."""
-    denom = chain.p_xi + chain.q_xi
-    if denom <= 0.0:
-        raise DegenerateChain("p_xi + q_xi must be positive")
-    return chain.p_xi / denom
+def stationary_rho(chain: MarkovShock) -> float:
+    """Stationary state-1 probability p_xi / (p_xi + q_xi), the chain's ``rho``.
+
+    Kept only because the benchmark workloads call it, like the
+    ``MarkovShockChain`` name above.
+    """
+    return chain.rho
 
 
 @dataclass(frozen=True)
@@ -95,7 +76,7 @@ def simulate_dynamics(
     c: CostFunction,
     G: InferenceProcedure,
     n: int,
-    chain: MarkovShockChain,
+    chain: MarkovShock,
     gamma: float,
     theta0: float,
     rho0: float,

@@ -36,7 +36,6 @@ from .model import (
     CostFunction,
     IID,
     InferenceProcedure,
-    InteriorRhoUnsupported,
     MLE,
     MarkovShock,
     RhoMixture,
@@ -118,8 +117,15 @@ class SweepTable:
         return [r[1] for r in self.rows]
 
 
+def _check_n(n: float) -> None:
+    """Refuse a sample size that is not a positive integer (inf included)."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise UnsupportedN(f"n must be a positive integer, got {n:g}")
+
+
 def cost_grid(G: InferenceProcedure, n: int, cost: Callable[[float], float]) -> np.ndarray:
     """Expected costs C_{n, y/n} on the sample-mean grid y = 0..n."""
+    _check_n(n)
     return np.array([G.expected_cost(n, y / n, cost) for y in range(n + 1)])
 
 
@@ -155,9 +161,11 @@ class ExpectedCosts:
 
 
 def _takes_limit(G: InferenceProcedure, n: float) -> bool:
-    """The one large-n decision: MLE above ``LARGE_N`` and any infinite n read c itself.
-    BayesBeta at rho = 1, zeta < 1 has no limit: its aware posterior does not concentrate."""
-    if not math.isinf(n):
+    """The one large-n decision: MLE above ``LARGE_N`` and n = inf read c itself; any
+    other n must be a positive integer.  BayesBeta at rho = 1, zeta < 1 has no limit:
+    its aware posterior does not concentrate."""
+    if n != math.inf:
+        _check_n(n)
         return n > LARGE_N and isinstance(G, MLE)
     if isinstance(G, BayesBeta) and G.rho == 1.0 and G.zeta < 1.0:
         raise UnsupportedN(f"{G.kind} at rho = 1, zeta = {G.zeta} has no n = inf limit; n must be finite")
@@ -313,16 +321,13 @@ def solve_bayesian_cosesi(
     zeta: float,
 ) -> EquilibriumResult:
     """Bayesian CoSESI under zeta-degree correlation neglect, rho in {0, 1}:
-    the CoSESI under ``BayesBeta(alpha, beta, rho, zeta)``.
+    the CoSESI under ``BayesBeta(alpha, beta, rho, zeta)``, which rejects any
+    other rho and a zeta outside [0, 1].
 
     At rho = 0 zeta has no effect; at rho = 1 the two endpoint costs are the
     zeta-mixture of the naive and the correlation-aware posteriors.
     """
     alpha, beta = prior
-    if rho not in (0.0, 1.0, 0, 1):
-        raise InteriorRhoUnsupported(f"solve_bayesian_cosesi needs rho in {{0,1}}, got {rho}")
-    if not 0.0 <= zeta <= 1.0:
-        raise BadWeights(f"zeta must be in [0,1], got {zeta}")
     result = solve_cosesi(c, BayesBeta(alpha, beta, rho, zeta), n, rho)
     return EquilibriumResult(
         result.theta,
@@ -402,9 +407,8 @@ def sweep(
         rows = [(r, _cosesi_root(costs, r)[0]) for r in rhos]
     elif axis == "n":
         ns = [float(v) for v in values]
-        bad = [m for m in ns if not (m >= 1 and m.is_integer())]
-        if bad:
-            raise ValueError(f"sample size n must be a positive integer, got {bad[0]:g}")
+        for m in ns:
+            _check_n(m)
         rows = [(m, solve_cosesi(c, G, int(m), rho).theta) for m in ns]
     else:
         raise ValueError(f"axis must be 'rho' or 'n', got '{axis}'")

@@ -551,6 +551,17 @@ class Sequential:
 
     lambdas: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        for lam in self.lambdas:
+            if not 0.0 <= lam < 1.0:
+                raise InadmissibleCorrelation(f"lambda weights must be in [0,1), got {lam}")
+
+    def weights(self, n: int) -> list[float]:
+        """The n - 1 weights of an n-signal draw; a short list repeats its last
+        weight (0 if it is empty)."""
+        lams = list(self.lambdas[: n - 1])
+        return lams + [lams[-1] if lams else 0.0] * (n - 1 - len(lams))
+
 
 @dataclass(frozen=True)
 class MarkovShock:
@@ -569,6 +580,14 @@ class MarkovShock:
     @property
     def rho(self) -> float:
         return self.p_xi / (self.p_xi + self.q_xi)
+
+    def step_probability(self, rho: float) -> float:
+        """One-step update of the state-1 probability, kept inside [0, 1].
+
+        The clamp only absorbs rounding: p + (1-p-q) rho can land an ulp
+        below 0 (p = 0.3, q = 1, rho = 1), which the rho-mixture kernel rejects.
+        """
+        return min(1.0, max(0.0, self.p_xi + (1.0 - self.p_xi - self.q_xi) * rho))
 
 
 SignalDGP = IID | RhoMixture | CMB | AdditiveBinomial | BahadurJoint | Sequential | MarkovShock
@@ -660,14 +679,8 @@ def joint_count_probs(n: int, joint: Sequence[float]) -> np.ndarray:
     return probs
 
 
-def _sequential_count_pmf(n: int, theta: float, lambdas: Sequence[float]) -> np.ndarray:
+def _sequential_count_pmf(n: int, theta: float, lams: Sequence[float]) -> np.ndarray:
     """Exact count pmf of the sequential process by forward recursion on (i, y)."""
-    lams = list(lambdas)
-    if len(lams) < n - 1:
-        lams = lams + [lams[-1] if lams else 0.0] * (n - 1 - len(lams))
-    for lam in lams[: n - 1]:
-        if not 0.0 <= lam < 1.0:
-            raise InadmissibleCorrelation(f"lambda weights must be in [0,1), got {lam}")
     probs = np.zeros(n + 1)
     probs[0], probs[1] = 1.0 - theta, theta
     for i in range(1, n):
@@ -735,7 +748,7 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
     elif isinstance(dgp, BahadurJoint):
         probs = joint_count_probs(n, _bahadur_joint_probs(n, theta, dgp.r2, dgp.r3))
     elif isinstance(dgp, Sequential):
-        probs = _sequential_count_pmf(n, theta, dgp.lambdas)
+        probs = _sequential_count_pmf(n, theta, dgp.weights(n))
     else:
         raise ModelError(f"unknown DGP {dgp!r}")
     probs = probs / probs.sum()  # remove float drift, keeps 1e-12 normalization

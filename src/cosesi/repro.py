@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MLE, BetaEstimation, RhoMixture, linear_cost, power_cost, action_count_pmf
+from .model import MLE, BetaEstimation, MarkovShock, RhoMixture, linear_cost, power_cost, action_count_pmf
 from .equilibrium import (
     solve_assortative,
     solve_cosesi,
@@ -36,7 +36,7 @@ from .applications import (
     var_two_borrowers,
     vasicek_cdf,
 )
-from .dynamics import MarkovShockChain, simulate_dynamics
+from .dynamics import simulate_dynamics
 from .sampling import informativeness
 from .numerics import norm_cdf, owen_t
 
@@ -239,7 +239,7 @@ def run_repro() -> list[ReproRow]:
     rows.append(_bound_row("  lower side (neg check)", -lo, -mix))
 
     # -- dynamics -------------------------------------------------------------------
-    traj = simulate_dynamics(pow4, mle, 2, MarkovShockChain(0.0, 0.5), 0.1, 0.9, 0.0, 500)
+    traj = simulate_dynamics(pow4, mle, 2, MarkovShock(0.0, 0.5), 0.1, 0.9, 0.0, 500)
     rows.append(_row("dynamics steady state pow4 n=2 rho*=0", t_mle0, traj.final_theta(), 1e-4))
 
     return rows

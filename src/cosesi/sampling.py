@@ -1,11 +1,13 @@
 """Signal samplers and joint-distribution diagnostics.
 
-Monte Carlo generators for correlated Bernoulli signals (compound-lottery
-and sequential popularity-weighted sampling), exact Bahadur joints for up to
-three signals, the balance-equation test for when a sum of dependent
-Bernoullis is binomial, the informativeness index based on total-variation
-distance, and the large-sample action-probability formulas for algorithmic
-sampling.
+Monte Carlo generators for correlated Bernoulli signals under two laws of
+``model``, the compound lottery ``RhoMixture`` and popularity-weighted
+``Sequential`` (whose constructors check the parameters; nothing here
+does), exact Bahadur joints for up to three signals
+(``model._bahadur_joint_probs``), the balance-equation test for when a sum
+of dependent Bernoullis is binomial, the informativeness index based on
+total-variation distance, and the large-sample action-probability formulas
+for algorithmic sampling.
 
 All randomness flows through :class:`SeedableRng`; identical seed and stream
 id reproduce identical draws, and distinct stream ids are independent.
@@ -25,6 +27,8 @@ from .model import (
     ActionCountPMF,
     CostFunction,
     InadmissibleCorrelation,
+    RhoMixture,
+    Sequential,
     UnsupportedN,
     _bahadur_joint_probs,
     binom_pmf,
@@ -54,8 +58,8 @@ class SamplingError(Exception):
     """Base error for samplers and diagnostics."""
 
 
-class InvalidCorrelationRegion(SamplingError, ValueError):
-    """Correlation parameters produce a negative joint probability."""
+# correlation outside a law's region is the model's error, under its old name here
+InvalidCorrelationRegion = InadmissibleCorrelation
 
 
 class LambdaOutOfRange(SamplingError, ValueError):
@@ -133,8 +137,7 @@ def sample_correlated(
     otherwise the bits are iid Bernoulli(theta).  Returns a (size, n) 0/1
     array.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
+    RhoMixture(rho)  # the law's constructor checks rho
     gen = rng.generator()
     polarized = gen.random(size) < rho
     shared = (gen.random(size) < theta).astype(np.int8)
@@ -154,16 +157,12 @@ def sequential_sample(
 
     The first bit is Bernoulli(theta); bit i+1 is one with probability
     (1 - lambda_i) theta + lambda_i z_i where z_i is the running sample mean.
-    Every bit has unconditional marginal theta.  Simulation is well defined
-    for any lambda in [0, 1); only the normal-approximation formula restricts
-    lambda further.
+    Every bit has unconditional marginal theta.  The weights are those of
+    the law ``Sequential(lambdas)``, so a scalar or a short list is padded by
+    ``Sequential.weights``.  Simulation is well defined for any lambda in
+    [0, 1); only the normal-approximation formula restricts lambda further.
     """
-    lams = [lambdas] * (n - 1) if np.isscalar(lambdas) else list(lambdas)
-    if len(lams) < n - 1:
-        raise SamplingError(f"need {n - 1} lambda weights, got {len(lams)}")
-    for lam in lams[: n - 1]:
-        if not 0.0 <= lam < 1.0:
-            raise InadmissibleCorrelation(f"lambda must be in [0,1), got {lam}")
+    lams = Sequential((lambdas,) if np.isscalar(lambdas) else tuple(lambdas)).weights(n)
     gen = rng.generator()
     bits = np.empty((size, n), dtype=np.int8)
     bits[:, 0] = gen.random(size) < theta
@@ -222,11 +221,7 @@ def bahadur_joint(
     """
     pairs = n * (n - 1) // 2
     r2_vec = tuple([float(r2)] * pairs) if np.isscalar(r2) else tuple(float(v) for v in r2)
-    try:
-        probs = _bahadur_joint_probs(n, theta, r2_vec, r3)
-    except InadmissibleCorrelation as exc:
-        raise InvalidCorrelationRegion(str(exc)) from exc
-    return JointPMF(n, probs)
+    return JointPMF(n, _bahadur_joint_probs(n, theta, r2_vec, r3))
 
 
 def joint_from_conditionals(

@@ -14,6 +14,7 @@ from cosesi.model import (
     action_count_pmf,
     exp_decay_cost,
     linear_cost,
+    power_cost,
     weighted_bernstein,
 )
 from cosesi.equilibrium import cost_grid, solve_cosesi
@@ -347,6 +348,16 @@ class TestBankEquilibrium:
     def test_rho_validation(self):
         with pytest.raises(ApplicationError):
             CreditSpec(omega=0.0, rho=0.0, n=2, cost=linear_cost())
+
+    @pytest.mark.parametrize("spec", [
+        CreditSpec(0.0, 1.0, 2, power_cost(2)),
+        CreditSpec(0.0, 0.5, 2, linear_cost(), gaussian_omega=True),
+    ])
+    def test_continuum_of_equilibria_raises(self, spec):
+        # the residual is 0 up to rounding on all of [0, 1]; a scan would
+        # report hundreds of rounding roots and theta* = 0
+        with pytest.raises(ApplicationError, match="every theta in \\[0,1\\] solves"):
+            solve_bank_cosesi(spec)
 
 
 class TestVarTwoBorrowers:

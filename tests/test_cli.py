@@ -41,7 +41,8 @@ class TestParsing:
             build_parser().parse_args([cmd, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--out" in out and "--seed" in out
+        assert "--out" in out
+        assert ("--seed" in out) == (cmd in ("simulate", "mc"))
 
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +201,7 @@ class TestCommands:
         ["hetero", "--groups", "0.5:mle:x,0.5:mle:2"],
         ["sweep", "--values", "0,x"],
         ["mc", "--dgp", "cmb"],
+        ["cosesi", "--dgp", "seq:1.2"],
     ])
     def test_malformed_spec_exits_2(self, args, capsys):
         code, out, err = run_cli(args, capsys)
@@ -235,6 +237,36 @@ class TestCommands:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and f"unrecognized arguments: {' '.join(args[1:])}" in err
+
+    @pytest.mark.parametrize("cmd", [c for c in SUBCOMMANDS if c not in ("simulate", "mc")])
+    def test_seed_only_where_randomness_is_drawn(self, cmd, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["cosesi", "--n", "-3"],
+        ["tax", "--n", "-2"],
+        ["monopoly", "--n", "0"],
+        ["mc", "--n", "0"],
+    ])
+    def test_bad_sample_size_exits_1(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"solver error: n must be a positive integer, got {args[-1]}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["dynamics", "--p-xi", "0", "--q-xi", "0"], "Markov shock needs"),
+        (["bank", "--omega", "0", "--rho", "0.5", "--n", "2", "--cost", "linear", "--gaussian-omega"],
+         "continuum of bank equilibria"),
+    ])
+    def test_rejected_law_or_continuum_exits_1(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("solver error: ") and message in err
 
     def test_bayes_group(self, capsys):
         code, out, err = run_cli(["hetero", "--groups", "0.5:bayes:1,1,0:3,0.5:mle:2"], capsys)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cosesi.model import MLE, RhoMixture, linear_cost, power_cost
+from cosesi import dynamics
+from cosesi.model import MLE, InadmissibleCorrelation, MarkovShock, RhoMixture, linear_cost, power_cost
 from cosesi.equilibrium import solve_cosesi
 from cosesi.dynamics import (
-    DegenerateChain,
     DynamicsError,
     MarkovShockChain,
     mc_population_equilibrium,
@@ -24,8 +24,13 @@ class TestStationaryRho:
         assert stationary_rho(MarkovShockChain(0.35, 0.35)) == pytest.approx(0.5)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateChain):
-            stationary_rho(MarkovShockChain(0.0, 0.0))
+        with pytest.raises(InadmissibleCorrelation):
+            MarkovShockChain(0.0, 0.0)
+
+    def test_chain_is_the_model_law(self):
+        assert dynamics.MarkovShockChain is MarkovShock
+        assert not hasattr(dynamics, "DegenerateChain")
+        assert stationary_rho(MarkovShock(0.3, 0.1)) == MarkovShock(0.3, 0.1).rho
 
     def test_matches_simulated_frequency(self, rng):
         chain = MarkovShockChain(0.3, 0.5)

@@ -14,6 +14,7 @@ from cosesi.model import (
     RhoMixture,
     BahadurJoint,
     InteriorRhoUnsupported,
+    ModelError,
     UnsupportedN,
     affine_cost,
     exp_decay_cost,
@@ -144,6 +145,15 @@ class TestSolveCosesi:
     def test_invalid_rho(self, mle, pow3):
         with pytest.raises(ValueError):
             solve_cosesi(pow3, mle, 2, 1.5)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5])
+    @pytest.mark.parametrize("rho", [0.3, 1.0])
+    def test_sample_size_must_be_a_positive_integer(self, mle, pow3, n, rho):
+        # 2.5 used to solve at n = 2, -3 to index an empty grid, 0 to divide by zero
+        with pytest.raises(UnsupportedN, match=f"n must be a positive integer, got {n:g}"):
+            solve_cosesi(pow3, mle, n, rho)
+        with pytest.raises(UnsupportedN, match="n must be a positive integer"):
+            cost_grid(mle, n, pow3)
 
 
 class TestClosedFormRhoOne:
@@ -293,6 +303,11 @@ class TestBayesianCosesi:
     def test_interior_rho_rejected(self, pow2):
         with pytest.raises(InteriorRhoUnsupported):
             solve_bayesian_cosesi(pow2, (1.0, 1.0), 2, 0.5, 0.5)
+
+    @pytest.mark.parametrize("zeta", [-0.1, 1.5])
+    def test_zeta_is_checked_by_the_procedure(self, pow2, zeta):
+        with pytest.raises(ModelError, match="zeta must be in"):
+            solve_bayesian_cosesi(pow2, (1.0, 1.0), 2, 1.0, zeta)
 
     def test_partial_neglect_at_full_correlation_has_no_infinite_limit(self, pow3):
         # the aware posterior Beta(alpha + z, beta + 1 - z) does not depend on n,

@@ -102,6 +102,13 @@ class TestBetaExpectation:
         with pytest.raises(ModelError):
             beta_expectation(lambda t: t, 0.0, 1.0)
 
+    @pytest.mark.xfail(strict=True, reason="the quadrature bounds the unnormalised "
+                       "integrand to 1e-12 absolute, then divides by B(100, 100) ~ 1e-61")
+    def test_large_shapes_exact_second_moment(self):
+        # E[X^2] for X ~ Beta(50, 50) is 50 * 51 / (100 * 101); the cell reads 0.18657
+        got = BetaEstimation().expected_value(100, 0.5, power_cost(2))
+        assert got == pytest.approx(50 * 51 / (100 * 101), abs=1e-9)
+
     def test_values_bitwise_pinned(self):
         # the quadrature depth budget is Tolerance.max_iter; integrals that
         # converged under the older depth cap of 60 keep every bit
@@ -276,6 +283,25 @@ class TestActionCountPMF:
         got = action_count_pmf(MarkovShock(0.2, 0.6), 3, 0.4).probs
         want = action_count_pmf(RhoMixture(0.25), 3, 0.4).probs
         assert np.allclose(got, want, atol=1e-15)
+
+    @pytest.mark.parametrize("lams", [(1.2,), (0.3, 1.0), (0.2, -0.1, 0.5)])
+    def test_sequential_weights_validated_at_construction(self, lams):
+        with pytest.raises(InadmissibleCorrelation, match="lambda weights must be in"):
+            Sequential(lams)
+
+    @pytest.mark.parametrize("lams, n, want", [
+        ((0.3,), 4, [0.3, 0.3, 0.3]),
+        ((), 3, [0.0, 0.0]),
+        ((0.1, 0.2, 0.3), 3, [0.1, 0.2]),
+        ((0.4,), 1, []),
+    ])
+    def test_sequential_weights_pad_with_the_last(self, lams, n, want):
+        assert Sequential(lams).weights(n) == want
+
+    def test_markov_shock_step_probability(self):
+        law = MarkovShock(0.2, 0.6)
+        assert law.step_probability(law.rho) == pytest.approx(law.rho, abs=1e-15)
+        assert MarkovShock(0.3, 1.0).step_probability(1.0) == 0.0
 
     def test_sequential_zero_lambda_is_binomial(self):
         pmf = action_count_pmf(Sequential((0.0, 0.0, 0.0)), 4, 0.35).probs

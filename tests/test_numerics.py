@@ -65,6 +65,11 @@ class TestNormQuantile:
         for p in (1e-12, 1e-6, 0.2, 0.5, 0.9, 1 - 1e-9):
             assert abs(norm_cdf(norm_quantile(p)) - p) <= 1e-10
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-100, 1e-20, 1e-12])
+    def test_relative_error_in_the_tail(self, p):
+        # an absolute stopping rule on |cdf(x) - p| cannot resolve p this small
+        assert abs(norm_cdf(norm_quantile(p)) - p) <= 1e-12 * p
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.3])
     def test_domain(self, p):
         with pytest.raises(DomainError):

@@ -121,6 +121,12 @@ class TestSequentialSample:
         var = bits.mean(axis=1).var()
         assert var > 5 * theta * (1 - theta) / n
 
+    @pytest.mark.parametrize("short", [(0.3,), [0.3, 0.3]])
+    def test_short_weights_are_padded_like_the_pmf(self, rng, short):
+        # one padding rule, Sequential.weights: the pmf and the sampler agree
+        want = sequential_sample(4, 0.4, (0.3, 0.3, 0.3), rng, size=1000)
+        assert np.array_equal(sequential_sample(4, 0.4, short, rng, size=1000), want)
+
     def test_matches_exact_count_pmf(self, rng):
         from cosesi.model import Sequential
 
@@ -221,6 +227,12 @@ class TestBahadurJoint:
     def test_negative_cell_rejected(self):
         with pytest.raises(InvalidCorrelationRegion):
             bahadur_joint(2, 0.05, -0.9)
+
+    def test_region_error_is_the_model_error(self):
+        assert InvalidCorrelationRegion is InadmissibleCorrelation
+        with pytest.raises(InadmissibleCorrelation, match="negative cell") as exc:
+            bahadur_joint(2, 0.05, -0.9)
+        assert exc.value.__cause__ is None
 
     def test_count_pushforward(self):
         joint = bahadur_joint(3, 0.5, 0.2, 0.1)
