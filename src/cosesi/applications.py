@@ -498,8 +498,11 @@ def two_part_supply(c: CostFunction, G: InferenceProcedure, eps: float) -> Suppl
 
     ``condition_ok`` evaluates the uniqueness condition eps > 2 delta(theta)/Delta
     (reversed for concave costs, degenerate when Delta = 0); roots are
-    reported either way.
+    reported either way.  Raises :class:`ApplicationError` unless |eps| < 1:
+    otherwise no theta keeps both periods in [0, 1].
     """
+    if not abs(eps) < 1.0:
+        raise ApplicationError(f"supply shock needs |eps| < 1, got {eps:g}")
     grid = cost_grid(G, 2, c)
     c0, ch, c1 = float(grid[0]), float(grid[1]), float(grid[2])
 

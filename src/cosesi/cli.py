@@ -438,6 +438,8 @@ def _run(args) -> int:
     if cmd == "simulate":
         if not isinstance(args.dgp, RhoMixture):
             raise ConfigError("simulate currently draws from rho-mixture laws (rho:<value>)")
+        if args.draws < 1:
+            raise ConfigError(f"--draws must be at least 1, got {args.draws}")
         bits = sample_correlated(args.n, args.theta, args.dgp.rho, SeedableRng(args.seed),
                                  size=args.draws)
         counts = np.bincount(bits.sum(axis=1), minlength=args.n + 1)

@@ -19,6 +19,11 @@ Every equation here and in ``applications`` is solved, at the default
 ``numerics.SOLVE_TOL``, by :func:`_cosesi_root` (the unique root for
 increasing costs: a closed form at rho = 1, else the clamped solve
 :func:`_root`) or by :func:`_roots` (scan, refine, merge roots within 1e-6).
+The count-law scans of :func:`solve_with_dgp` and :func:`enumerate_cosesi`
+(finite n) evaluate their 10 001 nodes as one blockwise array product of
+``model.count_pmf_grid`` rows and the cost grid; the scalar residual
+re-checks each node within ``SOLVE_TOL.abs_tol`` of zero and gives every
+bracket end, so the brackets and refined roots are the scalar scan's.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from .model import (
     SignalDGP,
     UnsupportedN,
     action_count_pmf,
+    count_pmf_grid,
+    mixture_pmf_grid,
     weighted_bernstein,
     weighted_limit,
 )
@@ -226,14 +233,39 @@ def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
     return theta, abs(res(theta))
 
 
-def _roots(res: Callable[[float], float], grid_step: float) -> tuple[tuple[float, ...], float]:
+def _roots(
+    res: Callable[[float], float],
+    grid_step: float,
+    evaluate: Callable[[list[float]], list[float]] | None = None,
+) -> tuple[tuple[float, ...], float]:
     """Every root of ``res`` on a ``grid_step`` scan of [0, 1], refined, with roots
-    closer than 1e-6 merged, and the largest |residual| over them (inf if none)."""
+    closer than 1e-6 merged, and the largest |residual| over them (inf if none).
+    ``evaluate`` is the scan's optional array form of ``res`` (see
+    ``numerics.find_sign_changes``); without it the scan calls ``res`` at every node."""
     roots: list[float] = []
-    for r in find_roots(res, grid_step):
+    for r in find_roots(res, grid_step, evaluate=evaluate):
         if not roots or r - roots[-1] > 1e-6:
             roots.append(r)
     return tuple(roots), max((abs(res(r)) for r in roots), default=math.inf)
+
+
+_SCAN_CELLS = 10_000  # pmf cells per block of an array scan, so its memory is flat in n
+
+
+def _count_law_scan(
+    pmf_rows: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, lhs: Callable[[np.ndarray], np.ndarray]
+) -> Callable[[list[float]], list[float]]:
+    """Array form of the residual lhs(x) - sum_y mu(y | x) grid[y] over the scan
+    nodes, with ``pmf_rows(xs)`` the (len(xs), n + 1) count-law rows, taken in
+    blocks of at most ``_SCAN_CELLS`` cells."""
+    rows = max(1, _SCAN_CELLS // len(grid))
+
+    def evaluate(nodes: list[float]) -> list[float]:
+        xs = np.asarray(nodes)
+        rhs = np.concatenate([pmf_rows(xs[i : i + rows]) @ grid for i in range(0, len(xs), rows)])
+        return (lhs(xs) - rhs).tolist()
+
+    return evaluate
 
 
 def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
@@ -258,7 +290,10 @@ def enumerate_cosesi(
     least one and at most three roots, exactly one when rho = 1.
     """
     costs = expected_costs(MLE(), n, c)
-    roots, residual = _roots(lambda t: t - costs.psi(t, rho), grid_step)
+    scan = None
+    if not callable(costs.values):  # the limit's cost is a Python function: no array form
+        scan = _count_law_scan(lambda xs: mixture_pmf_grid(costs.n, xs, rho), costs.values, lambda xs: xs)
+    roots, residual = _roots(lambda t: t - costs.psi(t, rho), grid_step, scan)
     return EquilibriumResult(roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho})
 
 
@@ -362,14 +397,21 @@ def solve_with_dgp(
 ) -> EquilibriumResult:
     """General CoSESI for an arbitrary action-count law: roots of
     1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection.
-    Under a rho-mixture law (iid, Markov shock) the sum is ``weighted_bernstein``."""
+
+    The scan evaluates the right side at its 10 001 nodes at once, as
+    ``model.count_pmf_grid`` rows times the cost grid, in blocks of at most
+    10 000 pmf cells.  The scalar residual (``weighted_bernstein`` under a
+    rho-mixture law, i.e. iid and Markov shock; ``action_count_pmf`` otherwise)
+    re-checks every node within ``SOLVE_TOL.abs_tol`` of zero, gives each
+    bracket's end values and is the one that bisection refines, so the roots
+    and residual are those of a scan that calls it at every node."""
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         res = lambda t: 1.0 - t - weighted_bernstein(n, t, dgp.rho, grid)
     else:
         res = lambda t: 1.0 - t - float(action_count_pmf(dgp, n, t).probs @ grid)
-
-    roots, residual = _roots(res, 1e-4)
+    scan = _count_law_scan(lambda xs: count_pmf_grid(dgp, n, xs), grid, lambda xs: 1.0 - xs)
+    roots, residual = _roots(res, 1e-4, scan)
     return EquilibriumResult(
         roots, "GeneralCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp)}
     )

@@ -10,7 +10,9 @@ signals as independent.  This module supplies:
 * the inference procedures (MLE, Beta estimation, Bayes with Beta prior),
 * every distribution of the action count y used by the solvers: the
   rho-mixtures (iid, rho-mixture, Markov shock), Conway-Maxwell-Binomial,
-  additive-binomial, Bahadur joints for n <= 3, sequential sampling,
+  additive-binomial, Bahadur joints for n <= 3, sequential sampling; each
+  at one theta (``action_count_pmf``, the reference) and on an array of
+  thetas (``count_pmf_grid``, the form the root scans evaluate),
 * plain and rho-weighted Bernstein polynomial evaluation (the expectation
   under a rho-mixture) and the large-n limit of the latter.
 """
@@ -54,6 +56,8 @@ __all__ = [
     "MarkovShock",
     "ActionCountPMF",
     "action_count_pmf",
+    "count_pmf_grid",
+    "mixture_pmf_grid",
     "dgp_variance",
     "mean_limit_variance",
     "additive_binomial_rho_bounds",
@@ -430,12 +434,9 @@ def bayes_posterior(
 
 @lru_cache(maxsize=256)
 def _log_binom_coeffs(n: int) -> np.ndarray:
-    y = np.arange(n + 1, dtype=float)
-    return (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(v + 1) for v in y])
-        - np.array([math.lgamma(n - v + 1) for v in y])
-    )
+    # lgamma(n - y + 1) is lgamma(y + 1) reversed: one pass, no list of n + 1 floats
+    lg = np.fromiter((math.lgamma(k + 1.0) for k in range(n + 1)), float, n + 1)
+    return math.lgamma(n + 1) - lg - lg[::-1]
 
 
 def binom_pmf(n: int, theta: float) -> np.ndarray:
@@ -466,14 +467,18 @@ def bernstein(n: int, theta: float, values: Sequence[float]) -> float:
     return float(binom_pmf(n, theta) @ values)
 
 
+def _check_mixture_rho(rho: float) -> None:
+    if not 0.0 <= rho <= 1.0:
+        raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
+
+
 def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]) -> float:
     """rho-weighted Bernstein polynomial Psi_n(theta, rho; C).
 
     (1 - rho) * B_n(theta; C) + rho * [theta C(1) + (1 - theta) C(0)], the
     right-hand side of the equilibrium equation under the rho-mixture law.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
+    _check_mixture_rho(rho)
     values = np.asarray(values, dtype=float)
     polarized = theta * float(values[-1]) + (1.0 - theta) * float(values[0])
     if rho == 1.0:
@@ -491,8 +496,7 @@ def weighted_limit(
     (fn(0), fn(1)), evaluated once by the caller; ``fn`` itself is called
     only when rho < 1.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
+    _check_mixture_rho(rho)
     f0, f1 = ends
     polarized = theta * f1 + (1.0 - theta) * f0
     if rho == 1.0:
@@ -753,6 +757,166 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
         raise ModelError(f"unknown DGP {dgp!r}")
     probs = probs / probs.sum()  # remove float drift, keeps 1e-12 normalization
     return ActionCountPMF(n, probs)
+
+
+# ---------------------------------------------------------------------------
+# Count laws on a grid of thetas
+# ---------------------------------------------------------------------------
+
+
+def count_pmf_grid(dgp: SignalDGP, n: int, thetas: Sequence[float]) -> np.ndarray:
+    """Array form of :func:`action_count_pmf`: row i is the pmf of the action
+    count at ``thetas[i]``, an (m, n + 1) array.
+
+    Each law is evaluated at every theta at once, step for step as the scalar
+    pmf does it (logs by ``math``, the same sums in the same order), so the
+    rows agree with ``action_count_pmf`` to a few ulps.  What the array
+    kernels do not cover goes through ``action_count_pmf`` row by row and so
+    raises exactly what it raises at the first such theta: n below 1, a theta
+    outside [0, 1], an unknown law, a Bahadur shape it rejects, and the thetas
+    where AdditiveBinomial leaves its admissible set (theta = 0 and 1
+    included) or a Bahadur cell is negative.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if n < 1 or not np.all((thetas >= 0.0) & (thetas <= 1.0)):
+        return _reference_rows(dgp, n, thetas)
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        return mixture_pmf_grid(n, thetas, dgp.rho)
+    if isinstance(dgp, CMB):
+        probs = _cmb_rows(n, thetas, dgp.nu)
+    elif isinstance(dgp, AdditiveBinomial) and n >= 2:
+        probs = _additive_binomial_rows(dgp, n, thetas)
+    elif isinstance(dgp, BahadurJoint) and n <= 3 and len(dgp.r2) == n * (n - 1) // 2:
+        probs = _bahadur_rows(dgp, n, thetas)
+    elif isinstance(dgp, Sequential):
+        probs = _sequential_rows(n, thetas, dgp.weights(n))
+    else:
+        return _reference_rows(dgp, n, thetas)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def mixture_pmf_grid(n: int, thetas: Sequence[float], rho: float) -> np.ndarray:
+    """:func:`count_pmf_grid` of the rho-mixture law, with the rho check of
+    :func:`weighted_bernstein`; n >= 1 and every theta in [0, 1] are the caller's."""
+    _check_mixture_rho(rho)
+    thetas = np.asarray(thetas, dtype=float)
+    probs = (1.0 - rho) * _binom_rows(n, thetas)
+    probs[:, n] += rho * thetas
+    probs[:, 0] += rho * (1.0 - thetas)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _reference_rows(dgp: SignalDGP, n: int, thetas: np.ndarray) -> np.ndarray:
+    return np.array([action_count_pmf(dgp, n, t).probs for t in thetas.tolist()])
+
+
+def _edge_rows(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zero rows with the point masses at y = 0 (theta = 0) and y = n (theta = 1)
+    set, and the mask of the interior thetas, whose rows the caller fills."""
+    probs = np.zeros((len(thetas), n + 1))
+    probs[thetas <= 0.0, 0] = 1.0
+    probs[thetas >= 1.0, n] = 1.0
+    return probs, (thetas > 0.0) & (thetas < 1.0)
+
+
+def _log_columns(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log theta, log(1 - theta)) as columns, by ``math`` like the scalar pmfs:
+    numpy's log and log1p differ from it in the last bit."""
+    ts = thetas.tolist()
+    lt = np.fromiter(map(math.log, ts), float, len(ts))
+    l1 = np.fromiter((math.log1p(-t) for t in ts), float, len(ts))
+    return lt[:, None], l1[:, None]
+
+
+def _binom_rows(n: int, thetas: np.ndarray) -> np.ndarray:
+    """Binomial(n, theta) rows, cell for cell the arithmetic of :func:`binom_pmf`."""
+    probs, inner = _edge_rows(n, thetas)
+    lt, l1 = _log_columns(thetas[inner])
+    y = np.arange(n + 1, dtype=float)
+    probs[inner] = np.exp(_log_binom_coeffs(n) + y * lt + (n - y) * l1)
+    return probs
+
+
+def _cmb_rows(n: int, thetas: np.ndarray, nu: float) -> np.ndarray:
+    """Rows of :func:`_cmb_pmf`, the infinite nu keeping its extreme or central counts."""
+    probs, inner = _edge_rows(n, thetas)
+    lt, l1 = _log_columns(thetas[inner])
+    if math.isinf(nu):
+        cols = [0, n] if nu < 0 else ([n // 2] if n % 2 == 0 else [n // 2, n // 2 + 1])
+        y = np.array(cols, dtype=float)
+        logw = y * lt + (n - y) * l1
+    else:
+        cols = list(range(n + 1))
+        y = np.arange(n + 1, dtype=float)
+        logw = nu * _log_binom_coeffs(n) + y * lt + (n - y) * l1
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    probs[np.ix_(np.flatnonzero(inner), cols)] = w / w.sum(axis=1, keepdims=True)
+    return probs
+
+
+def _additive_binomial_rows(dgp: AdditiveBinomial, n: int, thetas: np.ndarray) -> np.ndarray:
+    """Rows of the additive-binomial law (n >= 2).  The thetas are checked in
+    order by :func:`additive_binomial_rho_bounds`, and the scalar pmf is called
+    at the first one outside the admissible set, where it raises."""
+    for t in thetas.tolist():
+        if 0.0 < t < 1.0:
+            lo, hi = additive_binomial_rho_bounds(n, t)
+            if lo <= dgp.rho <= hi:
+                continue
+        action_count_pmf(dgp, n, t)
+    t = thetas[:, None]
+    sq = np.array([v**2 for v in thetas.tolist()])[:, None]  # Python's pow, as the scalar kernel squares
+    y = np.arange(n + 1, dtype=float)
+    kernel = 1.0 + dgp.rho * ((y - n * t) ** 2 + y * (2.0 * t - 1.0) - n * sq) / (2.0 * t * (1.0 - t))
+    return np.clip(_binom_rows(n, thetas) * kernel, 0.0, None)
+
+
+def _bahadur_rows(dgp: BahadurJoint, n: int, thetas: np.ndarray) -> np.ndarray:
+    """Rows of the Bahadur joint (n <= 3, one r2 per pair) folded onto the count
+    as :func:`joint_count_probs` folds it.  The scalar pmf is called at the
+    first theta with a cell below -1e-12, where it raises."""
+    probs, inner = _edge_rows(n, thetas)
+    rows = np.flatnonzero(inner)
+    t = thetas[inner]
+    s = np.sqrt(t * (1.0 - t))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    joint = np.empty((len(t), 2**n))
+    for b in range(2**n):
+        x = [(b >> i) & 1 for i in range(n)]
+        w = [(xi - t) / s for xi in x]
+        base = np.ones_like(t)
+        for xi in x:
+            base = base * (t if xi else 1.0 - t)
+        corr = np.ones_like(t)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as in floats
+            for (i, j), r in zip(pairs, dgp.r2):
+                corr = corr + r * w[i] * w[j]
+            if n == 3:
+                corr = corr + dgp.r3 * w[0] * w[1] * w[2]
+            joint[:, b] = base * corr
+    negative = np.flatnonzero(joint.min(axis=1) < -1e-12)
+    if len(negative):
+        action_count_pmf(dgp, n, float(t[negative[0]]))
+    joint = np.clip(joint, 0.0, None)
+    for b in range(2**n):
+        probs[rows, bin(b).count("1")] += joint[:, b]
+    return probs
+
+
+def _sequential_rows(n: int, thetas: np.ndarray, lams: Sequence[float]) -> np.ndarray:
+    """The forward recursion of :func:`_sequential_count_pmf` on every theta at once."""
+    t = thetas[:, None]
+    probs = np.zeros((len(thetas), n + 1))
+    probs[:, 0], probs[:, 1] = 1.0 - thetas, thetas
+    for i in range(1, n):
+        lam = lams[i - 1]
+        p_one = (1.0 - lam) * t + lam * (np.arange(i + 1) / i)
+        head = probs[:, : i + 1]
+        nxt = np.zeros_like(probs)
+        nxt[:, 1 : i + 2] = head * p_one
+        nxt[:, : i + 1] += head * (1.0 - p_one)
+        probs = nxt
+    return probs
 
 
 def dgp_variance(dgp: RhoMixture, n: int, theta: float) -> float:

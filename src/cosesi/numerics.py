@@ -5,6 +5,9 @@ root finding, and the two root helpers the solvers share: the clamped solve
 of a decreasing residual and the scan-plus-refine root enumeration.  The
 three root routines share one default, ``SOLVE_TOL`` (|f| <= 1e-12 within
 300 steps), and no solver in the package passes a tolerance of its own.
+A scan may take an array form of its function to evaluate all nodes at
+once; the scalar function still decides every node within ``SOLVE_TOL`` of
+zero and every bracket end, so the brackets do not depend on the array form.
 Everything here is pure and dependency-light: the normal CDF goes through
 ``math.erfc`` (double-precision complementary error function), the quantile
 through ``statistics.NormalDist``, and the quadrature is adaptive Simpson.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "Bracket",
@@ -253,28 +256,41 @@ def solve_decreasing(
 def find_sign_changes(
     f: Callable[[float], float],
     grid_step: float = 1e-4,
+    evaluate: Callable[[list[float]], Sequence[float]] | None = None,
 ) -> SignChangeScan:
     """Scan [0, 1] on a uniform grid for sign changes of ``f``.
 
     Nodes where f is exactly zero count as roots directly and never as part
     of a bracket.  ``grid_step`` must lie in (0, 0.01].
+
+    ``evaluate``, if given, maps the list of nodes to values of f at once (an
+    array form of f).  It only decides the sign of a node whose value lies
+    farther than ``SOLVE_TOL.abs_tol`` from 0; f itself is called at every
+    other node and gives the recorded ends of every bracket.  So while the two
+    agree to within that band, the node roots, signs and brackets are those of
+    the scan that calls f at every node.
     """
     if not 0.0 < grid_step <= 0.01:
         raise DomainError(f"grid_step must be in (0, 0.01], got {grid_step}")
     n = max(2, round(1.0 / grid_step))
     xs = [i / n for i in range(n + 1)]
-    fs = [f(x) for x in xs]
+    if evaluate is None:
+        fs = [f(x) for x in xs]
+        exact = fs.__getitem__
+    else:
+        exact = functools.cache(lambda i: f(xs[i]))  # f at most once per node
+        band = SOLVE_TOL.abs_tol
+        fs = [v if abs(v) > band else exact(i) for i, v in enumerate(evaluate(xs))]
     node_roots = [x for x, v in zip(xs, fs) if v == 0.0]
     brackets: list[Bracket] = []
-    prev_x: float | None = None
-    prev_f = 0.0
-    for x, v in zip(xs, fs):
+    prev: int | None = None
+    for i, v in enumerate(fs):
         if v == 0.0:
-            prev_x = None  # exact node root separates intervals
+            prev = None  # exact node root separates intervals
             continue
-        if prev_x is not None and (v < 0.0) != (prev_f < 0.0):
-            brackets.append(Bracket(prev_x, x, prev_f, v))
-        prev_x, prev_f = x, v
+        if prev is not None and (v < 0.0) != (fs[prev] < 0.0):
+            brackets.append(Bracket(xs[prev], xs[i], exact(prev), exact(i)))
+        prev = i
     return SignChangeScan(tuple(brackets), tuple(node_roots))
 
 
@@ -282,13 +298,15 @@ def find_roots(
     f: Callable[[float], float],
     grid_step: float = 1e-4,
     tol: Tolerance = SOLVE_TOL,
+    evaluate: Callable[[list[float]], Sequence[float]] | None = None,
 ) -> list[float]:
     """Every root found on a :func:`find_sign_changes` scan, sorted.
 
     Exact node roots are kept as they are; each bracket is refined with
-    :func:`solve_bracketed`.  Returns ``[]`` when the scan finds no root.
+    :func:`solve_bracketed`.  ``evaluate`` is the scan's optional array form
+    of ``f``.  Returns ``[]`` when the scan finds no root.
     """
-    scan = find_sign_changes(f, grid_step)
+    scan = find_sign_changes(f, grid_step, evaluate)
     roots = list(scan.node_roots)
     roots += [solve_bracketed(f, b, tol) for b in scan.brackets]
     return sorted(roots)

@@ -135,9 +135,11 @@ def sample_correlated(
 
     With probability rho all n bits duplicate a single Bernoulli(theta) draw;
     otherwise the bits are iid Bernoulli(theta).  Returns a (size, n) 0/1
-    array.
+    array; a size below 1 raises :class:`SamplingError`.
     """
     RhoMixture(rho)  # the law's constructor checks rho
+    if size < 1:
+        raise SamplingError(f"need at least one draw, got size={size}")
     gen = rng.generator()
     polarized = gen.random(size) < rho
     shared = (gen.random(size) < theta).astype(np.int8)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cosesi import applications
 from cosesi.model import (
     BayesBeta,
     BetaEstimation,
@@ -496,3 +497,14 @@ class TestTwoPartSupply:
         vals = residual(ts)
         i = int(np.nonzero(np.diff(np.sign(vals)))[0][0])
         assert out.theta1 == pytest.approx(ts[i], abs=1e-5)
+
+    @pytest.mark.parametrize("eps, shown", [(5.0, "5"), (1.0, "1"), (-1.0, "-1"), (-2.5, "-2.5"), (math.nan, "nan")])
+    def test_shock_of_unit_size_or_more_is_refused(self, mle, pow2, eps, shown, monkeypatch):
+        # no theta keeps both periods in [0, 1]; refused before the grid is built
+        monkeypatch.setattr(applications, "cost_grid", None)
+        with pytest.raises(ApplicationError, match=rf"^supply shock needs \|eps\| < 1, got {shown}$"):
+            two_part_supply(pow2, mle, eps)
+
+    def test_shock_just_below_unit_size_solves(self, mle, pow2):
+        out = two_part_supply(pow2, mle, 0.99)
+        assert 0.0 <= out.theta1 <= 1.0 - 0.99 and out.theta2 == out.theta1 + 0.99

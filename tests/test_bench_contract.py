@@ -70,3 +70,19 @@ def test_limit_paths_never_reach_the_count_law(traced):
     metrics = tracer.layer_metrics()
     assert metrics["model.count_law.calls"] == 0
     assert metrics["equilibrium.cost_grid.calls"] == 0
+
+
+def test_array_scan_keeps_its_span_and_payload(traced):
+    # the scan evaluates its nodes as one array product; only the re-checked
+    # nodes and the bracket ends reach the scalar residual
+    tracer, modules = traced
+    eq = modules["cosesi.equilibrium"]
+    model = modules["cosesi.model"]
+    res = eq.solve_with_dgp(model.s_shaped_cost(), model.MLE(), 6, model.CMB(2.0))
+    metrics = tracer.layer_metrics()
+    assert metrics["numerics.find_sign_changes.calls"] == 1
+    spans = tracer.arrays()
+    scan = list(spans["names"]).index("numerics.find_sign_changes")
+    assert spans["payload"][spans["name_id"] == scan].tolist() == [len(res.roots)] == [1]
+    assert 0 < metrics["numerics.find_sign_changes.evals"] < 200
+    assert metrics["equilibrium.residual.evals"] < 200

@@ -1,6 +1,7 @@
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,23 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err.startswith("solver error: ") and message in err
+
+    @pytest.mark.parametrize("eps", ["5", "-1"])
+    def test_supply_shock_of_unit_size_exits_1(self, eps, capsys):
+        code, out, err = run_cli(["supply-shock", "--eps", eps], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"solver error: supply shock needs |eps| < 1, got {eps}\n"
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_simulate_without_draws_exits_2(self, draws, capsys, tmp_path):
+        out_path = tmp_path / "sim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before sampling: no numpy warning either
+            code, out, err = run_cli(["simulate", "--draws", draws, "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err == f"config error: --draws must be at least 1, got {draws}\n"
 
     def test_bayes_group(self, capsys):
         code, out, err = run_cli(["hetero", "--groups", "0.5:bayes:1,1,0:3,0.5:mle:2"], capsys)

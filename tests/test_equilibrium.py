@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from cosesi import equilibrium
 from cosesi.model import (
+    CMB,
     IID,
+    AdditiveBinomial,
+    Sequential,
     MLE,
     BayesBeta,
     BetaEstimation,
     MarkovShock,
     RhoMixture,
     BahadurJoint,
+    InadmissibleCorrelation,
     InteriorRhoUnsupported,
     ModelError,
     UnsupportedN,
@@ -569,6 +574,115 @@ class TestGeneralDGPSolver:
         got = solve_with_dgp(c, MLE(), n, law).roots
         assert len(got) == len(ref)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref))
+
+
+def _scalar_scan_roots(res, grid_step):
+    """The scan that calls ``res`` at every node, refined and merged within 1e-6,
+    with the largest |residual| over the roots: the reference for the array scans."""
+    roots = []
+    for r in find_roots(res, grid_step):
+        if not roots or r - roots[-1] > 1e-6:
+            roots.append(r)
+    return tuple(roots), max((abs(res(r)) for r in roots), default=math.inf)
+
+
+def _scalar_residual(dgp, n, grid):
+    """The residual that ``solve_with_dgp`` refines, evaluated one theta at a time."""
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        return lambda t: 1.0 - t - weighted_bernstein(n, t, dgp.rho, grid)
+    return lambda t: 1.0 - t - float(action_count_pmf(dgp, n, t).probs @ grid)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_SCAN_COSTS = st.one_of(
+    st.floats(0.3, 6.0).map(power_cost),
+    st.just(linear_cost()),
+    st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.6)).map(lambda p: affine_cost(*p)),
+    st.tuples(st.floats(0.01, 0.3), st.floats(0.7, 0.99), st.floats(8.0, 30.0),
+              st.floats(0.3, 0.7)).map(lambda p: s_shaped_cost(*p)),
+)
+
+# (law, n) for the seven law families, at sizes that keep the reference scan short
+_SCAN_LAWS = st.one_of(
+    st.tuples(st.just(IID()), st.integers(1, 20)),
+    st.tuples(st.floats(0.0, 1.0).map(RhoMixture), st.integers(1, 20)),
+    st.tuples(st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)).map(lambda pq: MarkovShock(*pq)),
+              st.integers(1, 20)),
+    st.tuples(st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-math.inf, math.inf])).map(CMB),
+              st.integers(1, 30)),
+    st.tuples(st.lists(st.floats(0.0, 0.9), min_size=1, max_size=3).map(lambda w: Sequential(tuple(w))),
+              st.integers(1, 6)),
+    st.tuples(st.floats(0.0, 0.9).map(lambda r: BahadurJoint((r,))), st.just(2)),
+    st.tuples(st.floats(-0.05, 0.1).map(AdditiveBinomial), st.integers(2, 12)),
+)
+
+
+class TestArrayScan:
+    """The count-law scans evaluate their nodes as arrays; the scalar residual
+    re-checks the nodes near zero and the bracket ends, so the results are the
+    scalar scan's bit for bit."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(c=_SCAN_COSTS, law=_SCAN_LAWS)
+    def test_solve_with_dgp_is_the_scalar_scan(self, c, law):
+        dgp, n = law
+        res = _scalar_residual(dgp, n, cost_grid(MLE(), n, c))
+        ref = _outcome(lambda: _scalar_scan_roots(res, 1e-4))
+        got = _outcome(lambda: solve_with_dgp(c, MLE(), n, dgp))
+        if isinstance(ref[0], type):  # AdditiveBinomial fails at theta = 0, both ways alike
+            assert got == ref
+        else:
+            assert (got.theta_star, got.residual) == ref
+
+    @pytest.mark.parametrize("dgp, n", [
+        (IID(), 7), (RhoMixture(0.4), 12), (MarkovShock(0.3, 0.6), 5), (CMB(2.0), 10),
+        (CMB(-math.inf), 8), (Sequential((0.5, 0.2)), 3), (BahadurJoint((0.3,)), 2),
+    ])
+    def test_each_family_is_the_scalar_scan(self, dgp, n):
+        c = s_shaped_cost(0.05, 0.95, 20.0, 0.5)
+        res = _scalar_residual(dgp, n, cost_grid(MLE(), n, c))
+        got = solve_with_dgp(c, MLE(), n, dgp)
+        assert (got.theta_star, got.residual) == _scalar_scan_roots(res, 1e-4)
+
+    def test_additive_binomial_fails_as_before(self, pow3):
+        with pytest.raises(InadmissibleCorrelation, match=r"^additive binomial needs theta in \(0,1\)$"):
+            solve_with_dgp(pow3, MLE(), 4, AdditiveBinomial(0.05))
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        c=st.tuples(st.floats(0.01, 0.2), st.floats(0.8, 0.99), st.floats(10.0, 30.0),
+                    st.floats(0.35, 0.65)).map(lambda p: s_shaped_cost(*p)),
+        n=st.integers(1, 40),
+        rho=st.floats(0.0, 1.0),
+        grid_step=st.sampled_from([1e-4, 1e-3]),
+    )
+    def test_enumerate_is_the_scalar_scan(self, c, n, rho, grid_step):
+        grid = cost_grid(MLE(), n, c)
+        ref = _scalar_scan_roots(lambda t: t - weighted_bernstein(n, t, rho, grid), grid_step)
+        got = enumerate_cosesi(c, n, rho, grid_step)
+        assert (got.theta_star, got.residual) == ref
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.5])
+    def test_enumerate_rejects_rho_as_the_kernel(self, rho):
+        with pytest.raises(InadmissibleCorrelation, match=rf"^rho must be in \[0,1\], got {rho}$"):
+            enumerate_cosesi(s_shaped_cost(), 12, rho)
+
+    def test_scan_memory_is_flat_in_n(self):
+        # 1001 nodes at n = 50 000 would be 400 MB as one array; blocks keep it to a few rows
+        c = s_shaped_cost()
+        tracemalloc.start()
+        try:
+            enumerate_cosesi(c, 50_000, 0.3, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestComparativeStatics:

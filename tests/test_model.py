@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from cosesi.model import (
     bernstein,
     beta_expectation,
     binom_pmf,
+    count_pmf_grid,
     dgp_variance,
     exp_decay_cost,
     expected_cost,
     linear_cost,
+    mixture_pmf_grid,
     mean_limit_variance,
     parse_cost,
     power_cost,
@@ -414,3 +417,102 @@ class TestBernstein:
     def test_bad_grid_length(self):
         with pytest.raises(ModelError):
             bernstein(3, 0.5, [0.1, 0.2])
+
+
+def _scalar_rows(dgp, n, thetas):
+    """``action_count_pmf`` at each theta in turn, or the type and message of
+    the first error it raises."""
+    rows = []
+    for t in thetas:
+        try:
+            rows.append(action_count_pmf(dgp, n, t).probs)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return np.array(rows)
+
+
+def _bahadur_law(n):
+    pairs = max(0, min(n, 3) * (min(n, 3) - 1) // 2)
+    r2 = st.lists(st.floats(-0.6, 0.6), min_size=pairs, max_size=pairs).map(tuple)
+    return st.tuples(st.builds(BahadurJoint, r2, st.floats(-0.3, 0.3)), st.just(n))
+
+
+# (law, n): every family at sample sizes in and just out of its support
+_LAWS = st.one_of(
+    st.tuples(st.just(IID()), st.integers(1, 40)),
+    st.tuples(st.floats(0.0, 1.0).map(RhoMixture), st.integers(1, 40)),
+    st.tuples(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        .filter(lambda pq: pq[0] + pq[1] > 0.0).map(lambda pq: MarkovShock(*pq)),
+        st.integers(1, 40),
+    ),
+    st.tuples(
+        st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-math.inf, 0.0, 1.0, math.inf])).map(CMB),
+        st.integers(1, 40),
+    ),
+    st.tuples(st.lists(st.floats(0.0, 0.95), max_size=4).map(lambda w: Sequential(tuple(w))),
+              st.integers(1, 25)),
+    st.tuples(st.floats(-0.05, 0.3).map(AdditiveBinomial), st.integers(1, 12)),
+    st.integers(1, 4).flatmap(_bahadur_law),
+)
+_THETAS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=12)
+
+
+class TestCountPmfGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(law=_LAWS, thetas=_THETAS)
+    def test_rows_match_the_scalar_pmf(self, law, thetas):
+        dgp, n = law
+        ref = _scalar_rows(dgp, n, thetas)
+        if isinstance(ref, tuple):  # inadmissible: the same error as the scalar pmf
+            with pytest.raises(ref[0]) as exc:
+                count_pmf_grid(dgp, n, thetas)
+            assert type(exc.value) is ref[0] and str(exc.value) == ref[1]
+        else:
+            got = count_pmf_grid(dgp, n, thetas)
+            assert got.shape == (len(thetas), n + 1)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)  # a nan row as the scalar's
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rho=st.floats(-0.02, 0.1),
+        n=st.integers(2, 12),
+        thetas=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12),
+    )
+    def test_additive_binomial_inside_its_admissible_set(self, rho, n, thetas):
+        # the scan nodes theta = 0 and 1 are always inadmissible; here rows are compared
+        ref = _scalar_rows(AdditiveBinomial(rho), n, thetas)
+        if isinstance(ref, tuple):
+            with pytest.raises(ref[0], match=f"^{re.escape(ref[1])}$"):
+                count_pmf_grid(AdditiveBinomial(rho), n, thetas)
+        else:
+            np.testing.assert_allclose(count_pmf_grid(AdditiveBinomial(rho), n, thetas), ref, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("dgp, n, thetas", [
+        (IID(), 0, [0.5]),
+        (CMB(2.0), 3, [0.2, -0.1]),
+        (Sequential((0.3,)), 3, [0.2, 1.5]),
+        (RhoMixture(0.4), 3, [math.nan]),
+        (BahadurJoint((0.1,)), 3, [0.5]),
+        (BahadurJoint((0.1, 0.1, 0.1)), 4, [0.5]),
+        (AdditiveBinomial(0.05), 1, [0.5]),
+        (AdditiveBinomial(0.05), 4, [0.3, 0.0]),
+        ("rho:0.3", 3, [0.5]),
+    ])
+    def test_rejected_inputs_raise_as_the_scalar_pmf(self, dgp, n, thetas):
+        ref = _scalar_rows(dgp, n, thetas)
+        assert isinstance(ref, tuple)
+        with pytest.raises(ref[0], match=f"^{re.escape(ref[1])}$"):
+            count_pmf_grid(dgp, n, thetas)
+
+    def test_mixture_grid_checks_rho_as_the_kernel(self):
+        for rho in (-0.1, 1.5, math.nan):
+            with pytest.raises(InadmissibleCorrelation, match=r"^rho must be in \[0,1\], got"):
+                mixture_pmf_grid(3, [0.5], rho)
+
+    def test_scan_nodes_agree_bit_for_bit(self):
+        # every tenth node of the scans, ends included, for one law of each array kernel
+        nodes = [i / 10_000 for i in range(0, 10_001, 10)]
+        for dgp, n in [(RhoMixture(0.3), 12), (CMB(-1.3), 29), (CMB(math.inf), 9),
+                       (Sequential((0.3, 0.5)), 6), (BahadurJoint((0.02, 0.01, 0.03)), 3)]:
+            assert np.array_equal(count_pmf_grid(dgp, n, nodes), _scalar_rows(dgp, n, nodes))

@@ -100,6 +100,11 @@ class TestSampleCorrelated:
         with pytest.raises(InadmissibleCorrelation):
             sample_correlated(3, 0.5, 1.2, rng)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_no_draws_refused(self, rng, size):
+        with pytest.raises(SamplingError, match=rf"^need at least one draw, got size={size}$"):
+            sample_correlated(3, 0.5, 0.5, rng, size=size)
+
 
 class TestSequentialSample:
     def test_zero_lambda_is_iid(self, rng):
