@@ -21,9 +21,11 @@ increasing costs: a closed form at rho = 1, else the clamped solve
 :func:`_root`) or by :func:`_roots` (scan, refine, merge roots within 1e-6).
 The count-law scans of :func:`solve_with_dgp` and :func:`enumerate_cosesi`
 (finite n) evaluate their 10 001 nodes as one blockwise array product of
-``model.count_pmf_grid`` rows and the cost grid; the scalar residual
-re-checks each node within ``SOLVE_TOL.abs_tol`` of zero and gives every
-bracket end, so the brackets and refined roots are the scalar scan's.
+``model.count_pmf_grid`` rows and the cost grid.  A block product and the
+one-row product of the residual at one theta may round differently, so the
+latter re-checks each node within ``SOLVE_TOL.abs_tol`` of zero and gives
+every bracket end: the brackets and refined roots are those of a scan that
+evaluates the residual node by node.
 """
 
 from __future__ import annotations
@@ -400,11 +402,13 @@ def solve_with_dgp(
 
     The scan evaluates the right side at its 10 001 nodes at once, as
     ``model.count_pmf_grid`` rows times the cost grid, in blocks of at most
-    10 000 pmf cells.  The scalar residual (``weighted_bernstein`` under a
-    rho-mixture law, i.e. iid and Markov shock; ``action_count_pmf`` otherwise)
-    re-checks every node within ``SOLVE_TOL.abs_tol`` of zero, gives each
-    bracket's end values and is the one that bisection refines, so the roots
-    and residual are those of a scan that calls it at every node."""
+    10 000 pmf cells.  The residual at one theta (``weighted_bernstein`` under
+    a rho-mixture law, i.e. iid and Markov shock; otherwise the one-row pmf
+    ``action_count_pmf`` times the grid) re-checks every node within
+    ``SOLVE_TOL.abs_tol`` of zero, since a block product and a one-row
+    product may round differently.  It also gives each bracket's end values
+    and is the one that bisection refines, so the roots and residual are
+    those of a scan that calls it at every node."""
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         res = lambda t: 1.0 - t - weighted_bernstein(n, t, dgp.rho, grid)

@@ -11,8 +11,8 @@ signals as independent.  This module supplies:
 * every distribution of the action count y used by the solvers: the
   rho-mixtures (iid, rho-mixture, Markov shock), Conway-Maxwell-Binomial,
   additive-binomial, Bahadur joints for n <= 3, sequential sampling; each
-  at one theta (``action_count_pmf``, the reference) and on an array of
-  thetas (``count_pmf_grid``, the form the root scans evaluate),
+  written once, on an array of thetas (``count_pmf_grid``, which the root
+  scans evaluate in blocks), with ``action_count_pmf`` its row at one theta,
 * plain and rho-weighted Bernstein polynomial evaluation (the expectation
   under a rho-mixture) and the large-n limit of the latter.
 """
@@ -440,7 +440,14 @@ def _log_binom_coeffs(n: int) -> np.ndarray:
 
 
 def binom_pmf(n: int, theta: float) -> np.ndarray:
-    """Binomial(n, theta) pmf over y = 0..n as a vector."""
+    """Binomial(n, theta) pmf over y = 0..n as a vector.
+
+    The scalar Bernstein kernel that :func:`bernstein` and
+    :func:`weighted_bernstein` sum, kept beside the row kernel ``_binom_rows``
+    because it is the hot path of every unique-root solve: at n = 200 one call
+    costs 5 us against 15 us for a one-row ``_binom_rows`` (Python 3.11,
+    numpy 2.4, Intel Xeon, 2 vCPUs).
+    """
     if n < 0:
         raise UnsupportedN(f"n must be >= 0, got {n}")
     out = np.zeros(n + 1)
@@ -609,6 +616,8 @@ class ActionCountPMF:
         object.__setattr__(self, "probs", probs)
         if probs.shape != (self.n + 1,):
             raise ModelError(f"pmf needs {self.n + 1} entries, got {probs.shape}")
+        if not np.isfinite(probs).all():  # nan passes every comparison below
+            raise ModelError(f"non-finite pmf entry in {probs}")
         if probs.min() < -1e-12:
             raise ModelError(f"negative pmf entry {probs.min()}")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -629,7 +638,10 @@ def additive_binomial_rho_bounds(n: int, theta: float) -> tuple[float, float]:
     Lower bound -2/(n(n-1)) * min{theta/(1-theta), (1-theta)/theta}; upper
     bound 2 theta(1-theta) / ((n-1) theta(1-theta) + 1/4 - xi0) where xi0 is
     the squared distance from the nearest integer count to (n-1) theta + 1/2.
-    These are exactly the values keeping every pmf cell nonnegative.
+    These are exactly the values keeping every pmf cell nonnegative.  With
+    x = (n-1) theta and that count y = ceil(x), 1/4 - xi0 is the product
+    (y - x)(x - (y - 1)), whose factors keep full relative precision; the
+    difference of 1/4 and xi0 cancels to 0 at tiny theta.
     """
     if n < 2:
         raise UnsupportedN("additive binomial needs n >= 2")
@@ -637,126 +649,23 @@ def additive_binomial_rho_bounds(n: int, theta: float) -> tuple[float, float]:
         raise InadmissibleCorrelation("additive binomial needs theta in (0,1)")
     odds = min(theta / (1.0 - theta), (1.0 - theta) / theta)
     lo = -2.0 / (n * (n - 1)) * odds
-    center = (n - 1) * theta + 0.5
-    xi0 = min((y - center) ** 2 for y in range(n + 1))
-    hi = 2.0 * theta * (1.0 - theta) / ((n - 1) * theta * (1.0 - theta) + 0.25 - xi0)
+    x = (n - 1) * theta
+    y = math.ceil(x)
+    hi = 2.0 * theta * (1.0 - theta) / (x * (1.0 - theta) + (y - x) * (x - (y - 1)))
     return lo, hi
 
 
-def _bahadur_joint_probs(n: int, theta: float, r2: Sequence[float], r3: float) -> np.ndarray:
-    """Joint over 2^n outcomes (binary little-endian) of the Bahadur expansion."""
-    if n < 1 or n > 3:
-        raise UnsupportedN(f"Bahadur joints are supported for n <= 3, got n={n}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(r2) != len(pairs):
-        raise ModelError(f"need {len(pairs)} pairwise correlations for n={n}")
-    if not 0.0 < theta < 1.0:
-        if theta in (0.0, 1.0):  # degenerate: all signals equal theta
-            probs = np.zeros(2**n)
-            probs[(2**n - 1) if theta == 1.0 else 0] = 1.0
-            return probs
-        raise ModelError(f"theta must be in [0,1], got {theta}")
-    s = math.sqrt(theta * (1.0 - theta))
-    probs = np.empty(2**n)
-    for b in range(2**n):
-        x = [(b >> i) & 1 for i in range(n)]
-        w = [(xi - theta) / s for xi in x]
-        base = math.prod(theta if xi else (1.0 - theta) for xi in x)
-        corr = 1.0
-        for (i, j), r in zip(pairs, r2):
-            corr += r * w[i] * w[j]
-        if n == 3:
-            corr += r3 * w[0] * w[1] * w[2]
-        probs[b] = base * corr
-    if probs.min() < -1e-12:
-        raise InadmissibleCorrelation(
-            f"correlation parameters produce a negative cell ({probs.min():.3e})"
-        )
-    return np.clip(probs, 0.0, None)
-
-
 def joint_count_probs(n: int, joint: Sequence[float]) -> np.ndarray:
-    """Fold a joint over 2^n outcomes (binary little-endian) onto the count y."""
-    probs = np.zeros(n + 1)
-    for b, p in enumerate(joint):
-        probs[bin(b).count("1")] += p
-    return probs
-
-
-def _sequential_count_pmf(n: int, theta: float, lams: Sequence[float]) -> np.ndarray:
-    """Exact count pmf of the sequential process by forward recursion on (i, y)."""
-    probs = np.zeros(n + 1)
-    probs[0], probs[1] = 1.0 - theta, theta
-    for i in range(1, n):
-        lam = lams[i - 1]
-        nxt = np.zeros(n + 1)
-        for y in range(i + 1):
-            if probs[y] == 0.0:
-                continue
-            p_one = (1.0 - lam) * theta + lam * (y / i)
-            nxt[y + 1] += probs[y] * p_one
-            nxt[y] += probs[y] * (1.0 - p_one)
-        probs = nxt
-    return probs
-
-
-def _cmb_pmf(n: int, theta: float, nu: float) -> np.ndarray:
-    out = np.zeros(n + 1)
-    if theta <= 0.0:
-        out[0] = 1.0
-        return out
-    if theta >= 1.0:
-        out[n] = 1.0
-        return out
-    if math.isinf(nu):
-        y = np.arange(n + 1, dtype=float)
-        logw = y * math.log(theta) + (n - y) * math.log1p(-theta)
-        if nu < 0:  # all mass on the extremes {0, n}
-            keep = [0, n]
-        else:  # all mass on the central count(s)
-            keep = [n // 2] if n % 2 == 0 else [n // 2, n // 2 + 1]
-        w = np.zeros(n + 1)
-        w[keep] = np.exp(logw[keep] - logw[keep].max())
-        return w / w.sum()
-    y = np.arange(n + 1, dtype=float)
-    logp = nu * _log_binom_coeffs(n) + y * math.log(theta) + (n - y) * math.log1p(-theta)
-    logp -= logp.max()
-    p = np.exp(logp)
-    return p / p.sum()
+    """Fold a joint over 2^n outcomes (binary little-endian, the last axis) onto the count y."""
+    joint = np.asarray(joint, dtype=float)
+    counts = np.array([bin(b).count("1") for b in range(joint.shape[-1])])
+    return joint @ (counts[:, None] == np.arange(n + 1))
 
 
 def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
-    """Exact pmf of the action count y = sum of n signals under ``dgp``."""
-    if n < 1:
-        raise UnsupportedN(f"n must be >= 1, got {n}")
-    if not 0.0 <= theta <= 1.0:
-        raise ModelError(f"theta must be in [0,1], got {theta}")
-    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
-        probs = (1.0 - dgp.rho) * binom_pmf(n, theta)
-        probs[n] += dgp.rho * theta
-        probs[0] += dgp.rho * (1.0 - theta)
-    elif isinstance(dgp, CMB):
-        probs = _cmb_pmf(n, theta, dgp.nu)
-    elif isinstance(dgp, AdditiveBinomial):
-        lo, hi = additive_binomial_rho_bounds(n, theta)
-        if not lo <= dgp.rho <= hi:
-            raise InadmissibleCorrelation(
-                f"rho={dgp.rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={theta}"
-            )
-        y = np.arange(n + 1, dtype=float)
-        kernel = 1.0 + dgp.rho * (
-            (y - n * theta) ** 2 + y * (2.0 * theta - 1.0) - n * theta**2
-        ) / (2.0 * theta * (1.0 - theta))
-        probs = binom_pmf(n, theta) * kernel
-        probs = np.clip(probs, 0.0, None)
-    elif isinstance(dgp, BahadurJoint):
-        probs = joint_count_probs(n, _bahadur_joint_probs(n, theta, dgp.r2, dgp.r3))
-    elif isinstance(dgp, Sequential):
-        probs = _sequential_count_pmf(n, theta, dgp.weights(n))
-    else:
-        raise ModelError(f"unknown DGP {dgp!r}")
-    probs = probs / probs.sum()  # remove float drift, keeps 1e-12 normalization
-    return ActionCountPMF(n, probs)
+    """Exact pmf of the action count y = sum of n signals under ``dgp``: the
+    row of :func:`count_pmf_grid` at theta, with its errors."""
+    return ActionCountPMF(n, count_pmf_grid(dgp, n, [theta])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -765,33 +674,32 @@ def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
 
 
 def count_pmf_grid(dgp: SignalDGP, n: int, thetas: Sequence[float]) -> np.ndarray:
-    """Array form of :func:`action_count_pmf`: row i is the pmf of the action
-    count at ``thetas[i]``, an (m, n + 1) array.
+    """The count-law kernel: row i is the pmf of the action count y = sum of n
+    signals under ``dgp`` at ``thetas[i]``, an (m, n + 1) array.
 
-    Each law is evaluated at every theta at once, step for step as the scalar
-    pmf does it (logs by ``math``, the same sums in the same order), so the
-    rows agree with ``action_count_pmf`` to a few ulps.  What the array
-    kernels do not cover goes through ``action_count_pmf`` row by row and so
-    raises exactly what it raises at the first such theta: n below 1, a theta
-    outside [0, 1], an unknown law, a Bahadur shape it rejects, and the thetas
-    where AdditiveBinomial leaves its admissible set (theta = 0 and 1
-    included) or a Bahadur cell is negative.
+    Each law is written once, on an array of thetas; :func:`action_count_pmf`
+    is its row at one theta, and the root scans evaluate it in blocks.  Raises
+    ``UnsupportedN`` for n below 1, ``ModelError`` at the first theta outside
+    [0, 1] (nan included) and for an unknown law, and the law's own errors:
+    a Bahadur shape it does not support, and the first theta where
+    AdditiveBinomial leaves its admissible set (theta = 0 and 1 included) or
+    a Bahadur cell is negative.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if n < 1 or not np.all((thetas >= 0.0) & (thetas <= 1.0)):
-        return _reference_rows(dgp, n, thetas)
+    if n < 1:
+        raise UnsupportedN(f"n must be >= 1, got {n}")
+    thetas = _unit_thetas(thetas)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         return mixture_pmf_grid(n, thetas, dgp.rho)
     if isinstance(dgp, CMB):
         probs = _cmb_rows(n, thetas, dgp.nu)
-    elif isinstance(dgp, AdditiveBinomial) and n >= 2:
+    elif isinstance(dgp, AdditiveBinomial):
         probs = _additive_binomial_rows(dgp, n, thetas)
-    elif isinstance(dgp, BahadurJoint) and n <= 3 and len(dgp.r2) == n * (n - 1) // 2:
-        probs = _bahadur_rows(dgp, n, thetas)
+    elif isinstance(dgp, BahadurJoint):
+        probs = joint_count_probs(n, _bahadur_joint_rows(n, thetas, dgp.r2, dgp.r3))
     elif isinstance(dgp, Sequential):
         probs = _sequential_rows(n, thetas, dgp.weights(n))
     else:
-        return _reference_rows(dgp, n, thetas)
+        raise ModelError(f"unknown DGP {dgp!r}")
     return probs / probs.sum(axis=1, keepdims=True)
 
 
@@ -806,22 +714,28 @@ def mixture_pmf_grid(n: int, thetas: Sequence[float], rho: float) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def _reference_rows(dgp: SignalDGP, n: int, thetas: np.ndarray) -> np.ndarray:
-    return np.array([action_count_pmf(dgp, n, t).probs for t in thetas.tolist()])
+def _unit_thetas(thetas: Sequence[float]) -> np.ndarray:
+    """``thetas`` as a float array; raises at the first one outside [0, 1] or nan."""
+    values = np.asarray(thetas, dtype=float)
+    inside = (values >= 0.0) & (values <= 1.0)
+    if not inside.all():
+        raise ModelError(f"theta must be in [0,1], got {thetas[int(np.argmin(inside))]}")
+    return values
 
 
 def _edge_rows(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero rows with the point masses at y = 0 (theta = 0) and y = n (theta = 1)
     set, and the mask of the interior thetas, whose rows the caller fills."""
     probs = np.zeros((len(thetas), n + 1))
-    probs[thetas <= 0.0, 0] = 1.0
-    probs[thetas >= 1.0, n] = 1.0
+    probs[:, 0] = thetas <= 0.0
+    probs[:, n] = thetas >= 1.0
     return probs, (thetas > 0.0) & (thetas < 1.0)
 
 
 def _log_columns(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log theta, log(1 - theta)) as columns, by ``math`` like the scalar pmfs:
-    numpy's log and log1p differ from it in the last bit."""
+    """(log theta, log(1 - theta)) as columns, by ``math``: numpy's log and
+    log1p differ from it in the last bit, and by ``math`` the mixture rows are
+    cell for cell :func:`binom_pmf`, the scalar Bernstein kernel."""
     ts = thetas.tolist()
     lt = np.fromiter(map(math.log, ts), float, len(ts))
     l1 = np.fromiter((math.log1p(-t) for t in ts), float, len(ts))
@@ -838,7 +752,10 @@ def _binom_rows(n: int, thetas: np.ndarray) -> np.ndarray:
 
 
 def _cmb_rows(n: int, thetas: np.ndarray, nu: float) -> np.ndarray:
-    """Rows of :func:`_cmb_pmf`, the infinite nu keeping its extreme or central counts."""
+    """Conway-Maxwell-Binomial rows: weights comb(n, y)**nu theta**y (1-theta)**(n-y),
+    normalised.  At nu = -inf only the extreme counts {0, n} keep their
+    binomial weight theta**y (1-theta)**(n-y), at nu = +inf only the central
+    count(s)."""
     probs, inner = _edge_rows(n, thetas)
     lt, l1 = _log_columns(thetas[inner])
     if math.isinf(nu):
@@ -855,56 +772,76 @@ def _cmb_rows(n: int, thetas: np.ndarray, nu: float) -> np.ndarray:
 
 
 def _additive_binomial_rows(dgp: AdditiveBinomial, n: int, thetas: np.ndarray) -> np.ndarray:
-    """Rows of the additive-binomial law (n >= 2).  The thetas are checked in
-    order by :func:`additive_binomial_rho_bounds`, and the scalar pmf is called
-    at the first one outside the admissible set, where it raises."""
+    """Rows of the additive-binomial law: the binomial times its pairwise kernel
+    1 + rho ((y - n theta)^2 + y (2 theta - 1) - n theta^2) / (2 theta (1 - theta)).
+    Raises at the first theta outside :func:`additive_binomial_rho_bounds`."""
     for t in thetas.tolist():
-        if 0.0 < t < 1.0:
-            lo, hi = additive_binomial_rho_bounds(n, t)
-            if lo <= dgp.rho <= hi:
-                continue
-        action_count_pmf(dgp, n, t)
+        lo, hi = additive_binomial_rho_bounds(n, t)
+        if not lo <= dgp.rho <= hi:
+            raise InadmissibleCorrelation(
+                f"rho={dgp.rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={t}"
+            )
     t = thetas[:, None]
-    sq = np.array([v**2 for v in thetas.tolist()])[:, None]  # Python's pow, as the scalar kernel squares
     y = np.arange(n + 1, dtype=float)
-    kernel = 1.0 + dgp.rho * ((y - n * t) ** 2 + y * (2.0 * t - 1.0) - n * sq) / (2.0 * t * (1.0 - t))
+    kernel = 1.0 + dgp.rho * ((y - n * t) ** 2 + y * (2.0 * t - 1.0) - n * t**2) / (2.0 * t * (1.0 - t))
     return np.clip(_binom_rows(n, thetas) * kernel, 0.0, None)
 
 
-def _bahadur_rows(dgp: BahadurJoint, n: int, thetas: np.ndarray) -> np.ndarray:
-    """Rows of the Bahadur joint (n <= 3, one r2 per pair) folded onto the count
-    as :func:`joint_count_probs` folds it.  The scalar pmf is called at the
-    first theta with a cell below -1e-12, where it raises."""
-    probs, inner = _edge_rows(n, thetas)
-    rows = np.flatnonzero(inner)
-    t = thetas[inner]
-    s = np.sqrt(t * (1.0 - t))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    joint = np.empty((len(t), 2**n))
-    for b in range(2**n):
-        x = [(b >> i) & 1 for i in range(n)]
-        w = [(xi - t) / s for xi in x]
-        base = np.ones_like(t)
-        for xi in x:
-            base = base * (t if xi else 1.0 - t)
-        corr = np.ones_like(t)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as in floats
-            for (i, j), r in zip(pairs, dgp.r2):
-                corr = corr + r * w[i] * w[j]
-            if n == 3:
-                corr = corr + dgp.r3 * w[0] * w[1] * w[2]
-            joint[:, b] = base * corr
-    negative = np.flatnonzero(joint.min(axis=1) < -1e-12)
+@lru_cache(maxsize=None)
+def _bahadur_monomials(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms of the Bahadur cells as signed monomials theta**a (1-theta)**b.
+
+    Rows are the terms (1, each pair i < j, and 0, 1, 2 for n = 3), columns
+    the outcomes.  The term of a set S of signals is prod_{k in S} p_k w_k
+    times prod_{k not in S} p_k, and each p_k w_k is +-sqrt(theta (1-theta)):
+    its sign, and the powers a and b (half-integers for |S| = 3).
+    """
+    subsets = [()] + [(i, j) for i in range(n) for j in range(i + 1, n)] + ([(0, 1, 2)] if n == 3 else [])
+    sign, a, b = (np.empty((len(subsets), 2**n)) for _ in range(3))
+    for row, subset in enumerate(subsets):
+        for outcome in range(2**n):
+            x = [(outcome >> k) & 1 for k in range(n)]
+            rest = [x[k] for k in range(n) if k not in subset]
+            sign[row, outcome] = math.prod(2 * x[k] - 1 for k in subset)
+            a[row, outcome] = sum(rest) + len(subset) / 2
+            b[row, outcome] = len(rest) - sum(rest) + len(subset) / 2
+    return sign, a, b
+
+
+def _bahadur_joint_rows(
+    n: int, thetas: Sequence[float], r2: Sequence[float], r3: float
+) -> np.ndarray:
+    """Bahadur joint of n <= 3 signals at each theta: an (m, 2**n) array over the
+    outcomes in binary little-endian order, clipped at 0.
+
+    A cell is prod_k p_k (1 + sum_{i<j} r_ij w_i w_j + r3 w_0 w_1 w_2), with
+    p_k = P(x_k) and w_k = (x_k - theta) / sqrt(theta (1 - theta)).  It is
+    summed term by term as the monomials of :func:`_bahadur_monomials`, none
+    above 1, so nothing overflows where w_k alone does (theta near 0 or 1).
+    Raises at the first theta with a cell below -1e-12.  It checks its thetas
+    itself, since ``sampling.bahadur_joint`` calls it directly.
+    """
+    if n < 1 or n > 3:
+        raise UnsupportedN(f"Bahadur joints are supported for n <= 3, got n={n}")
+    pairs = n * (n - 1) // 2
+    if len(r2) != pairs:
+        raise ModelError(f"need {pairs} pairwise correlations for n={n}")
+    t = _unit_thetas(thetas)[:, None, None]
+    sign, a, b = _bahadur_monomials(n)
+    coef = np.array([1.0, *r2, *([r3] if n == 3 else [])])[:, None] * sign
+    joint = (coef * t**a * (1.0 - t) ** b).sum(axis=1)
+    low = joint.min(axis=1)
+    negative = np.flatnonzero(low < -1e-12)
     if len(negative):
-        action_count_pmf(dgp, n, float(t[negative[0]]))
-    joint = np.clip(joint, 0.0, None)
-    for b in range(2**n):
-        probs[rows, bin(b).count("1")] += joint[:, b]
-    return probs
+        raise InadmissibleCorrelation(
+            f"correlation parameters produce a negative cell ({low[negative[0]]:.3e})"
+        )
+    return np.clip(joint, 0.0, None)
 
 
 def _sequential_rows(n: int, thetas: np.ndarray, lams: Sequence[float]) -> np.ndarray:
-    """The forward recursion of :func:`_sequential_count_pmf` on every theta at once."""
+    """Sequential-sampling rows by forward recursion on (signal i, count y): the
+    next signal is one with probability (1 - lambda_i) theta + lambda_i y / i."""
     t = thetas[:, None]
     probs = np.zeros((len(thetas), n + 1))
     probs[:, 0], probs[:, 1] = 1.0 - thetas, thetas

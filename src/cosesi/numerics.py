@@ -6,8 +6,10 @@ of a decreasing residual and the scan-plus-refine root enumeration.  The
 three root routines share one default, ``SOLVE_TOL`` (|f| <= 1e-12 within
 300 steps), and no solver in the package passes a tolerance of its own.
 A scan may take an array form of its function to evaluate all nodes at
-once; the scalar function still decides every node within ``SOLVE_TOL`` of
-zero and every bracket end, so the brackets do not depend on the array form.
+once.  The two forms may round differently (a BLAS matrix-vector product
+over a block against a dot product over one row), so the scalar function
+still decides every node within ``SOLVE_TOL`` of zero and every bracket
+end, and the brackets do not depend on the array form.
 Everything here is pure and dependency-light: the normal CDF goes through
 ``math.erfc`` (double-precision complementary error function), the quantile
 through ``statistics.NormalDist``, and the quadrature is adaptive Simpson.

@@ -3,11 +3,11 @@
 Monte Carlo generators for correlated Bernoulli signals under two laws of
 ``model``, the compound lottery ``RhoMixture`` and popularity-weighted
 ``Sequential`` (whose constructors check the parameters; nothing here
-does), exact Bahadur joints for up to three signals
-(``model._bahadur_joint_probs``), the balance-equation test for when a sum
-of dependent Bernoullis is binomial, the informativeness index based on
-total-variation distance, and the large-sample action-probability formulas
-for algorithmic sampling.
+does), exact Bahadur joints for up to three signals (a row of
+``model._bahadur_joint_rows``, the kernel of the Bahadur count law), the
+balance-equation test for when a sum of dependent Bernoullis is binomial,
+the informativeness index based on total-variation distance, and the
+large-sample action-probability formulas for algorithmic sampling.
 
 All randomness flows through :class:`SeedableRng`; identical seed and stream
 id reproduce identical draws, and distinct stream ids are independent.
@@ -30,7 +30,7 @@ from .model import (
     RhoMixture,
     Sequential,
     UnsupportedN,
-    _bahadur_joint_probs,
+    _bahadur_joint_rows,
     binom_pmf,
     joint_count_probs,
 )
@@ -223,7 +223,7 @@ def bahadur_joint(
     """
     pairs = n * (n - 1) // 2
     r2_vec = tuple([float(r2)] * pairs) if np.isscalar(r2) else tuple(float(v) for v in r2)
-    return JointPMF(n, _bahadur_joint_probs(n, theta, r2_vec, r3))
+    return JointPMF(n, _bahadur_joint_rows(n, [theta], r2_vec, r3)[0])
 
 
 def joint_from_conditionals(
@@ -329,11 +329,21 @@ def chi_square_gof(
 
 
 def pairwise_correlation(bits: np.ndarray) -> float:
-    """Average sample correlation over all signal pairs of a (draws, n) array."""
+    """Average sample correlation over all signal pairs of a (draws, n) array.
+
+    A sample correlation needs two signals, two draws and every signal taking
+    both values; without them :class:`SamplingError` is raised.
+    """
     bits = np.asarray(bits, dtype=float)
-    n = bits.shape[1]
+    draws, n = bits.shape
     if n < 2:
         raise SamplingError("need at least two signals per draw")
-    corr = np.corrcoef(bits, rowvar=False)
+    if draws < 2:
+        raise SamplingError(f"need at least two draws, got {draws}")
+    with np.errstate(invalid="ignore", divide="ignore"):  # a constant signal's row is 0/0
+        corr = np.corrcoef(bits, rowvar=False)
+    constant = np.flatnonzero(np.isnan(np.diag(corr)))
+    if len(constant):
+        raise SamplingError(f"signal {constant[0]} takes one value in every draw: no sample correlation")
     upper = corr[np.triu_indices(n, k=1)]
     return float(np.mean(upper))

@@ -276,7 +276,7 @@ class TestCommands:
         assert out == ""
         assert err == f"solver error: supply shock needs |eps| < 1, got {eps}\n"
 
-    @pytest.mark.parametrize("draws", ["0", "-3"])
+    @pytest.mark.parametrize("draws", ["0", "-3", "1"])
     def test_simulate_without_draws_exits_2(self, draws, capsys, tmp_path):
         out_path = tmp_path / "sim.csv"
         with warnings.catch_warnings():
@@ -284,7 +284,17 @@ class TestCommands:
             code, out, err = run_cli(["simulate", "--draws", draws, "--out", str(out_path)], capsys)
         assert code == 2
         assert out == "" and not out_path.exists()
-        assert err == f"config error: --draws must be at least 1, got {draws}\n"
+        assert err == f"config error: --draws must be at least 2, got {draws}\n"
+
+    def test_simulate_without_sample_correlation_exits_1(self, capsys, tmp_path):
+        # at theta = 0 every signal is 0 in every draw
+        out_path = tmp_path / "sim.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["simulate", "--theta", "0", "--draws", "5", "--out", str(out_path)], capsys)
+        assert code == 1
+        assert out == "" and not out_path.exists()
+        assert err == "solver error: signal 0 takes one value in every draw: no sample correlation\n"
 
     def test_bayes_group(self, capsys):
         code, out, err = run_cli(["hetero", "--groups", "0.5:bayes:1,1,0:3,0.5:mle:2"], capsys)

@@ -1,14 +1,17 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import beta as sp_beta
+from scipy.stats import beta as sp_beta, binom as sp_binom
 
 from cosesi import model
+from cosesi.sampling import bahadur_joint
 from cosesi.model import (
     CMB,
+    ActionCountPMF,
     AdditiveBinomial,
     BahadurJoint,
     BayesBeta,
@@ -419,16 +422,73 @@ class TestBernstein:
             bernstein(3, 0.5, [0.1, 0.2])
 
 
-def _scalar_rows(dgp, n, thetas):
-    """``action_count_pmf`` at each theta in turn, or the type and message of
-    the first error it raises."""
+def _signal_vectors(n):
+    """All 2**n signal vectors as rows of a 0/1 array, and their counts y."""
+    x = np.array(list(itertools.product((0, 1), repeat=n)), dtype=float).reshape(-1, n)
+    return x, x.sum(axis=1).astype(int)
+
+
+def _joint(dgp, t, x, y):
+    """P(signal vector) under ``dgp`` at an interior theta, one entry per row of x
+    (up to normalisation for CMB), written from each law's definition."""
+    n = x.shape[1]
+    p = np.where(x == 1, t, 1.0 - t)
+    if isinstance(dgp, CMB):  # in logs, scaled by the largest weight: t**y underflows
+        log_comb = np.log([math.comb(n, k) for k in y])
+        logw = y * math.log(t) + (n - y) * math.log1p(-t) - log_comb
+        if math.isinf(dgp.nu):
+            keep = [0, n] if dgp.nu < 0 else [n // 2, (n + 1) // 2]
+            logw = np.where(np.isin(y, keep), logw, -np.inf)
+        else:
+            logw = logw + dgp.nu * log_comb
+        return np.exp(logw - logw.max())
+    if isinstance(dgp, Sequential):
+        lams = dgp.weights(n)
+        for i in range(1, n):
+            one = (1.0 - lams[i - 1]) * t + lams[i - 1] * x[:, :i].sum(axis=1) / i
+            p[:, i] = np.where(x[:, i] == 1, one, 1.0 - one)
+        return p.prod(axis=1)
+    w = (x - t) / math.sqrt(t * (1.0 - t))
+    pairs = list(itertools.combinations(range(n), 2))
+    if isinstance(dgp, AdditiveBinomial):
+        return p.prod(axis=1) * (1.0 + dgp.rho * sum(w[:, i] * w[:, j] for i, j in pairs))
+    corr = 1.0 + sum(r * w[:, i] * w[:, j] for (i, j), r in zip(pairs, dgp.r2))
+    if n == 3:
+        corr = corr + dgp.r3 * w.prod(axis=1)
+    return p.prod(axis=1) * corr
+
+
+def _oracle(dgp, n, thetas):
+    """The count-law rows summed over all 2**n signal vectors (the rho-mixtures:
+    scipy's binomial mixed with the polarised draw), or the type and literal
+    message of the error the law raises at the first inadmissible theta."""
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        y = np.arange(n + 1)
+        return np.array([(1.0 - dgp.rho) * sp_binom.pmf(y, n, t) + dgp.rho * np.where(y == n, t, 0.0)
+                         + dgp.rho * np.where(y == 0, 1.0 - t, 0.0) for t in thetas])
+    if isinstance(dgp, AdditiveBinomial) and n < 2:
+        return UnsupportedN, "additive binomial needs n >= 2"
+    if isinstance(dgp, BahadurJoint) and n > 3:
+        return UnsupportedN, f"Bahadur joints are supported for n <= 3, got n={n}"
+    x, y = _signal_vectors(n)
     rows = []
     for t in thetas:
-        try:
-            rows.append(action_count_pmf(dgp, n, t).probs)
-        except Exception as exc:
-            return type(exc), str(exc)
-    return np.array(rows)
+        if isinstance(dgp, AdditiveBinomial):
+            if not 0.0 < t < 1.0:
+                return InadmissibleCorrelation, "additive binomial needs theta in (0,1)"
+            lo, hi = additive_binomial_rho_bounds(n, t)
+            if not lo <= dgp.rho <= hi:
+                return InadmissibleCorrelation, (
+                    f"rho={dgp.rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={t}")
+        if t in (0.0, 1.0):  # every signal equals theta
+            joint = (y == n * t).astype(float)
+        else:
+            joint = _joint(dgp, t, x, y)
+        if isinstance(dgp, BahadurJoint) and joint.min() < -1e-12:
+            return InadmissibleCorrelation, f"correlation parameters produce a negative cell ({joint.min():.3e})"
+        rows.append(np.bincount(y, weights=joint, minlength=n + 1))
+    rows = np.array(rows).reshape(-1, n + 1)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def _bahadur_law(n):
@@ -437,7 +497,8 @@ def _bahadur_law(n):
     return st.tuples(st.builds(BahadurJoint, r2, st.floats(-0.3, 0.3)), st.just(n))
 
 
-# (law, n): every family at sample sizes in and just out of its support
+# (law, n): every family at sample sizes in and just out of its support; the
+# laws summed over signal vectors keep n <= 12
 _LAWS = st.one_of(
     st.tuples(st.just(IID()), st.integers(1, 40)),
     st.tuples(st.floats(0.0, 1.0).map(RhoMixture), st.integers(1, 40)),
@@ -448,30 +509,31 @@ _LAWS = st.one_of(
     ),
     st.tuples(
         st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-math.inf, 0.0, 1.0, math.inf])).map(CMB),
-        st.integers(1, 40),
+        st.integers(1, 10),
     ),
     st.tuples(st.lists(st.floats(0.0, 0.95), max_size=4).map(lambda w: Sequential(tuple(w))),
-              st.integers(1, 25)),
-    st.tuples(st.floats(-0.05, 0.3).map(AdditiveBinomial), st.integers(1, 12)),
+              st.integers(1, 10)),
+    st.tuples(st.floats(-0.05, 0.3).map(AdditiveBinomial), st.integers(1, 10)),
     st.integers(1, 4).flatmap(_bahadur_law),
 )
-_THETAS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=12)
+# below 1e-100 the oracle's w_i = (x_i - theta) / sqrt(theta (1 - theta)) products overflow
+_THETAS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-100, 1.0)), min_size=1, max_size=12)
 
 
 class TestCountPmfGrid:
     @settings(max_examples=200, deadline=None)
     @given(law=_LAWS, thetas=_THETAS)
-    def test_rows_match_the_scalar_pmf(self, law, thetas):
+    def test_rows_match_the_brute_force_oracle(self, law, thetas):
         dgp, n = law
-        ref = _scalar_rows(dgp, n, thetas)
-        if isinstance(ref, tuple):  # inadmissible: the same error as the scalar pmf
-            with pytest.raises(ref[0]) as exc:
+        want = _oracle(dgp, n, thetas)
+        if isinstance(want, tuple):  # inadmissible: the law's error at the first such theta
+            with pytest.raises(want[0]) as exc:
                 count_pmf_grid(dgp, n, thetas)
-            assert type(exc.value) is ref[0] and str(exc.value) == ref[1]
+            assert type(exc.value) is want[0] and str(exc.value) == want[1]
         else:
             got = count_pmf_grid(dgp, n, thetas)
             assert got.shape == (len(thetas), n + 1)
-            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)  # a nan row as the scalar's
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -481,38 +543,86 @@ class TestCountPmfGrid:
     )
     def test_additive_binomial_inside_its_admissible_set(self, rho, n, thetas):
         # the scan nodes theta = 0 and 1 are always inadmissible; here rows are compared
-        ref = _scalar_rows(AdditiveBinomial(rho), n, thetas)
-        if isinstance(ref, tuple):
-            with pytest.raises(ref[0], match=f"^{re.escape(ref[1])}$"):
+        want = _oracle(AdditiveBinomial(rho), n, thetas)
+        if isinstance(want, tuple):
+            with pytest.raises(want[0], match=f"^{re.escape(want[1])}$"):
                 count_pmf_grid(AdditiveBinomial(rho), n, thetas)
         else:
-            np.testing.assert_allclose(count_pmf_grid(AdditiveBinomial(rho), n, thetas), ref, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(count_pmf_grid(AdditiveBinomial(rho), n, thetas), want, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("dgp, n, thetas", [
-        (IID(), 0, [0.5]),
-        (CMB(2.0), 3, [0.2, -0.1]),
-        (Sequential((0.3,)), 3, [0.2, 1.5]),
-        (RhoMixture(0.4), 3, [math.nan]),
-        (BahadurJoint((0.1,)), 3, [0.5]),
-        (BahadurJoint((0.1, 0.1, 0.1)), 4, [0.5]),
-        (AdditiveBinomial(0.05), 1, [0.5]),
-        (AdditiveBinomial(0.05), 4, [0.3, 0.0]),
-        ("rho:0.3", 3, [0.5]),
+    @pytest.mark.parametrize("dgp, n, thetas, error, message", [
+        pytest.param(IID(), 0, [0.5], UnsupportedN, "n must be >= 1, got 0", id="dgp0-0-thetas0"),
+        pytest.param(CMB(2.0), 3, [0.2, -0.1], ModelError, "theta must be in [0,1], got -0.1",
+                     id="dgp1-3-thetas1"),
+        pytest.param(Sequential((0.3,)), 3, [0.2, 1.5], ModelError, "theta must be in [0,1], got 1.5",
+                     id="dgp2-3-thetas2"),
+        pytest.param(RhoMixture(0.4), 3, [math.nan], ModelError, "theta must be in [0,1], got nan",
+                     id="dgp3-3-thetas3"),
+        pytest.param(BahadurJoint((0.1,)), 3, [0.5], ModelError, "need 3 pairwise correlations for n=3",
+                     id="dgp4-3-thetas4"),
+        pytest.param(BahadurJoint((0.1, 0.1, 0.1)), 4, [0.5], UnsupportedN,
+                     "Bahadur joints are supported for n <= 3, got n=4", id="dgp5-4-thetas5"),
+        pytest.param(AdditiveBinomial(0.05), 1, [0.5], UnsupportedN, "additive binomial needs n >= 2",
+                     id="dgp6-1-thetas6"),
+        pytest.param(AdditiveBinomial(0.05), 4, [0.3, 0.0], InadmissibleCorrelation,
+                     "additive binomial needs theta in (0,1)", id="dgp7-4-thetas7"),
+        pytest.param("rho:0.3", 3, [0.5], ModelError, "unknown DGP 'rho:0.3'", id="rho:0.3-3-thetas8"),
     ])
-    def test_rejected_inputs_raise_as_the_scalar_pmf(self, dgp, n, thetas):
-        ref = _scalar_rows(dgp, n, thetas)
-        assert isinstance(ref, tuple)
-        with pytest.raises(ref[0], match=f"^{re.escape(ref[1])}$"):
+    def test_rejected_inputs_raise_as_the_scalar_pmf(self, dgp, n, thetas, error, message):
+        # the grid raises at its first bad theta what the one-theta pmf raises there
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             count_pmf_grid(dgp, n, thetas)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            for t in thetas:
+                action_count_pmf(dgp, n, t)
 
     def test_mixture_grid_checks_rho_as_the_kernel(self):
         for rho in (-0.1, 1.5, math.nan):
             with pytest.raises(InadmissibleCorrelation, match=r"^rho must be in \[0,1\], got"):
                 mixture_pmf_grid(3, [0.5], rho)
 
-    def test_scan_nodes_agree_bit_for_bit(self):
-        # every tenth node of the scans, ends included, for one law of each array kernel
+    def test_scan_nodes_match_the_oracle(self):
+        # every tenth node of the scans, ends included, for one law of each kernel
         nodes = [i / 10_000 for i in range(0, 10_001, 10)]
-        for dgp, n in [(RhoMixture(0.3), 12), (CMB(-1.3), 29), (CMB(math.inf), 9),
+        for dgp, n in [(RhoMixture(0.3), 12), (CMB(-1.3), 10), (CMB(math.inf), 9),
                        (Sequential((0.3, 0.5)), 6), (BahadurJoint((0.02, 0.01, 0.03)), 3)]:
-            assert np.array_equal(count_pmf_grid(dgp, n, nodes), _scalar_rows(dgp, n, nodes))
+            np.testing.assert_allclose(count_pmf_grid(dgp, n, nodes), _oracle(dgp, n, nodes), rtol=0.0, atol=1e-13)
+
+    def test_bahadur_third_order_term_at_tiny_theta(self):
+        # w_i alone overflows here; each cell is finite, and the r3 term (theta^1.5) underflows
+        t = 8.1e-219
+        got = action_count_pmf(BahadurJoint((0.0, 0.0, 0.0), 0.25), 3, t).probs
+        np.testing.assert_allclose(got, [(1 - t) ** 3, 3 * t * (1 - t) ** 2, 3 * t**2 * (1 - t), t**3],
+                                   rtol=1e-15, atol=0.0)
+        assert np.isfinite(bahadur_joint(3, t, 0.0, 0.25).probs).all()
+
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0]])
+    def test_pmf_rejects_non_finite_entries(self, probs):
+        with pytest.raises(ModelError, match="^non-finite pmf entry in"):
+            ActionCountPMF(2, probs)
+
+
+class TestAdditiveBinomialBounds:
+    def test_tiny_theta_bounds_are_finite(self):
+        lo, hi = additive_binomial_rho_bounds(2, 9.3e-121)
+        assert lo == pytest.approx(-9.3e-121, rel=1e-15) and hi == pytest.approx(1.0, rel=1e-15)
+
+    def test_tiny_theta_pmf_is_the_binomial(self):
+        got = action_count_pmf(AdditiveBinomial(0.0), 2, 1e-17).probs
+        np.testing.assert_allclose(got, [(1 - 1e-17) ** 2, 2e-17 * (1 - 1e-17), 1e-34], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning),
+                       reason="the pairwise term over 2 theta (1 - theta) overflows to inf "
+                       "where the binomial cell underflows to 0, giving 0 * inf")
+    def test_subnormal_theta_row_is_finite(self):
+        # rho = 0.05 is inside [-0.0, 0.5] here
+        assert np.isfinite(count_pmf_grid(AdditiveBinomial(0.05), 3, [5e-324])).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_upper_bound_is_the_nearest_count_definition(self, n):
+        # 1/4 - xi0 with xi0 the squared distance from the nearest count to (n-1) theta + 1/2
+        for theta in np.linspace(0.001, 0.999, 499).tolist():
+            center = (n - 1) * theta + 0.5
+            xi0 = min((y - center) ** 2 for y in range(n + 1))
+            want = 2 * theta * (1 - theta) / ((n - 1) * theta * (1 - theta) + 0.25 - xi0)
+            assert additive_binomial_rho_bounds(n, theta)[1] == pytest.approx(want, rel=1e-12)

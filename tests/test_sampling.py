@@ -60,6 +60,14 @@ class TestSampleCorrelated:
         bits = sample_correlated(4, 0.5, 0.6, rng, size=10**6)
         assert pairwise_correlation(bits) == pytest.approx(0.6, abs=0.01)
 
+    @pytest.mark.parametrize("bits, message", [
+        ([[0, 1, 1]], "need at least two draws, got 1"),
+        ([[0, 1, 1], [1, 1, 0], [0, 1, 0]], "signal 1 takes one value in every draw: no sample correlation"),
+    ])
+    def test_pairwise_correlation_needs_varying_draws(self, bits, message):
+        with pytest.raises(SamplingError, match=f"^{message}$"):
+            pairwise_correlation(np.array(bits))
+
     def test_count_histogram_matches_pmf(self, rng):
         n, theta, rho, draws = 5, 0.35, 0.6, 10**6
         bits = sample_correlated(n, theta, rho, rng, size=draws)
