@@ -14,9 +14,11 @@ Four markets plus two policy exercises:
 Every rho-mixture expectation reads its costs through
 ``equilibrium.expected_costs``, mapped cell by cell with ``ExpectedCosts.map``.
 Monopoly demand and the tax equilibria are solved by
-``equilibrium._cosesi_root``, the bank's roots by ``equilibrium._roots``.
-Three equations keep a solve of their own (the docstrings say why): the
-rational monopoly demand, the two-sided market and the supply shock.
+``equilibrium._cosesi_root``, the bank's roots by ``equilibrium._roots``;
+the monopoly demand curve solves all its prices at once, in lockstep, by
+``equilibrium._cosesi_roots``, with the same roots bit for bit.  Three equations keep a solve of their own (the
+docstrings say why): the rational monopoly demand, the two-sided market and
+the supply shock.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .model import (
     MLE,
     exp_decay_cost,
 )
-from .equilibrium import _cosesi_root, _roots, cost_grid, expected_costs
+from .equilibrium import _cosesi_root, _cosesi_roots, _roots, cost_grid, expected_costs
 
 __all__ = [
     "ApplicationError",
@@ -209,14 +211,19 @@ class MonopolyOutcome:
 
 def _demand_curve(
     rho: float, t: float, n: int, G: InferenceProcedure
-) -> Callable[[float], float]:
-    """Demand p -> theta(p): root of 1 - theta = sum_y mu_rho(y|theta) min(1+p-C_y, 1)."""
+) -> tuple[Callable[[float], float], Callable[[np.ndarray], list[float]]]:
+    """Demand p -> theta(p): root of 1 - theta = sum_y mu_rho(y|theta) min(1+p-C_y, 1),
+    and its rows form, the demand at an array of prices by
+    ``equilibrium._cosesi_roots``: entry i is ``demand(prices[i])`` bit for bit."""
     costs = expected_costs(G, n, exp_decay_cost(t))
 
     def demand(p: float) -> float:
         return _cosesi_root(costs.map(lambda v: min(1.0 + p - v, 1.0)), rho)[0]
 
-    return demand
+    def demand_rows(prices: np.ndarray) -> list[float]:
+        return _cosesi_roots(costs, rho, lambda v, p: np.minimum(1.0 + p - v, 1.0), prices).tolist()
+
+    return demand, demand_rows
 
 
 def monopoly_demand(
@@ -230,7 +237,7 @@ def monopoly_demand(
     """
     if not 0.0 <= p <= 1.0:
         raise ApplicationError(f"price must be in [0,1], got {p}")
-    return _demand_curve(rho, t, n, G or MLE())(p)
+    return _demand_curve(rho, t, n, G or MLE())[0](p)
 
 
 def monopoly_rational_demand(p: float, t: float = 6.0) -> float:
@@ -250,16 +257,21 @@ def monopoly_optimize(
     """Profit-maximizing price over a coarse grid plus golden-section refinement.
 
     The demand curve sample at the grid prices is included in the outcome.
+    For naive consumers it is solved at every grid price at once, in lockstep
+    (``equilibrium._cosesi_roots``), and each entry is bit for bit the scalar
+    demand at its price, ``monopoly_demand``, which the refinement calls.
+    Rational consumers keep one ``monopoly_rational_demand`` per price.
     """
     if price_grid_step > 1e-3:
         raise ApplicationError("price grid step must be <= 1e-3")
+    prices = np.arange(0.0, 1.0 + price_grid_step / 2, price_grid_step)
     if rational:
         demand = lambda p: monopoly_rational_demand(p, t)
+        quantities = [demand(p) for p in prices.tolist()]
     else:
-        demand = _demand_curve(rho, t, n, G or MLE())
-
-    prices = np.arange(0.0, 1.0 + price_grid_step / 2, price_grid_step)
-    curve = [(float(p), demand(float(p))) for p in prices]
+        demand, demand_rows = _demand_curve(rho, t, n, G or MLE())
+        quantities = demand_rows(prices)
+    curve = list(zip(prices.tolist(), quantities))
     profits = [p * q for p, q in curve]
     i_best = int(np.argmax(profits))
     lo = curve[max(0, i_best - 1)][0]

@@ -19,6 +19,9 @@ Every equation here and in ``applications`` is solved, at the default
 ``numerics.SOLVE_TOL``, by :func:`_cosesi_root` (the unique root for
 increasing costs: a closed form at rho = 1, else the clamped solve
 :func:`_root`) or by :func:`_roots` (scan, refine, merge roots within 1e-6).
+:func:`_cosesi_roots` is :func:`_cosesi_root` on many mapped cost rows at
+once (``ExpectedCosts.map_rows``), solved in lockstep with the same roots
+bit for bit.
 The count-law scans of :func:`solve_with_dgp` and :func:`enumerate_cosesi`
 (finite n) evaluate their 10 001 nodes as one blockwise array product of
 ``model.count_pmf_grid`` rows and the cost grid.  A block product and the
@@ -36,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import Tolerance, find_roots, integrate, solve_decreasing
+from .numerics import Tolerance, find_roots, integrate, solve_decreasing, solve_decreasing_rows
 from .model import (
     CMB,
     BayesBeta,
@@ -52,6 +55,7 @@ from .model import (
     count_pmf_grid,
     mixture_pmf_grid,
     weighted_bernstein,
+    weighted_bernstein_rows,
     weighted_limit,
 )
 
@@ -168,6 +172,36 @@ class ExpectedCosts:
         cells = [f(v) for v in values.tolist()]
         return ExpectedCosts(self.n, np.array(cells), (cells[0], cells[-1]))
 
+    def map_rows(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray], params: np.ndarray) -> ExpectedCostRows:
+        """Row i is ``map(lambda v: f(v, params[i]))``, bit for bit, with ``f``
+        elementwise on arrays: the grid mapped as one (m, n + 1) array, or the
+        limit cost called one theta at a time and mapped per row."""
+        values = self.values
+        ends = (f(self.ends[0], params), f(self.ends[1], params))
+        if callable(values):
+            composed = lambda xs, rows: f(np.array([values(x) for x in xs.tolist()]), params[rows])
+            return ExpectedCostRows(self.n, composed, ends)
+        return ExpectedCostRows(self.n, f(values, params[:, None]), ends)
+
+
+@dataclass(frozen=True)
+class ExpectedCostRows:
+    """m rows of mapped expected costs, built by :meth:`ExpectedCosts.map_rows`:
+    an (m, n + 1) grid, or in the limit ``values(xs, rows)``, the cost of row
+    ``rows[i]`` at ``xs[i]``; ``ends`` holds the m pairs as two arrays."""
+
+    n: float
+    values: np.ndarray | Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ends: tuple[np.ndarray, np.ndarray]
+
+    def psi(self, thetas: np.ndarray, rho: float, rows: np.ndarray) -> np.ndarray:
+        """Entry i is ``ExpectedCosts.psi(thetas[i], rho)`` of row ``rows[i]``, bit for bit."""
+        ends = (self.ends[0][rows], self.ends[1][rows])
+        if callable(self.values):
+            values = self.values
+            return weighted_limit(thetas, rho, lambda xs: values(xs, rows), ends)
+        return weighted_bernstein_rows(self.n, thetas, rho, self.values[rows])
+
 
 def _takes_limit(G: InferenceProcedure, n: float) -> bool:
     """The one large-n decision: MLE above ``LARGE_N`` and n = inf read c itself; any
@@ -228,6 +262,25 @@ def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
     return _root(lambda t: costs.psi(t, rho))
 
 
+def _cosesi_roots(
+    costs: ExpectedCosts, rho: float, f: Callable[[np.ndarray, np.ndarray], np.ndarray], params: np.ndarray
+) -> np.ndarray:
+    """``_cosesi_root(costs.map(lambda v: f(v, q)), rho)[0]`` at every q of
+    ``params``, bit for bit, with ``f`` elementwise on arrays: one lockstep
+    solve (``numerics.solve_decreasing_rows``) per block of at most
+    ``_SCAN_CELLS`` mapped grid cells, or the closed form at rho = 1."""
+    step = len(params) if callable(costs.values) else max(1, _SCAN_CELLS // len(costs.values))
+    blocks = []
+    for i in range(0, len(params), step):
+        rows = costs.map_rows(f, params[i : i + step])
+        if rho == 1.0:
+            blocks.append(_rho1_root(*rows.ends)[0])
+        else:
+            res = lambda thetas, active: 1.0 - thetas - rows.psi(thetas, rho, active)
+            blocks.append(solve_decreasing_rows(res, len(rows.ends[0])))
+    return np.concatenate(blocks)
+
+
 def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
     """The root of 1 - theta = rhs(theta) by the clamped decreasing solve, and its |residual|."""
     res = lambda t: 1.0 - t - rhs(t)
@@ -251,7 +304,7 @@ def _roots(
     return tuple(roots), max((abs(res(r)) for r in roots), default=math.inf)
 
 
-_SCAN_CELLS = 10_000  # pmf cells per block of an array scan, so its memory is flat in n
+_SCAN_CELLS = 10_000  # pmf or cost cells per block of an array scan or lockstep solve, so its memory is flat in n
 
 
 def _count_law_scan(

@@ -65,6 +65,7 @@ __all__ = [
     "binom_pmf",
     "bernstein",
     "weighted_bernstein",
+    "weighted_bernstein_rows",
     "weighted_limit",
     "bayes_posterior",
     "beta_expectation",
@@ -493,6 +494,21 @@ def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]
     return float((1.0 - rho) * bernstein(n, theta, values) + rho * polarized)
 
 
+def weighted_bernstein_rows(n: int, thetas: np.ndarray, rho: float, values: np.ndarray) -> np.ndarray:
+    """:func:`weighted_bernstein` on m grids at once: entry i is
+    ``weighted_bernstein(n, thetas[i], rho, values[i])`` bit for bit, with
+    ``values`` an (m, n + 1) array.  Each ``_binom_rows`` row meets its grid
+    in the stacked matmul, which numpy computes as the same dot product as
+    ``binom_pmf(n, theta) @ values``; a row-wise ``einsum`` rounds differently.
+    """
+    _check_mixture_rho(rho)
+    polarized = thetas * values[:, -1] + (1.0 - thetas) * values[:, 0]
+    if rho == 1.0:
+        return polarized
+    b = np.matmul(_binom_rows(n, thetas)[:, None, :], values[:, :, None])[:, 0, 0]
+    return (1.0 - rho) * b + rho * polarized
+
+
 def weighted_limit(
     theta: float, rho: float, fn: Callable[[float], float], ends: tuple[float, float]
 ) -> float:
@@ -501,7 +517,8 @@ def weighted_limit(
     (1 - rho) * fn(theta) + rho * [theta fn(1) + (1 - theta) fn(0)], with the
     same rho check and the polarized term alone at rho = 1.  ``ends`` is
     (fn(0), fn(1)), evaluated once by the caller; ``fn`` itself is called
-    only when rho < 1.
+    only when rho < 1.  On arrays of thetas and ends, with ``fn`` mapping
+    the thetas to an array, it is the same arithmetic elementwise.
     """
     _check_mixture_rho(rho)
     f0, f1 = ends
@@ -665,7 +682,8 @@ def joint_count_probs(n: int, joint: Sequence[float]) -> np.ndarray:
 def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:
     """Exact pmf of the action count y = sum of n signals under ``dgp``: the
     row of :func:`count_pmf_grid` at theta, with its errors."""
-    return ActionCountPMF(n, count_pmf_grid(dgp, n, [theta])[0])
+    probs = count_pmf_grid(dgp, n, [theta])[0]  # rejects a non-integer n before int(n)
+    return ActionCountPMF(int(n), probs)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +697,17 @@ def count_pmf_grid(dgp: SignalDGP, n: int, thetas: Sequence[float]) -> np.ndarra
 
     Each law is written once, on an array of thetas; :func:`action_count_pmf`
     is its row at one theta, and the root scans evaluate it in blocks.  Raises
-    ``UnsupportedN`` for n below 1, ``ModelError`` at the first theta outside
-    [0, 1] (nan included) and for an unknown law, and the law's own errors:
-    a Bahadur shape it does not support, and the first theta where
-    AdditiveBinomial leaves its admissible set (theta = 0 and 1 included) or
-    a Bahadur cell is negative.
+    ``UnsupportedN`` for n below 1 or not an integer, ``ModelError`` at the
+    first theta outside [0, 1] (nan included) and for an unknown law, and the
+    law's own errors: a Bahadur shape it does not support, and the first theta
+    where AdditiveBinomial leaves its admissible set (theta = 0 and 1
+    included) or a Bahadur cell is negative.
     """
     if n < 1:
         raise UnsupportedN(f"n must be >= 1, got {n}")
+    if not float(n).is_integer():
+        raise UnsupportedN(f"n must be an integer, got {n}")
+    n = int(n)
     thetas = _unit_thetas(thetas)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         return mixture_pmf_grid(n, thetas, dgp.rho)
@@ -772,19 +793,33 @@ def _cmb_rows(n: int, thetas: np.ndarray, nu: float) -> np.ndarray:
 
 
 def _additive_binomial_rows(dgp: AdditiveBinomial, n: int, thetas: np.ndarray) -> np.ndarray:
-    """Rows of the additive-binomial law: the binomial times its pairwise kernel
-    1 + rho ((y - n theta)^2 + y (2 theta - 1) - n theta^2) / (2 theta (1 - theta)).
-    Raises at the first theta outside :func:`additive_binomial_rho_bounds`."""
+    """Rows of the additive-binomial law: the binomial cell b_y times
+    1 + rho sum_{i<j} w_i w_j, with w = (x - theta) / sqrt(theta (1 - theta)).
+
+    The pairs of ones, of zeros and the mixed pairs of a count y (u = n - y
+    zeros) add C(y, 2) (1 - theta) / theta, C(u, 2) theta / (1 - theta) and
+    -y u to the sum; each is multiplied into b_y as a monomial with
+    nonnegative powers, so no term is divided by theta or 1 - theta and none
+    overflows or cancels near 0 or 1.  Raises at the first theta outside
+    :func:`additive_binomial_rho_bounds`."""
     for t in thetas.tolist():
         lo, hi = additive_binomial_rho_bounds(n, t)
         if not lo <= dgp.rho <= hi:
             raise InadmissibleCorrelation(
                 f"rho={dgp.rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={t}"
             )
-    t = thetas[:, None]
     y = np.arange(n + 1, dtype=float)
-    kernel = 1.0 + dgp.rho * ((y - n * t) ** 2 + y * (2.0 * t - 1.0) - n * t**2) / (2.0 * t * (1.0 - t))
-    return np.clip(_binom_rows(n, thetas) * kernel, 0.0, None)
+    u = n - y
+    lt, l1 = _log_columns(thetas)
+    monomial = lambda a, b: np.exp(_log_binom_coeffs(n) + a * lt + b * l1)  # C(n, y) theta**a (1-theta)**b
+    binom = _binom_rows(n, thetas)
+    ones = y * (y - 1.0) / 2.0 * monomial(np.maximum(y - 1.0, 0.0), u + 1.0)
+    zeros = u * (u - 1.0) / 2.0 * monomial(y + 1.0, np.maximum(u - 1.0, 0.0))
+    return np.clip(binom + dgp.rho * (ones + zeros - y * u * binom), 0.0, None)
+
+
+# a few ulps per term (two powers, the products, the sum of at most five terms)
+_BAHADUR_ROUNDING = 16 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -818,8 +853,12 @@ def _bahadur_joint_rows(
     p_k = P(x_k) and w_k = (x_k - theta) / sqrt(theta (1 - theta)).  It is
     summed term by term as the monomials of :func:`_bahadur_monomials`, none
     above 1, so nothing overflows where w_k alone does (theta near 0 or 1).
-    Raises at the first theta with a cell below -1e-12.  It checks its thetas
-    itself, since ``sampling.bahadur_joint`` calls it directly.
+    A cell is negative when it lies below the rounding of its own terms,
+    ``_BAHADUR_ROUNDING`` times the sum of their magnitudes, so that a truly
+    negative cell raises at every theta, however small, and a cell that is
+    0 up to rounding is clipped to 0.  Raises at the first theta with a
+    negative cell.  It checks its thetas itself, since
+    ``sampling.bahadur_joint`` calls it directly.
     """
     if n < 1 or n > 3:
         raise UnsupportedN(f"Bahadur joints are supported for n <= 3, got n={n}")
@@ -829,12 +868,13 @@ def _bahadur_joint_rows(
     t = _unit_thetas(thetas)[:, None, None]
     sign, a, b = _bahadur_monomials(n)
     coef = np.array([1.0, *r2, *([r3] if n == 3 else [])])[:, None] * sign
-    joint = (coef * t**a * (1.0 - t) ** b).sum(axis=1)
-    low = joint.min(axis=1)
-    negative = np.flatnonzero(low < -1e-12)
-    if len(negative):
+    terms = coef * t**a * (1.0 - t) ** b
+    joint = terms.sum(axis=1)
+    rows = np.flatnonzero(joint.min(axis=1) < 0.0)  # the rounding is weighed only where needed
+    rows = rows[(joint[rows] < -_BAHADUR_ROUNDING * np.abs(terms[rows]).sum(axis=1)).any(axis=1)]
+    if len(rows):
         raise InadmissibleCorrelation(
-            f"correlation parameters produce a negative cell ({low[negative[0]]:.3e})"
+            f"correlation parameters produce a negative cell ({joint[rows[0]].min():.3e})"
         )
     return np.clip(joint, 0.0, None)
 

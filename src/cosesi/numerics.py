@@ -1,16 +1,19 @@
-"""Scalar numerics shared by every solver in the package.
+"""Numerics shared by every solver in the package.
 
 Normal CDF/quantile, Owen's T function, adaptive quadrature, bracketed
-root finding, and the two root helpers the solvers share: the clamped solve
-of a decreasing residual and the scan-plus-refine root enumeration.  The
-three root routines share one default, ``SOLVE_TOL`` (|f| <= 1e-12 within
-300 steps), and no solver in the package passes a tolerance of its own.
+root finding, and the root helpers the solvers share: the clamped solve of a
+decreasing residual, its array form that solves many residuals in lockstep,
+and the scan-plus-refine root enumeration.  The four root routines share one
+default, ``SOLVE_TOL`` (|f| <= 1e-12 within 300 steps), and no solver in the
+package passes a tolerance of its own.  The array form takes each row
+through the scalar solve's steps elementwise, so a row whose residual values
+are the scalar residual's, bit for bit, gets the scalar root bit for bit.
 A scan may take an array form of its function to evaluate all nodes at
 once.  The two forms may round differently (a BLAS matrix-vector product
 over a block against a dot product over one row), so the scalar function
 still decides every node within ``SOLVE_TOL`` of zero and every bracket
 end, and the brackets do not depend on the array form.
-Everything here is pure and dependency-light: the normal CDF goes through
+Everything here is pure and needs numpy alone: the normal CDF goes through
 ``math.erfc`` (double-precision complementary error function), the quantile
 through ``statistics.NormalDist``, and the quadrature is adaptive Simpson.
 No scipy is used in this module so the accuracy claims are testable against
@@ -23,6 +26,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Bracket",
@@ -40,6 +45,7 @@ __all__ = [
     "integrate",
     "solve_bracketed",
     "solve_decreasing",
+    "solve_decreasing_rows",
     "find_sign_changes",
     "find_roots",
 ]
@@ -253,6 +259,62 @@ def solve_decreasing(
     if f_hi >= 0.0:
         return hi
     return solve_bracketed(f, Bracket(lo, hi, f_lo, f_hi), tol)
+
+
+def solve_decreasing_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    m: int,
+    tol: Tolerance = SOLVE_TOL,
+) -> np.ndarray:
+    """:func:`solve_decreasing` on [0, 1] of m decreasing residuals in lockstep, as an array.
+
+    ``f(thetas, rows)`` returns residual ``rows[i]`` at ``thetas[i]``, where
+    ``rows`` are the indices of the residuals still being solved.  Each row
+    takes the clamped-end test and the secant-or-midpoint steps of
+    :func:`solve_bracketed`, elementwise, with the same margins and stopping
+    rules, and leaves the solve when it stops.  Every row's iterates are
+    therefore the scalar solver's, bit for bit, as long as ``f`` gives row i
+    the value of the scalar residual i.  Raises :class:`MaxIterExceeded` when
+    a row is still unsolved after ``tol.max_iter`` steps.
+
+    A step costs some 20 numpy calls whatever the number of rows, so
+    :func:`solve_decreasing` stays the solve of a single residual: one
+    monopoly demand at n = 2 takes 0.33 ms there and 2.8 ms here as one row,
+    while 1 001 rows take 17 ms here (Python 3.11, numpy 2.4, Intel Xeon,
+    2 vCPUs).
+    """
+    out = np.empty(m)
+    f_lo, f_hi = f(np.zeros(m), np.arange(m)), f(np.ones(m), np.arange(m))
+    low, high = f_lo <= 0.0, f_hi >= 0.0
+    out[low], out[~low & high] = 0.0, 1.0
+    rows = np.flatnonzero(~low & ~high)
+    bad = rows[~((f_lo[rows] > 0.0) & (f_hi[rows] < 0.0))]
+    if len(bad):  # a nan end: the scalar solve's error
+        Bracket(0.0, 1.0, float(f_lo[bad[0]]), float(f_hi[bad[0]]))
+    a, b = np.zeros(len(rows)), np.ones(len(rows))
+    f_a, f_b = f_lo[rows], f_hi[rows]
+    for _ in range(tol.max_iter):
+        width = b - a
+        done = width <= tol.abs_tol
+        out[rows[done]] = np.where(np.abs(f_a[done]) < np.abs(f_b[done]), a[done], b[done])
+        rows, a, b, f_a, f_b, width = (v[~done] for v in (rows, a, b, f_a, f_b, width))
+        if not len(rows):
+            return out
+        # secant candidate, kept strictly interior; fall back to the midpoint
+        x = b - f_b * width / (f_b - f_a)
+        margin = 0.01 * width
+        mid = ~((a + margin < x) & (x < b - margin))
+        x[mid] = 0.5 * (a[mid] + b[mid])
+        fx = f(x, rows)
+        done = np.abs(fx) <= tol.abs_tol
+        out[rows[done]] = x[done]
+        rows, a, b, f_a, f_b, x, fx = (v[~done] for v in (rows, a, b, f_a, f_b, x, fx))
+        if not len(rows):
+            return out
+        left = (fx < 0.0) == (f_a < 0.0)
+        a, f_a = np.where(left, x, a), np.where(left, fx, f_a)
+        b, f_b = np.where(left, b, x), np.where(left, f_b, fx)
+    raise MaxIterExceeded(f"no root to tolerance {tol.abs_tol} in {tol.max_iter} iterations")
 
 
 def find_sign_changes(

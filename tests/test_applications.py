@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosesi import applications
 from cosesi.model import (
@@ -205,6 +206,44 @@ class TestMonopoly:
             monopoly_optimize(rho=1.5, t=6.0, n=n)
         with pytest.raises(InadmissibleCorrelation):
             monopoly_demand(0.3, rho=-0.1, n=n)
+
+
+# (n, G): finite grids of both procedures, and the MLE limit above LARGE_N
+_DEMAND_LAWS = st.one_of(
+    st.tuples(st.integers(1, 60), st.sampled_from([MLE(), BetaEstimation()])),
+    st.just((200_000, MLE())),
+)
+
+
+class TestMonopolyDemandRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rho=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        t=st.floats(0.0, 10.0),
+        law=_DEMAND_LAWS,
+        prices=st.lists(st.floats(0.0, 1.0), max_size=20),
+    )
+    def test_rows_are_the_scalar_demand_bit_for_bit(self, rho, t, law, prices):
+        n, G = law
+        prices = np.array([0.0, 1.0, *prices])  # the clamped ends among them
+        demand, demand_rows = applications._demand_curve(rho, t, n, G)
+        assert demand_rows(prices) == [demand(p) for p in prices.tolist()]
+
+    @pytest.mark.parametrize("rho, n, rational", [(0.35, 3, False), (1.0, 4, False), (0.0, 2, True)])
+    def test_demand_curve_is_the_scalar_demand(self, rho, n, rational):
+        out = monopoly_optimize(rho, 6.0, n, rational=rational)
+        prices = np.arange(0.0, 1.0005, 1e-3).tolist()
+        if rational:
+            want = [(p, monopoly_rational_demand(p, 6.0)) for p in prices]
+        else:
+            want = [(p, monopoly_demand(p, rho, 6.0, n)) for p in prices]
+        assert out.demand_curve == tuple(want)
+
+    def test_blocks_do_not_change_the_demand(self):
+        # 10 000 cost cells hold 9 prices at n = 1000: 40 prices make five blocks
+        demand, demand_rows = applications._demand_curve(0.3, 6.0, 1000, MLE())
+        prices = np.linspace(0.0, 1.0, 40)
+        assert demand_rows(prices) == [demand(p) for p in prices.tolist()]
 
 
 class TestVasicek:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta as sp_beta, binom as sp_binom
 
 from cosesi import model
@@ -452,10 +452,24 @@ def _joint(dgp, t, x, y):
     pairs = list(itertools.combinations(range(n), 2))
     if isinstance(dgp, AdditiveBinomial):
         return p.prod(axis=1) * (1.0 + dgp.rho * sum(w[:, i] * w[:, j] for i, j in pairs))
-    corr = 1.0 + sum(r * w[:, i] * w[:, j] for (i, j), r in zip(pairs, dgp.r2))
-    if n == 3:
-        corr = corr + dgp.r3 * w.prod(axis=1)
-    return p.prod(axis=1) * corr
+    return p.prod(axis=1) * sum(_bahadur_terms(dgp, w))
+
+
+def _bahadur_terms(dgp, w):
+    """The terms 1, r_ij w_i w_j and r3 w_0 w_1 w_2 of the Bahadur correction."""
+    pairs = itertools.combinations(range(w.shape[1]), 2)
+    terms = [np.ones(len(w))] + [r * w[:, i] * w[:, j] for (i, j), r in zip(pairs, dgp.r2)]
+    return terms + ([dgp.r3 * w.prod(axis=1)] if w.shape[1] == 3 else [])
+
+
+def _bahadur_negative(dgp, t, x, joint):
+    """Whether a Bahadur cell lies below the rounding of its terms (16 ulps of their magnitudes)."""
+    if t in (0.0, 1.0):
+        return False
+    p = np.where(x == 1, t, 1.0 - t).prod(axis=1)
+    w = (x - t) / math.sqrt(t * (1.0 - t))
+    scale = p * sum(np.abs(term) for term in _bahadur_terms(dgp, w))
+    return bool((joint < -16 * np.finfo(float).eps * scale).any())
 
 
 def _oracle(dgp, n, thetas):
@@ -484,7 +498,7 @@ def _oracle(dgp, n, thetas):
             joint = (y == n * t).astype(float)
         else:
             joint = _joint(dgp, t, x, y)
-        if isinstance(dgp, BahadurJoint) and joint.min() < -1e-12:
+        if isinstance(dgp, BahadurJoint) and _bahadur_negative(dgp, t, x, joint):
             return InadmissibleCorrelation, f"correlation parameters produce a negative cell ({joint.min():.3e})"
         rows.append(np.bincount(y, weights=joint, minlength=n + 1))
     rows = np.array(rows).reshape(-1, n + 1)
@@ -523,6 +537,9 @@ _THETAS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-100, 1.0)
 class TestCountPmfGrid:
     @settings(max_examples=200, deadline=None)
     @given(law=_LAWS, thetas=_THETAS)
+    # three cells of about -9.8e-13, each theta^2 (1 - theta) (1 - r3 sqrt((1 - theta)/theta)):
+    # negative beyond rounding, so the law raises here as it does at theta = 1e-5
+    @example(law=(BahadurJoint((0.0, 0.0, 0.0), 0.03125), 3), thetas=[1e-07])
     def test_rows_match_the_brute_force_oracle(self, law, thetas):
         dgp, n = law
         want = _oracle(dgp, n, thetas)
@@ -567,6 +584,8 @@ class TestCountPmfGrid:
         pytest.param(AdditiveBinomial(0.05), 4, [0.3, 0.0], InadmissibleCorrelation,
                      "additive binomial needs theta in (0,1)", id="dgp7-4-thetas7"),
         pytest.param("rho:0.3", 3, [0.5], ModelError, "unknown DGP 'rho:0.3'", id="rho:0.3-3-thetas8"),
+        pytest.param(CMB(1.0), 3.5, [0.3], UnsupportedN, "n must be an integer, got 3.5", id="cmb-3.5"),
+        pytest.param(IID(), math.inf, [0.3], UnsupportedN, "n must be an integer, got inf", id="iid-inf"),
     ])
     def test_rejected_inputs_raise_as_the_scalar_pmf(self, dgp, n, thetas, error, message):
         # the grid raises at its first bad theta what the one-theta pmf raises there
@@ -611,9 +630,6 @@ class TestAdditiveBinomialBounds:
         got = action_count_pmf(AdditiveBinomial(0.0), 2, 1e-17).probs
         np.testing.assert_allclose(got, [(1 - 1e-17) ** 2, 2e-17 * (1 - 1e-17), 1e-34], rtol=1e-14, atol=0.0)
 
-    @pytest.mark.xfail(strict=True, raises=(AssertionError, RuntimeWarning),
-                       reason="the pairwise term over 2 theta (1 - theta) overflows to inf "
-                       "where the binomial cell underflows to 0, giving 0 * inf")
     def test_subnormal_theta_row_is_finite(self):
         # rho = 0.05 is inside [-0.0, 0.5] here
         assert np.isfinite(count_pmf_grid(AdditiveBinomial(0.05), 3, [5e-324])).all()

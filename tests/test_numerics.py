@@ -20,6 +20,7 @@ from cosesi.numerics import (
     owen_t,
     solve_bracketed,
     solve_decreasing,
+    solve_decreasing_rows,
 )
 
 
@@ -213,6 +214,45 @@ class TestSolveDecreasing:
         # the clamps use the sub-interval's endpoints, not 0 and 1
         assert solve_decreasing(f, 0.8, 0.9) == 0.8
         assert solve_decreasing(f, 0.1, 0.2) == 0.2
+
+
+class TestSolveDecreasingRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cases=st.lists(st.tuples(st.floats(-0.5, 2.5), st.floats(0.0, 3.0)), min_size=1, max_size=30),
+    )
+    def test_rows_are_the_scalar_solves_bit_for_bit(self, cases):
+        # f_i(t) = s_i - t - c_i t^3, clamped at 0 when s_i <= 0 and at 1 when s_i >= 1 + c_i
+        s, c = (np.array(v) for v in zip(*cases))
+        seen = []
+
+        def f(ts, rows):
+            seen.append(rows)
+            return s[rows] - ts - c[rows] * ts * ts * ts
+
+        got = solve_decreasing_rows(f, len(cases))
+        want = [solve_decreasing(lambda t, v=v, w=w: v - t - w * t * t * t) for v, w in cases]
+        assert got.tolist() == want
+        # a row leaves the solve when it stops
+        assert all(set(b.tolist()) <= set(a.tolist()) for a, b in zip(seen[1:], seen[2:]))
+
+    def test_budget_exhaustion_raises_as_the_scalar_solve(self):
+        tol = Tolerance(abs_tol=1e-30, max_iter=3)
+        s = np.array([-0.2, 1.0, 3.0])  # clamped at 0, solving, clamped at 1
+        f = lambda ts, rows: s[rows] - ts - ts * ts * ts
+        with pytest.raises(MaxIterExceeded):
+            solve_decreasing(lambda t: 1.0 - t - t * t * t, tol=tol)
+        with pytest.raises(MaxIterExceeded):
+            solve_decreasing_rows(f, 3, tol=tol)
+        assert solve_decreasing_rows(f, 3).tolist() == [solve_decreasing(lambda t, v=v: v - t - t * t * t)
+                                                        for v in s.tolist()]
+
+    def test_nan_end_raises_as_the_scalar_solve(self):
+        f = lambda t: math.nan if t == 1.0 else 0.5 - t
+        with pytest.raises(NoSignChange):
+            solve_decreasing(f)
+        with pytest.raises(NoSignChange):
+            solve_decreasing_rows(lambda ts, rows: np.array([f(t) for t in ts.tolist()]), 2)
 
 
 class TestFindRoots:
