@@ -22,13 +22,13 @@ increasing costs: a closed form at rho = 1, else the clamped solve
 :func:`_cosesi_roots` is :func:`_cosesi_root` on many mapped cost rows at
 once (``ExpectedCosts.map_rows``), solved in lockstep with the same roots
 bit for bit.
-The count-law scans of :func:`solve_with_dgp` and :func:`enumerate_cosesi`
-(finite n) evaluate their 10 001 nodes as one blockwise array product of
-``model.count_pmf_grid`` rows and the cost grid.  A block product and the
-one-row product of the residual at one theta may round differently, so the
-latter re-checks each node within ``SOLVE_TOL.abs_tol`` of zero and gives
-every bracket end: the brackets and refined roots are those of a scan that
-evaluates the residual node by node.
+The scans of :func:`_roots` take one residual on arrays of thetas.  Those of
+:func:`solve_with_dgp` and :func:`enumerate_cosesi` (finite n) evaluate
+their 10 001 nodes in blocks of count-law rows (``model.weighted_bernstein_rows``
+under a rho-mixture law, else ``model.count_pmf_grid`` rows met with the
+cost grid by ``model.row_dots``).  Each row's value does not depend on the
+block it is in, so the refinement, which calls the same residual at one
+theta, reads the scan's values bit for bit.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ from .model import (
     RhoMixture,
     SignalDGP,
     UnsupportedN,
-    action_count_pmf,
     count_pmf_grid,
-    mixture_pmf_grid,
+    row_dots,
     weighted_bernstein,
     weighted_bernstein_rows,
     weighted_limit,
@@ -288,39 +287,25 @@ def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
     return theta, abs(res(theta))
 
 
-def _roots(
-    res: Callable[[float], float],
-    grid_step: float,
-    evaluate: Callable[[list[float]], list[float]] | None = None,
-) -> tuple[tuple[float, ...], float]:
-    """Every root of ``res`` on a ``grid_step`` scan of [0, 1], refined, with roots
-    closer than 1e-6 merged, and the largest |residual| over them (inf if none).
-    ``evaluate`` is the scan's optional array form of ``res`` (see
-    ``numerics.find_sign_changes``); without it the scan calls ``res`` at every node."""
+def _roots(res: Callable[[np.ndarray], np.ndarray], grid_step: float) -> tuple[tuple[float, ...], float]:
+    """Every root of ``res``, a residual on arrays of thetas (see
+    ``numerics.find_roots``), on a ``grid_step`` scan of [0, 1], refined, with
+    roots closer than 1e-6 merged, and the largest |residual| over them (inf if none)."""
     roots: list[float] = []
-    for r in find_roots(res, grid_step, evaluate=evaluate):
+    for r in find_roots(res, grid_step):
         if not roots or r - roots[-1] > 1e-6:
             roots.append(r)
-    return tuple(roots), max((abs(res(r)) for r in roots), default=math.inf)
+    return tuple(roots), float(np.abs(res(np.array(roots))).max()) if roots else math.inf
 
 
 _SCAN_CELLS = 10_000  # pmf or cost cells per block of an array scan or lockstep solve, so its memory is flat in n
 
 
-def _count_law_scan(
-    pmf_rows: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, lhs: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[list[float]], list[float]]:
-    """Array form of the residual lhs(x) - sum_y mu(y | x) grid[y] over the scan
-    nodes, with ``pmf_rows(xs)`` the (len(xs), n + 1) count-law rows, taken in
-    blocks of at most ``_SCAN_CELLS`` cells."""
-    rows = max(1, _SCAN_CELLS // len(grid))
-
-    def evaluate(nodes: list[float]) -> list[float]:
-        xs = np.asarray(nodes)
-        rhs = np.concatenate([pmf_rows(xs[i : i + rows]) @ grid for i in range(0, len(xs), rows)])
-        return (lhs(xs) - rhs).tolist()
-
-    return evaluate
+def _in_blocks(n: int, rhs: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """``rhs`` over an array of thetas in blocks of at most ``_SCAN_CELLS``
+    cells of n + 1 count-law values per theta."""
+    rows = max(1, _SCAN_CELLS // (n + 1))
+    return lambda xs: np.concatenate([rhs(xs[i : i + rows]) for i in range(0, len(xs), rows)])
 
 
 def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
@@ -345,10 +330,12 @@ def enumerate_cosesi(
     least one and at most three roots, exactly one when rho = 1.
     """
     costs = expected_costs(MLE(), n, c)
-    scan = None
-    if not callable(costs.values):  # the limit's cost is a Python function: no array form
-        scan = _count_law_scan(lambda xs: mixture_pmf_grid(costs.n, xs, rho), costs.values, lambda xs: xs)
-    roots, residual = _roots(lambda t: t - costs.psi(t, rho), grid_step, scan)
+    if callable(costs.values):  # the limit's cost is a Python function: called node by node
+        res = lambda xs: np.array([t - costs.psi(t, rho) for t in xs.tolist()])
+    else:
+        rhs = _in_blocks(costs.n, lambda xs: weighted_bernstein_rows(costs.n, xs, rho, costs.values))
+        res = lambda xs: xs - rhs(xs)
+    roots, residual = _roots(res, grid_step)
     return EquilibriumResult(roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho})
 
 
@@ -453,22 +440,17 @@ def solve_with_dgp(
     """General CoSESI for an arbitrary action-count law: roots of
     1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection.
 
-    The scan evaluates the right side at its 10 001 nodes at once, as
-    ``model.count_pmf_grid`` rows times the cost grid, in blocks of at most
-    10 000 pmf cells.  The residual at one theta (``weighted_bernstein`` under
-    a rho-mixture law, i.e. iid and Markov shock; otherwise the one-row pmf
-    ``action_count_pmf`` times the grid) re-checks every node within
-    ``SOLVE_TOL.abs_tol`` of zero, since a block product and a one-row
-    product may round differently.  It also gives each bracket's end values
-    and is the one that bisection refines, so the roots and residual are
-    those of a scan that calls it at every node."""
+    One residual serves the scan of 10 001 nodes and the refinement at one
+    theta.  Its right side is ``model.weighted_bernstein_rows`` under a
+    rho-mixture law (iid, rho-mixture and Markov shock), otherwise the
+    ``model.count_pmf_grid`` rows met with the cost grid by
+    ``model.row_dots``, taken in blocks of at most 10 000 pmf cells."""
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
-        res = lambda t: 1.0 - t - weighted_bernstein(n, t, dgp.rho, grid)
+        rhs = _in_blocks(n, lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid))
     else:
-        res = lambda t: 1.0 - t - float(action_count_pmf(dgp, n, t).probs @ grid)
-    scan = _count_law_scan(lambda xs: count_pmf_grid(dgp, n, xs), grid, lambda xs: 1.0 - xs)
-    roots, residual = _roots(res, 1e-4, scan)
+        rhs = _in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
+    roots, residual = _roots(lambda xs: 1.0 - xs - rhs(xs), 1e-4)
     return EquilibriumResult(
         roots, "GeneralCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp)}
     )

@@ -14,7 +14,9 @@ signals as independent.  This module supplies:
   written once, on an array of thetas (``count_pmf_grid``, which the root
   scans evaluate in blocks), with ``action_count_pmf`` its row at one theta,
 * plain and rho-weighted Bernstein polynomial evaluation (the expectation
-  under a rho-mixture) and the large-n limit of the latter.
+  under a rho-mixture) and the large-n limit of the latter,
+* ``row_dots``, the expectation of a grid under each of many pmf rows, each
+  row rounded as its one-row product.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "bernstein",
     "weighted_bernstein",
     "weighted_bernstein_rows",
+    "row_dots",
     "weighted_limit",
     "bayes_posterior",
     "beta_expectation",
@@ -494,19 +497,25 @@ def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]
     return float((1.0 - rho) * bernstein(n, theta, values) + rho * polarized)
 
 
+def row_dots(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Entry i is ``probs[i] @ values``, or ``probs[i] @ values[i]`` for an
+    (m, k) ``values``, bit for bit.  The stacked matmul takes each row through
+    the same dot product as the one-row product; the matrix-vector product
+    ``probs @ values`` and a row-wise ``einsum`` round differently."""
+    return np.matmul(probs[:, None, :], values[..., None])[..., 0, 0]
+
+
 def weighted_bernstein_rows(n: int, thetas: np.ndarray, rho: float, values: np.ndarray) -> np.ndarray:
-    """:func:`weighted_bernstein` on m grids at once: entry i is
+    """:func:`weighted_bernstein` at m thetas at once: entry i is
     ``weighted_bernstein(n, thetas[i], rho, values[i])`` bit for bit, with
-    ``values`` an (m, n + 1) array.  Each ``_binom_rows`` row meets its grid
-    in the stacked matmul, which numpy computes as the same dot product as
-    ``binom_pmf(n, theta) @ values``; a row-wise ``einsum`` rounds differently.
+    ``values`` an (m, n + 1) array, or one grid of n + 1 values for every
+    theta.  Each ``_binom_rows`` row meets its grid in :func:`row_dots`.
     """
     _check_mixture_rho(rho)
-    polarized = thetas * values[:, -1] + (1.0 - thetas) * values[:, 0]
+    polarized = thetas * values[..., -1] + (1.0 - thetas) * values[..., 0]
     if rho == 1.0:
         return polarized
-    b = np.matmul(_binom_rows(n, thetas)[:, None, :], values[:, :, None])[:, 0, 0]
-    return (1.0 - rho) * b + rho * polarized
+    return (1.0 - rho) * row_dots(_binom_rows(n, thetas), values) + rho * polarized
 
 
 def weighted_limit(

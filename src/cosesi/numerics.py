@@ -8,11 +8,11 @@ default, ``SOLVE_TOL`` (|f| <= 1e-12 within 300 steps), and no solver in the
 package passes a tolerance of its own.  The array form takes each row
 through the scalar solve's steps elementwise, so a row whose residual values
 are the scalar residual's, bit for bit, gets the scalar root bit for bit.
-A scan may take an array form of its function to evaluate all nodes at
-once.  The two forms may round differently (a BLAS matrix-vector product
-over a block against a dot product over one row), so the scalar function
-still decides every node within ``SOLVE_TOL`` of zero and every bracket
-end, and the brackets do not depend on the array form.
+A scan takes one residual on arrays: it evaluates every node in one call,
+and the refinement calls it on one theta at a time, so a residual whose
+entries do not depend on the other thetas in the call (each row of a count
+law is computed on its own) gives the scan and the refinement the same
+values, bit for bit.
 Everything here is pure and needs numpy alone: the normal CDF goes through
 ``math.erfc`` (double-precision complementary error function), the quantile
 through ``statistics.NormalDist``, and the quadrature is adaptive Simpson.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -317,60 +317,42 @@ def solve_decreasing_rows(
     raise MaxIterExceeded(f"no root to tolerance {tol.abs_tol} in {tol.max_iter} iterations")
 
 
-def find_sign_changes(
-    f: Callable[[float], float],
-    grid_step: float = 1e-4,
-    evaluate: Callable[[list[float]], Sequence[float]] | None = None,
-) -> SignChangeScan:
+def find_sign_changes(f: Callable[[np.ndarray], np.ndarray], grid_step: float = 1e-4) -> SignChangeScan:
     """Scan [0, 1] on a uniform grid for sign changes of ``f``.
 
-    Nodes where f is exactly zero count as roots directly and never as part
-    of a bracket.  ``grid_step`` must lie in (0, 0.01].
-
-    ``evaluate``, if given, maps the list of nodes to values of f at once (an
-    array form of f).  It only decides the sign of a node whose value lies
-    farther than ``SOLVE_TOL.abs_tol`` from 0; f itself is called at every
-    other node and gives the recorded ends of every bracket.  So while the two
-    agree to within that band, the node roots, signs and brackets are those of
-    the scan that calls f at every node.
+    ``f`` maps the array of the n + 1 nodes ``i / n`` to its values there and
+    is called once.  Nodes where f is exactly zero count as roots directly and
+    never as part of a bracket.  ``grid_step`` must lie in (0, 0.01].  Raises
+    :class:`DomainError` naming the first node where f is not finite.
     """
     if not 0.0 < grid_step <= 0.01:
         raise DomainError(f"grid_step must be in (0, 0.01], got {grid_step}")
     n = max(2, round(1.0 / grid_step))
-    xs = [i / n for i in range(n + 1)]
-    if evaluate is None:
-        fs = [f(x) for x in xs]
-        exact = fs.__getitem__
-    else:
-        exact = functools.cache(lambda i: f(xs[i]))  # f at most once per node
-        band = SOLVE_TOL.abs_tol
-        fs = [v if abs(v) > band else exact(i) for i, v in enumerate(evaluate(xs))]
-    node_roots = [x for x, v in zip(xs, fs) if v == 0.0]
-    brackets: list[Bracket] = []
-    prev: int | None = None
-    for i, v in enumerate(fs):
-        if v == 0.0:
-            prev = None  # exact node root separates intervals
-            continue
-        if prev is not None and (v < 0.0) != (fs[prev] < 0.0):
-            brackets.append(Bracket(xs[prev], xs[i], exact(prev), exact(i)))
-        prev = i
-    return SignChangeScan(tuple(brackets), tuple(node_roots))
+    xs = np.arange(n + 1) / n  # bitwise [i / n for i in range(n + 1)]
+    fs = np.asarray(f(xs), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(fs))
+    if len(bad):
+        raise DomainError(f"f is not finite at theta = {float(xs[bad[0]])}: {float(fs[bad[0]])}")
+    cross = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0).tolist()
+    node_roots = xs[fs == 0.0].tolist()
+    xs, fs = xs.tolist(), fs.tolist()
+    brackets = tuple(Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in cross)
+    return SignChangeScan(brackets, tuple(node_roots))
 
 
 def find_roots(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     grid_step: float = 1e-4,
     tol: Tolerance = SOLVE_TOL,
-    evaluate: Callable[[list[float]], Sequence[float]] | None = None,
 ) -> list[float]:
-    """Every root found on a :func:`find_sign_changes` scan, sorted.
+    """Every root found on a :func:`find_sign_changes` scan of ``f``, sorted.
 
     Exact node roots are kept as they are; each bracket is refined with
-    :func:`solve_bracketed`.  ``evaluate`` is the scan's optional array form
-    of ``f``.  Returns ``[]`` when the scan finds no root.
+    :func:`solve_bracketed` on ``f`` at one theta, ``f(np.array([x]))[0]``.
+    Returns ``[]`` when the scan finds no root.
     """
-    scan = find_sign_changes(f, grid_step, evaluate)
+    scan = find_sign_changes(f, grid_step)
+    at = lambda x: float(f(np.array([x]))[0])
     roots = list(scan.node_roots)
-    roots += [solve_bracketed(f, b, tol) for b in scan.brackets]
+    roots += [solve_bracketed(at, b, tol) for b in scan.brackets]
     return sorted(roots)

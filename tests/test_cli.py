@@ -397,6 +397,28 @@ class TestReadmeCommands:
             assert written.read_bytes() == (GOLDEN / f"{argv[0]}.out").read_bytes()
 
 
+# (subcommand, flag, value): every concrete example that a --help string gives
+HELP_EXAMPLES = [
+    *(("cosesi", "--cost", cost) for cost in ("pow:4", "linear", "exp:6", "sshape")),
+    ("cosesi", "--inference", "mle"),
+    ("cosesi", "--inference", "beta"),
+    ("cosesi", "--dgp", "cmb:2"),
+    pytest.param("cosesi", "--dgp", "addbin:0.05", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 8: the scan evaluates theta = 0, outside the law's admissible set")),
+    ("assortative", "--rho-fn", "zero"),
+    ("assortative", "--rho-fn", "identity"),
+    ("hetero", "--groups", "0.5:mle:2,0.5:mle:5"),
+]
+
+
+@pytest.mark.parametrize("cmd, flag, value", HELP_EXAMPLES)
+def test_help_example_exits_0(cmd, flag, value, capsys):
+    (action,) = [a for a in build_parser().subparsers_by_name[cmd]._actions if flag in a.option_strings]
+    assert value in action.help or value == action.default
+    code, out, err = run_cli([cmd, flag, value], capsys)
+    assert code == 0, err
+
+
 # NE, the rational market, the infinite-sample market, tax welfare and a
 # rho-mixture count-law scan run through the shared kernel and its large-n
 # limit; their output was recorded before that routing.  The rational

@@ -27,8 +27,10 @@ from cosesi.model import (
     power_cost,
     s_shaped_cost,
     action_count_pmf,
+    count_pmf_grid,
     parse_cost,
     weighted_bernstein,
+    weighted_limit,
 )
 from cosesi.equilibrium import (
     LARGE_N,
@@ -128,7 +130,7 @@ class TestSolveCosesi:
 
         for rho in (0.0, 0.5, 1.0):
             grid = cost_grid(mle, 4, pow3)
-            scan = find_sign_changes(lambda t: 1 - t - weighted_bernstein(4, t, rho, grid), 1e-4)
+            scan = find_sign_changes(_nodewise(lambda t: 1 - t - weighted_bernstein(4, t, rho, grid)), 1e-4)
             assert len(scan.brackets) + len(scan.node_roots) == 1
 
     def test_linear_cost_equals_ne_for_all_rho_n(self, mle):
@@ -541,9 +543,9 @@ class TestGeneralDGPSolver:
     @pytest.mark.parametrize("law", [IID(), RhoMixture(0.3), MarkovShock(0.2, 0.6)])
     def test_mixture_laws_build_no_pmf(self, mle, pow3, law, monkeypatch):
         def no_pmf(*args):
-            raise AssertionError("mixture laws are evaluated by weighted_bernstein")
+            raise AssertionError("mixture laws are evaluated by weighted_bernstein_rows")
 
-        monkeypatch.setattr(equilibrium, "action_count_pmf", no_pmf)
+        monkeypatch.setattr(equilibrium, "count_pmf_grid", no_pmf)
         got = solve_with_dgp(pow3, mle, 3, law)
         assert got.roots[0] == pytest.approx(solve_cosesi(pow3, mle, 3, law.rho).theta, abs=1e-9)
 
@@ -568,7 +570,7 @@ class TestGeneralDGPSolver:
         # reference: the scan of the pmf-weighted residual that the kernel replaced
         grid = cost_grid(MLE(), n, c)
         ref = find_roots(
-            lambda t: 1.0 - t - float(action_count_pmf(law, n, t).probs @ grid),
+            lambda xs: 1.0 - xs - count_pmf_grid(law, n, xs) @ grid,
             1e-4, Tolerance(abs_tol=1e-12, max_iter=300),
         )
         got = solve_with_dgp(c, MLE(), n, law).roots
@@ -576,11 +578,16 @@ class TestGeneralDGPSolver:
         assert all(abs(a - b) <= 1e-12 for a, b in zip(got, ref))
 
 
+def _nodewise(res):
+    """The residual on arrays that ``find_roots`` takes, calling the scalar ``res`` node by node."""
+    return lambda ts: np.array([res(t) for t in ts.tolist()])
+
+
 def _scalar_scan_roots(res, grid_step):
     """The scan that calls ``res`` at every node, refined and merged within 1e-6,
     with the largest |residual| over the roots: the reference for the array scans."""
     roots = []
-    for r in find_roots(res, grid_step):
+    for r in find_roots(_nodewise(res), grid_step):
         if not roots or r - roots[-1] > 1e-6:
             roots.append(r)
     return tuple(roots), max((abs(res(r)) for r in roots), default=math.inf)
@@ -624,9 +631,9 @@ _SCAN_LAWS = st.one_of(
 
 
 class TestArrayScan:
-    """The count-law scans evaluate their nodes as arrays; the scalar residual
-    re-checks the nodes near zero and the bracket ends, so the results are the
-    scalar scan's bit for bit."""
+    """The count-law scans evaluate their nodes in blocks of rows, each row the
+    scalar residual's value bit for bit, so the results are those of the scan
+    that calls the scalar residual at every node."""
 
     @settings(max_examples=6, deadline=None)
     @given(c=_SCAN_COSTS, law=_SCAN_LAWS)
@@ -667,6 +674,16 @@ class TestArrayScan:
         ref = _scalar_scan_roots(lambda t: t - weighted_bernstein(n, t, rho, grid), grid_step)
         got = enumerate_cosesi(c, n, rho, grid_step)
         assert (got.theta_star, got.residual) == ref
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    def test_enumerate_in_the_limit_is_the_scalar_scan(self, rho):
+        # n above LARGE_N: the limit cost, called node by node
+        c = s_shaped_cost(0.05, 0.95, 20.0, 0.5)
+        ends = (c(0.0), c(1.0))
+        ref = _scalar_scan_roots(lambda t: t - weighted_limit(t, rho, c, ends), 1e-3)
+        got = enumerate_cosesi(c, 200_000, rho, 1e-3)
+        assert (got.theta_star, got.residual) == ref
+        assert len(ref[0]) == (1 if rho == 1.0 else 3)
 
     @pytest.mark.parametrize("rho", [-0.1, 1.5])
     def test_enumerate_rejects_rho_as_the_kernel(self, rho):

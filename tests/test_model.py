@@ -42,8 +42,10 @@ from cosesi.model import (
     mean_limit_variance,
     parse_cost,
     power_cost,
+    row_dots,
     s_shaped_cost,
     weighted_bernstein,
+    weighted_bernstein_rows,
 )
 
 
@@ -421,6 +423,32 @@ class TestBernstein:
         with pytest.raises(ModelError):
             bernstein(3, 0.5, [0.1, 0.2])
 
+    @pytest.mark.parametrize("rho", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 200])
+    def test_rows_on_one_grid_are_the_scalar_kernel(self, n, rho):
+        # every node of a 1e-3 scan, 0 and 1 included, against the kernel at one theta
+        g = np.array([s_shaped_cost()(y / n) for y in range(n + 1)])
+        thetas = np.arange(1001) / 1000
+        want = [weighted_bernstein(n, t, rho, g) for t in thetas.tolist()]
+        assert weighted_bernstein_rows(n, thetas, rho, g).tolist() == want
+        assert weighted_bernstein_rows(n, thetas, rho, np.tile(g, (1001, 1))).tolist() == want
+
+
+class TestRowDots:
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 10_001), n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+    @example(m=10_001, n=1, seed=0)
+    @example(m=10_001, n=3, seed=1)
+    @example(m=1, n=1000, seed=2)
+    @example(m=9, n=1000, seed=3)
+    def test_each_entry_is_the_one_row_product(self, m, n, seed):
+        m = min(m, 200_000 // (n + 1))  # at most 200 000 cells
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(n + 1), size=m)
+        grid, grids = rng.uniform(0.0, 1.0, n + 1), rng.uniform(0.0, 1.0, (m, n + 1))
+        assert row_dots(probs, grid).tolist() == [float(p @ grid) for p in probs]
+        assert row_dots(probs, grids).tolist() == [float(p @ g) for p, g in zip(probs, grids)]
+
 
 def _signal_vectors(n):
     """All 2**n signal vectors as rows of a 0/1 array, and their counts y."""
@@ -551,6 +579,17 @@ class TestCountPmfGrid:
             got = count_pmf_grid(dgp, n, thetas)
             assert got.shape == (len(thetas), n + 1)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(law=_LAWS, thetas=_THETAS)
+    def test_a_row_does_not_depend_on_its_block(self, law, thetas):
+        # the root scans read one residual in blocks and at one theta alike
+        dgp, n = law
+        try:
+            got = count_pmf_grid(dgp, n, thetas)
+        except ModelError:
+            return
+        assert [row.tolist() for row in got] == [count_pmf_grid(dgp, n, [t])[0].tolist() for t in thetas]
 
     @settings(max_examples=100, deadline=None)
     @given(

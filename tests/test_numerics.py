@@ -197,6 +197,28 @@ class TestFindSignChanges:
         with pytest.raises(DomainError):
             find_sign_changes(lambda t: t, 0.5)
 
+    @pytest.mark.parametrize("grid_step, n", [(1e-4, 10_000), (1e-3, 1000)])
+    def test_one_call_on_the_nodes_i_over_n(self, grid_step, n):
+        seen = []
+        find_sign_changes(lambda ts: seen.append(ts) or ts - 0.3, grid_step)
+        assert len(seen) == 1
+        assert seen[0].tolist() == [i / n for i in range(n + 1)]
+
+    def test_bracket_ends_are_python_floats(self):
+        (b,) = find_sign_changes(lambda ts: 0.3005 - ts, 1e-3).brackets
+        assert all(type(v) is float for v in (b.lo, b.hi, b.f_lo, b.f_hi))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_the_first_such_node(self, bad):
+        # past the only root: a scan that ignored it would return [0.3]
+        with pytest.raises(DomainError, match=rf"^f is not finite at theta = 0\.901: {bad}$"):
+            find_roots(lambda ts: np.where(ts > 0.9, bad, ts - 0.3), 1e-3)
+
+    def test_nan_beside_a_negative_node_is_no_bracket(self):
+        # a nan read as a sign would bracket [0.5, 0.501] and raise NoSignChange
+        with pytest.raises(DomainError, match=r"^f is not finite at theta = 0\.501: nan$"):
+            find_sign_changes(lambda ts: np.where(ts > 0.5, math.nan, ts - 0.9), 1e-3)
+
 
 class TestSolveDecreasing:
     def test_clamps_at_lo(self):
@@ -266,3 +288,12 @@ class TestFindRoots:
 
     def test_no_root(self):
         assert find_roots(lambda t: 1.0 + t, 1e-3) == []
+
+    def test_refines_on_the_residual_at_one_theta(self):
+        seen = []
+        f = lambda ts: seen.append(ts) or (ts - 0.2123) * (ts - 0.7789)
+        (lo, hi) = find_roots(f, 1e-3)
+        assert len(seen[0]) == 1001 and all(ts.shape == (1,) for ts in seen[1:])
+        g = lambda t: (t - 0.2123) * (t - 0.7789)
+        scan = find_sign_changes(f, 1e-3)
+        assert [lo, hi] == [solve_bracketed(g, b) for b in scan.brackets]
