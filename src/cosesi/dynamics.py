@@ -6,11 +6,15 @@ sampling correlation rho_t toward its stationary ``rho``.  The population
 oracle simulates a large stratified population of agents drawing action
 counts from any ``model.SignalDGP``, estimating, and best-responding; it
 validates every analytic equilibrium independently of the Bernstein
-machinery.  Neither defines or validates a law of its own.
+machinery.  It draws each agent's decision by threshold, one uniform against
+the count law's cdf at the agent's cost cut-off: for a non-decreasing cost
+grid these are ``Generator.choice``'s draws bit for bit, and otherwise the
+decisions have the same law.  Neither defines or validates a law of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,31 +141,54 @@ def mc_population_equilibrium(
 ) -> McEquilibrium:
     """Agent-population fixed point, the independent Monte Carlo oracle.
 
-    ``num_agents`` stratified types eta_i = (i - 1/2)/N (deterministic grid,
-    one less Monte Carlo error source).  Per sweep each agent draws an action
-    count from ``dgp`` at the current share estimate, compares its type to
-    the expected cost at the realized sample mean, and the share is updated
-    with damping.  Drawing the count directly is equivalent in law to drawing
-    the full signal vector since the estimate depends on the sample only
-    through its mean.
+    ``num_agents`` (an integer >= 10 000; an integral float is taken as its
+    int) stratified types eta_i = (i - 1/2)/N (deterministic grid, one less
+    Monte Carlo error source).  Per sweep each agent draws an action count Y
+    from ``dgp`` at the current share estimate and acts iff its type covers
+    the expected cost at the realized sample mean, grid[Y] <= eta_i; the
+    share is updated with damping.  Drawing the count directly is equivalent
+    in law to drawing the full signal vector since the estimate depends on
+    the sample only through its mean.
+
+    The count is drawn by threshold: with the counts ordered by cost, agent i
+    accepts the k cheapest and draws one uniform u_i, and acts iff u_i is
+    below the pmf's cdf at k.  Agents accepting the same counts form one
+    block of the sorted types, so a sweep is one uniform and one comparison
+    per agent.  For a non-decreasing grid the ordering is the identity and
+    this is ``Generator.choice(n + 1, p=pmf)`` draw for draw, so the outputs
+    equal the per-agent count search bitwise; otherwise the coupling of u_i
+    to Y differs but each agent still acts independently with probability
+    P(grid[Y] <= eta_i), so the law is the same.
 
     Returns the mean of the last ``_RECORD_SWEEPS`` share values with the
     lag-1-autocorrelation-adjusted standard error.
     """
-    if num_agents < 10_000:
-        raise DynamicsError(f"population oracle needs at least 1e4 agents, got {num_agents}")
+    if not (float(num_agents).is_integer() and num_agents >= 10_000):
+        raise DynamicsError(
+            f"population oracle needs an integer number of agents >= 10000, got {num_agents}"
+        )
+    num_agents = int(num_agents)
     gen = (rng or SeedableRng(0)).generator()
     eta = (np.arange(num_agents) + 0.5) / num_agents
     grid = cost_grid(G, n, c)
+    order = np.argsort(grid, kind="stable")
+    # types from cuts[k] on have eta_i >= grid[order][k]: they accept the k + 1
+    # cheapest counts, up to the next cut; the types below cuts[0] accept none
+    cuts = np.append(np.searchsorted(eta, grid[order], side="left"), num_agents)
+    blocks = [(k, int(lo), int(hi))
+              for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])) if hi > lo]
+    draws = np.empty(num_agents)
     theta_hat = 0.5
     converged_at = None
     recorded: list[float] = []
     prev = theta_hat
     for sweep_idx in range(1, _MAX_SWEEPS + 1):
-        pmf = action_count_pmf(dgp, n, theta_hat)
-        counts = gen.choice(n + 1, size=num_agents, p=pmf.probs)
-        take_action = eta >= grid[counts]
-        br = float(take_action.mean())
+        # Generator.choice's own cdf and uniforms, in cost order
+        cdf = action_count_pmf(dgp, n, theta_hat).probs[order].cumsum()
+        cdf /= cdf[-1]
+        u = gen.random(out=draws)
+        takers = sum(np.count_nonzero(u[lo:hi] < cdf[k]) for k, lo, hi in blocks)
+        br = takers / num_agents
         theta_hat = (1.0 - _DAMPING) * theta_hat + _DAMPING * br
         if converged_at is None and abs(theta_hat - prev) < _CONV_TOL:
             converged_at = sweep_idx
@@ -181,5 +208,5 @@ def mc_population_equilibrium(
         centered = values - mean
         phi = float(np.dot(centered[:-1], centered[1:]) / np.dot(centered, centered))
         phi = min(max(phi, 0.0), 0.9)
-        se *= np.sqrt((1.0 + phi) / (1.0 - phi))
+        se *= math.sqrt((1.0 + phi) / (1.0 - phi))
     return McEquilibrium(mean, se, converged_at + len(values), values)

@@ -2,17 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cosesi import dynamics
-from cosesi.model import MLE, InadmissibleCorrelation, MarkovShock, RhoMixture, linear_cost, power_cost
-from cosesi.equilibrium import solve_cosesi
+from cosesi.model import (
+    CMB,
+    MLE,
+    BayesBeta,
+    BetaEstimation,
+    CostFunction,
+    InadmissibleCorrelation,
+    MarkovShock,
+    RhoMixture,
+    Sequential,
+    action_count_pmf,
+    affine_cost,
+    linear_cost,
+    parse_cost,
+    power_cost,
+    s_shaped_cost,
+)
+from cosesi.equilibrium import cost_grid, solve_cosesi, solve_with_dgp
 from cosesi.dynamics import (
     DynamicsError,
     MarkovShockChain,
+    McEquilibrium,
+    NonConvergence,
     mc_population_equilibrium,
     simulate_dynamics,
     stationary_rho,
 )
+from cosesi.sampling import SeedableRng
 from conftest import ROOT_POW4_MLE_RHO0
 
 
@@ -119,9 +139,148 @@ class TestPopulationOracle:
         with pytest.raises(DynamicsError):
             mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.0), num_agents=100, rng=rng)
 
+    @pytest.mark.parametrize("num_agents", [20_000.5, math.inf, -math.inf, math.nan, 9_999, 100.0])
+    def test_population_must_be_an_integer_of_at_least_1e4(self, mle, pow2, num_agents):
+        class NoDraws:
+            def generator(self):
+                raise AssertionError("drew before checking num_agents")
+
+        with pytest.raises(DynamicsError, match=r"an integer number of agents >= 10000, got "):
+            mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.0), num_agents=num_agents, rng=NoDraws())
+
+    def test_integral_float_population_is_its_int(self, mle, pow2, rng):
+        want = mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.3), num_agents=20_000, rng=rng)
+        got = mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.3), num_agents=20_000.0, rng=rng)
+        assert _fields(got) == _fields(want)
+
+    def test_estimates_are_python_floats(self, mle, pow2, rng):
+        out = mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.5), rng=rng)
+        assert type(out.theta_hat) is float and type(out.stderr) is float
+
     def test_stderr_is_positive_and_small(self, mle, pow2, rng):
         out = mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.5), rng=rng.split(3))
         assert 0.0 < out.stderr < 0.01
+
+
+def _choice_oracle(c, G, n, dgp, num_agents, rng):
+    """The per-agent count search the threshold sweep replaced, kept as its
+    reference: ``Generator.choice`` draws every agent's count Y from the pmf,
+    and the agent acts iff eta_i >= grid[Y]."""
+    gen = rng.generator()
+    eta = (np.arange(num_agents) + 0.5) / num_agents
+    grid = cost_grid(G, n, c)
+    theta_hat = prev = 0.5
+    converged_at = None
+    recorded = []
+    for sweep_idx in range(1, dynamics._MAX_SWEEPS + 1):
+        pmf = action_count_pmf(dgp, n, theta_hat)
+        counts = gen.choice(n + 1, size=num_agents, p=pmf.probs)
+        br = float((eta >= grid[counts]).mean())
+        theta_hat = (1.0 - dynamics._DAMPING) * theta_hat + dynamics._DAMPING * br
+        if converged_at is None and abs(theta_hat - prev) < dynamics._CONV_TOL:
+            converged_at = sweep_idx
+        prev = theta_hat
+        if converged_at is not None:
+            recorded.append(theta_hat)
+            if len(recorded) >= dynamics._RECORD_SWEEPS:
+                break
+    if converged_at is None or len(recorded) < dynamics._RECORD_SWEEPS:
+        raise NonConvergence("no convergence")
+    values = np.array(recorded)
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / np.sqrt(len(values)))
+    if len(values) > 2 and values.std() > 0.0:
+        centered = values - mean
+        phi = float(np.dot(centered[:-1], centered[1:]) / np.dot(centered, centered))
+        phi = min(max(phi, 0.0), 0.9)
+        se *= np.sqrt((1.0 + phi) / (1.0 - phi))
+    return McEquilibrium(mean, se, converged_at + len(values), values)
+
+
+def _fields(out):
+    """Every field of an oracle result, the sweep means by their bytes."""
+    return (out.theta_hat, out.stderr, out.sweeps_used, out.sweep_means.tobytes())
+
+
+def _outcome(run):
+    try:
+        return _fields(run())
+    except NonConvergence:
+        return NonConvergence
+
+
+# costs that rise on [0, 1]
+_RISING_COSTS = st.one_of(
+    st.floats(0.2, 6.0).map(power_cost),
+    st.just(linear_cost()),
+    st.tuples(st.floats(0.01, 0.3), st.floats(0.7, 0.99), st.floats(1.0, 40.0), st.floats(0.2, 0.8))
+    .map(lambda p: s_shaped_cost(*p)),
+    st.tuples(st.floats(0.0, 0.5), st.floats(1e-3, 0.5)).map(lambda ab: affine_cost(*ab)),
+)
+# rho = 1, CMB(+-inf) and tail cells that underflow give pmfs with zero cells
+_MC_LAWS = st.one_of(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)).map(RhoMixture),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    .filter(lambda pq: pq[0] + pq[1] > 0.0).map(lambda pq: MarkovShock(*pq)),
+    st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-math.inf, math.inf])).map(CMB),
+    st.lists(st.floats(0.0, 0.95), max_size=3).map(lambda w: Sequential(tuple(w))),
+)
+
+
+class TestThresholdSweep:
+    """The oracle draws each agent's decision by one uniform against the
+    pmf's cdf at the agent's cost cut-off.  For a non-decreasing grid that is
+    ``Generator.choice``'s own draw, so every output equals the count search
+    bit for bit; otherwise the decisions keep their law."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        c=_RISING_COSTS,
+        G=st.sampled_from([MLE(), BetaEstimation()]),
+        n=st.integers(1, 30),
+        dgp=_MC_LAWS,
+        num_agents=st.integers(10_000, 30_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # ties: at an odd N the type eta_5000 = 1/2 is a grid value, which it covers;
+    # a flat cost gives one block holding every count
+    @example(c=linear_cost(), G=MLE(), n=2, dgp=RhoMixture(0.3), num_agents=10_001, seed=1)
+    @example(c=affine_cost(0.5, 0.0), G=MLE(), n=3, dgp=CMB(0.5), num_agents=10_001, seed=2)
+    def test_rising_grid_is_the_choice_search_bitwise(self, c, G, n, dgp, num_agents, seed):
+        # a rising cost can still give a dipping Beta-estimation grid at n near
+        # 30 (by up to 5e-3, the quadrature defect of ROADMAP item 4): there the
+        # decisions keep their law but not choice's coupling to the uniforms
+        assume(np.all(np.diff(cost_grid(G, n, c)) >= 0.0))
+        rng = SeedableRng(seed)
+        want = _outcome(lambda: _choice_oracle(c, G, n, dgp, num_agents, rng))
+        got = _outcome(lambda: mc_population_equilibrium(c, G, n, dgp, num_agents, rng))
+        assert got == want
+
+    @pytest.mark.parametrize("c, G, n, dgp", [
+        (parse_cost("exp:6"), MLE(), 6, CMB(1.5)),
+        (parse_cost("affine:1,-1"), BayesBeta(2.0, 6.0, 0.0), 2, RhoMixture(0.3)),
+        (CostFunction(fn=lambda z: 0.1 + 3.2 * z * (1.0 - z), name="hump"), MLE(), 5, CMB(0.5)),
+        (CostFunction(fn=lambda z: 0.1 + 3.2 * z * (1.0 - z), name="hump"), MLE(), 4,
+         Sequential((0.4,))),
+    ], ids=["exp6-cmb", "affine-decreasing-bayes", "hump-cmb", "hump-sequential"])
+    def test_unordered_grid_keeps_the_law(self, c, G, n, dgp):
+        assert np.any(np.diff(cost_grid(G, n, c)) < 0.0)
+        out = mc_population_equilibrium(c, G, n, dgp, rng=SeedableRng(20240817))
+        roots = solve_with_dgp(c, G, n, dgp).roots
+        assert min(abs(out.theta_hat - r) for r in roots) <= 3 * out.stderr
+
+    @pytest.mark.xfail(strict=True, reason="the recorded sweeps still hold the approach to the root "
+                       "when the damped map contracts slowly (slope 0.76 here); ROADMAP item 8")
+    def test_slow_contraction_is_unbiased(self, mle):
+        # an unbiased oracle with an honest stderr has a mean z-score within
+        # 1 of 0 over twenty seeds; this one reads -2.2
+        c, dgp = parse_cost("exp:6"), RhoMixture(0.5)
+        root = max(solve_with_dgp(c, mle, 3, dgp).roots)
+        z = []
+        for seed in range(20):
+            out = mc_population_equilibrium(c, mle, 3, dgp, rng=SeedableRng(seed))
+            z.append((out.theta_hat - root) / out.stderr)
+        assert abs(np.mean(z)) < 1.0
 
 
 class TestAsymptoticOverdispersion:
