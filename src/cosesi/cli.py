@@ -5,11 +5,19 @@ machine-readable CSV (`--out`); identical configuration and seed give
 byte-identical output.  `repro` runs the full example-reproduction suite
 and prints a pass/fail table.  Flat KEY = VALUE config files are accepted
 through `--config`, with command-line flags taking precedence; unknown
-config keys are rejected.
+config keys are rejected, and each value is converted by its flag's type.
+
+`main` builds only the parser of the subcommand that `argv[0]` names: one
+table (`_SUBCOMMANDS`) defines every subcommand's flags once, for that
+parser and for the full `build_parser()`.  An argv that parser would not
+take whole (no command, an option or an unknown name first, arguments left
+over) goes through the full parser, so usage, help and error texts are the
+same either way.
 
 Exit codes: 0 success, 1 solver error, 2 configuration error.  Every spec
 string (--cost, --inference, --dgp, --rho-fn, --groups, --values) is parsed
-before any solve, and one that fails to parse is a configuration error.
+before any solve, and one that fails to parse is a configuration error; so
+is an `--out` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import argparse
 import csv
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -173,18 +182,23 @@ def _fmt(v) -> str:
 
 
 def _emit(args, header: list[str], rows: list[list], summary: list[tuple[str, object]]) -> None:
+    # the CSV goes first, so an --out that cannot be written leaves stdout empty
+    if args.out:
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([_fmt(v) for v in row])
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
     for key, val in summary:
         print(f"{key}={_fmt(val)}")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
 
 
-def _parse_config_file(path: str) -> dict:
-    values: dict[str, object] = {}
+def _parse_config_file(path: str) -> dict[str, str]:
+    """KEY = VALUE lines as strings; each flag's own ``type`` converts its value."""
+    values: dict[str, str] = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -193,72 +207,65 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line: {raw.strip()!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            val = val.strip().strip("\"'")
-            if val.lower() in ("true", "false"):
-                values[key] = val.lower() == "true"
-                continue
-            try:
-                values[key] = int(val)
-            except ValueError:
-                try:
-                    values[key] = float(val)
-                except ValueError:
-                    values[key] = val
+            values[key.strip().replace("-", "_")] = val.strip().strip("\"'")
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cosesi",
-        description="Equilibria of binary-action population games under correlation neglect.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.subparsers_by_name = sub.choices  # argparse's own name -> subparser map
+def _common(p: argparse.ArgumentParser, cost=True, inference=True, n=True, rho=True, seed=False) -> None:
+    p.add_argument("--config", help="flat KEY=VALUE config file; flags override")
+    p.add_argument("--out", help="write results to this CSV path")
+    # only the commands that draw random numbers read COSESI_SEED; argparse converts
+    # a string default at parse time, so a bad value is an argument error of theirs
+    if seed:
+        p.add_argument("--seed", type=int, default=os.environ.get("COSESI_SEED", "0"),
+                       help="random seed (default: COSESI_SEED or 0)")
+    if cost:
+        p.add_argument("--cost", default="pow:2", help="cost spec, e.g. pow:4, linear, exp:6, sshape")
+    if inference:
+        p.add_argument("--inference", default="mle", help="mle, beta, or bayes:alpha,beta,rho[,zeta]")
+    if n:
+        p.add_argument("--n", type=int, default=2, help="sample size")
+    if rho:
+        p.add_argument("--rho", type=float, default=0.0, help="signal correlation in [0,1]")
 
-    def common(p: argparse.ArgumentParser, cost=True, inference=True, n=True, rho=True, seed=False):
-        p.add_argument("--config", help="flat KEY=VALUE config file; flags override")
-        p.add_argument("--out", help="write results to this CSV path")
-        if seed:  # only the commands that draw random numbers
-            p.add_argument("--seed", type=int, default=int(os.environ.get("COSESI_SEED", "0")),
-                           help="random seed (default: COSESI_SEED or 0)")
-        if cost:
-            p.add_argument("--cost", default="pow:2", help="cost spec, e.g. pow:4, linear, exp:6, sshape")
-        if inference:
-            p.add_argument("--inference", default="mle", help="mle, beta, or bayes:alpha,beta,rho[,zeta]")
-        if n:
-            p.add_argument("--n", type=int, default=2, help="sample size")
-        if rho:
-            p.add_argument("--rho", type=float, default=0.0, help="signal correlation in [0,1]")
-        return p
 
-    common(sub.add_parser("ne", help="Nash equilibrium 1-theta=c(theta)"), inference=False, n=False, rho=False)
-
-    p = common(sub.add_parser("cosesi", help="simple CoSESI (or SESI at rho=0)"))
+def _cosesi_flags(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.set_defaults(rho=None)  # so that an explicit --rho next to --dgp can be refused
     p.add_argument("--dgp", help="optional count law, e.g. cmb:2, addbin:0.05 (not with --rho)")
 
-    p = common(sub.add_parser("sweep", help="theta* along a rho or n axis"))
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.add_argument("--axis", choices=("rho", "n"), default="rho")
     p.add_argument("--values", default="0,0.25,0.5,0.75,1", help="comma-separated axis values")
 
-    p = common(sub.add_parser("enumerate", help="all CoSESIs of an S-shaped benefit game"), inference=False)
+
+def _enumerate_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, inference=False)
     p.set_defaults(cost="sshape")
     p.add_argument("--grid-step", type=float, default=1e-4)
 
-    p = common(sub.add_parser("assortative", help="type-dependent correlation rho(eta)"), rho=False)
+
+def _assortative_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, rho=False)
     p.add_argument("--rho-fn", default="identity", help="zero, identity, const:x, power:k")
 
-    p = common(sub.add_parser("bayes", help="Bayesian CoSESI with partial neglect"), inference=False)
+
+def _bayes_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, inference=False)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--zeta", type=float, default=1.0, help="degree of correlation neglect")
 
-    p = common(sub.add_parser("hetero", help="heterogeneous inference/sample-size mix"), inference=False, n=False)
+
+def _hetero_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, inference=False, n=False)
     p.add_argument("--groups", default="0.5:mle:2,0.5:mle:5", help="weight:inference:n, comma-separated")
 
-    p = common(sub.add_parser("market", help="two-sided matching market"), cost=False, inference=False, n=False, rho=False)
+
+def _market_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, cost=False, inference=False, n=False, rho=False)
     p.add_argument("--lam", type=float, default=0.3, help="matching friction")
     p.add_argument("--v", type=float, default=0.5, help="Cobb-Douglas exponent")
     p.add_argument("--k", type=float, default=2, help="worker sample size (inf allowed)")
@@ -268,30 +275,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rational", action="store_true", help="rational-expectations benchmark")
     p.add_argument("--kappa", type=float, help="mixed-population share with correlated samples")
 
-    p = common(sub.add_parser("monopoly", help="monopoly pricing against naive consumers"), cost=False)
+
+def _monopoly_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, cost=False)
     p.add_argument("--t", type=float, default=6.0, help="encounters parameter of exp(-t theta)")
     p.add_argument("--rational", action="store_true")
     p.add_argument("--grid-step", type=float, default=1e-3)
 
-    p = common(sub.add_parser("bank", help="credit-market equilibrium and default rate"))
+
+def _bank_flags(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.set_defaults(rho=0.5)
     p.add_argument("--omega", type=float, default=0.0, help="borrower obligation")
     p.add_argument("--gaussian-omega", action="store_true")
 
-    p = common(sub.add_parser("var", help="two-borrower value at risk"), cost=False, inference=False, n=False, rho=False)
+
+def _var_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, cost=False, inference=False, n=False, rho=False)
     p.add_argument("--p", type=float, default=0.05, help="default probability")
     p.add_argument("--tau", type=float, default=0.0, help="default correlation")
     p.add_argument("--alpha", type=float, default=0.95, help="confidence level")
 
-    p = common(sub.add_parser("tax", help="tax-policy equilibrium and planner check"))
+
+def _tax_flags(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.add_argument("--tax", type=float, default=0.0)
 
-    p = common(sub.add_parser("supply-shock", help="two-part competitive equilibrium"), n=False, rho=False)
+
+def _supply_shock_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, n=False, rho=False)
     p.add_argument("--eps", type=float, default=-0.05, help="supply shock size")
 
-    # no prefix matching here, or --rho would silently set --rho0
-    p = common(sub.add_parser("dynamics", help="generational dynamic with Markov shocks",
-                              allow_abbrev=False), rho=False)
+
+def _dynamics_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, rho=False)
     p.add_argument("--p-xi", type=float, default=0.2)
     p.add_argument("--q-xi", type=float, default=0.8)
     p.add_argument("--gamma", type=float, default=0.1)
@@ -299,39 +316,111 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", type=float, default=0.0)
     p.add_argument("--T", type=int, default=500)
 
-    p = common(sub.add_parser("simulate", help="Monte Carlo signal draws and diagnostics"),
-               cost=False, inference=False, rho=False, seed=True)
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, cost=False, inference=False, rho=False, seed=True)
     p.add_argument("--dgp", default="rho:0.5")
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--draws", type=int, default=100000)
 
-    p = common(sub.add_parser("info", help="informativeness of a count law"),
-               cost=False, inference=False, rho=False)
+
+def _info_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, cost=False, inference=False, rho=False)
     p.add_argument("--dgp", default="rho:1")
     p.add_argument("--theta", type=float, default=0.3)
 
-    p = common(sub.add_parser("mc", help="agent-population Monte Carlo equilibrium"), rho=False, seed=True)
+
+def _mc_flags(p: argparse.ArgumentParser) -> None:
+    _common(p, rho=False, seed=True)
     p.add_argument("--dgp", default="rho:0")
     p.add_argument("--agents", type=int, default=100000)
 
-    common(sub.add_parser("repro", help="reproduce the full example suite"), cost=False, inference=False, n=False, rho=False)
+
+# name -> (help, ArgumentParser keyword arguments, function that adds the
+# flags), in the order the top-level help lists them
+_SUBCOMMANDS = {
+    "ne": ("Nash equilibrium 1-theta=c(theta)", {}, partial(_common, inference=False, n=False, rho=False)),
+    "cosesi": ("simple CoSESI (or SESI at rho=0)", {}, _cosesi_flags),
+    "sweep": ("theta* along a rho or n axis", {}, _sweep_flags),
+    "enumerate": ("all CoSESIs of an S-shaped benefit game", {}, _enumerate_flags),
+    "assortative": ("type-dependent correlation rho(eta)", {}, _assortative_flags),
+    "bayes": ("Bayesian CoSESI with partial neglect", {}, _bayes_flags),
+    "hetero": ("heterogeneous inference/sample-size mix", {}, _hetero_flags),
+    "market": ("two-sided matching market", {}, _market_flags),
+    "monopoly": ("monopoly pricing against naive consumers", {}, _monopoly_flags),
+    "bank": ("credit-market equilibrium and default rate", {}, _bank_flags),
+    "var": ("two-borrower value at risk", {}, _var_flags),
+    "tax": ("tax-policy equilibrium and planner check", {}, _tax_flags),
+    "supply-shock": ("two-part competitive equilibrium", {}, _supply_shock_flags),
+    # no prefix matching here, or --rho would silently set --rho0
+    "dynamics": ("generational dynamic with Markov shocks", {"allow_abbrev": False}, _dynamics_flags),
+    "simulate": ("Monte Carlo signal draws and diagnostics", {}, _simulate_flags),
+    "info": ("informativeness of a count law", {}, _info_flags),
+    "mc": ("agent-population Monte Carlo equilibrium", {}, _mc_flags),
+    "repro": ("reproduce the full example suite", {},
+              partial(_common, cost=False, inference=False, n=False, rho=False)),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand, reachable by name through ``parser.subparsers_by_name``."""
+    parser = argparse.ArgumentParser(
+        prog="cosesi",
+        description="Equilibria of binary-action population games under correlation neglect.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    parser.subparsers_by_name = sub.choices  # argparse's own name -> subparser map
+    for name, (help_text, kwargs, add_flags) in _SUBCOMMANDS.items():
+        add_flags(sub.add_parser(name, help=help_text, **kwargs))
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    args = parser.parse_args(argv)
-    config_path = getattr(args, "config", None)
-    if not config_path:
-        return args
-    values = _parse_config_file(config_path)
-    allowed = set(vars(args))
-    unknown = set(values) - allowed
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's values for ``args.command``, ready for ``set_defaults``.
+
+    Values stay strings, which argparse converts with each flag's ``type``;
+    a ``store_true`` flag (the only ones parsed to a bool) takes true or false.
+    """
+    values: dict[str, object] = {**_parse_config_file(args.config)}
+    unknown = set(values) - (set(vars(args)) - {"command"})
     if unknown:
         raise ConfigError(f"unknown config keys for '{args.command}': {sorted(unknown)}")
-    # defaults must land on the subparser: its own defaults would otherwise
-    # clobber parser-level ones when the subcommand reparses
-    parser.subparsers_by_name[args.command].set_defaults(**values)
-    return parser.parse_args(argv)  # reparse so explicit flags still win
+    for key, val in values.items():
+        if isinstance(getattr(args, key), bool):
+            if val.lower() not in ("true", "false"):
+                raise ConfigError(f"config key '{key}' takes true or false, got {val!r}")
+            values[key] = val.lower() == "true"
+    return values
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, building only the subcommand's own parser when ``argv[0]`` names one.
+
+    That parser is the one ``build_parser`` would hand the arguments to.  Any
+    other argv (none, an option or unknown name first, or arguments the
+    subcommand leaves over) goes through the full parser, so the usage and
+    error texts stay argparse's own.  ``--config`` values become defaults of
+    the subcommand's parser and the arguments are parsed again, so explicit
+    flags still win.
+    """
+    name = argv[0] if argv else None
+    if name in _SUBCOMMANDS:
+        _, kwargs, add_flags = _SUBCOMMANDS[name]
+        sub = argparse.ArgumentParser(prog=f"cosesi {name}", **kwargs)
+        add_flags(sub)
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        if not extra:
+            if args.config:
+                sub.set_defaults(**_config_defaults(args))
+                args, _ = sub.parse_known_args(argv[1:], argparse.Namespace(command=name))
+            return args
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # on the subparser, whose own defaults would clobber top-level ones
+        parser.subparsers_by_name[args.command].set_defaults(**_config_defaults(args))
+        args = parser.parse_args(argv)
+    return args
 
 
 def _emit_result(args, res) -> None:
@@ -464,17 +553,16 @@ def _run(args) -> int:
         return 0
     if cmd == "repro":
         rows = run_repro()
-        print(format_table(rows))
         _emit(args, ["name", "expected", "computed", "abs_err", "tol", "status", "note"],
               [[r.name, r.expected, r.computed, r.err, r.tol, r.status, r.note] for r in rows], [])
+        print(format_table(rows))
         return 0 if all(r.status != "FAIL" for r in rows) else 1
     raise ConfigError(f"unhandled command {cmd}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import shlex
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cosesi import cli
 from cosesi.cli import build_parser, main
 
 from conftest import subprocess_env
@@ -54,6 +56,54 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["ne", "--frobnicate"])
         assert exc.value.code == 2
+
+
+def _exit_and_output(call, capsys):
+    """(exit code, stdout, stderr) of ``call()``, which may exit through SystemExit."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestOneParserPerCall:
+    """``main`` builds only the named subcommand's parser; what that parser
+    would not take whole goes to the full parser, so every text is the same."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([cmd, "--help"] for cmd in SUBCOMMANDS),
+        ["--version"],
+        [],
+        ["walrus"],
+        ["ne", "--bogus"],
+        ["cosesi", "--n", "x"],
+        ["dynamics", "--n", "x"],
+        ["dynamics", "--rho", "1"],  # abbreviations are off for dynamics
+        ["--cost", "pow:3", "ne"],
+    ])
+    def test_same_bytes_as_the_full_parser(self, argv, capsys):
+        assert _exit_and_output(lambda: main(argv), capsys) == _exit_and_output(
+            lambda: build_parser().parse_args(argv), capsys)
+
+    @pytest.mark.parametrize("argv", [["ne", "--cost", "pow:3"], ["cosesi", "--config", "run.cfg"]])
+    def test_known_command_builds_one_parser(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("cost = pow:4\nrho = 1\n")
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("main built the full parser"))
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert progs == [f"cosesi {argv[0]}"]
 
 
 class TestCommands:
@@ -356,6 +406,50 @@ class TestConfigAndDeterminism:
         assert run_cli(args + ["--out", str(a)], capsys)[0] == 0
         assert run_cli(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_non_integer_seed_env_reaches_only_seeded_commands(self, monkeypatch, capsys):
+        monkeypatch.setenv("COSESI_SEED", "abc")
+        code, out, err = run_cli(["ne", "--cost", "pow:3"], capsys)
+        assert code == 0, err
+        assert "0.682327" in out
+        code, out, err = _exit_and_output(lambda: main(["simulate"]), capsys)
+        assert code == 2 and out == ""
+        assert err.endswith("cosesi simulate: error: argument --seed: invalid int value: 'abc'\n")
+
+    @pytest.mark.parametrize("cmd, line, message", [
+        ("dynamics", "T = 5.5", "cosesi dynamics: error: argument --T: invalid int value: '5.5'\n"),
+        ("ne", "command = mc", "config error: unknown config keys for 'ne': ['command']\n"),
+        ("market", "rational = 1", "config error: config key 'rational' takes true or false, got '1'\n"),
+    ])
+    def test_config_value_goes_through_its_flag(self, cmd, line, message, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = _exit_and_output(lambda: main([cmd, "--config", str(cfg)]), capsys)
+        assert code == 2 and out == ""
+        assert err.endswith(message)
+
+    def test_config_store_true_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rational = True\n")
+        assert run_cli(["market", "--config", str(cfg)], capsys) == run_cli(["market", "--rational"], capsys)
+
+    def test_config_out_is_a_path(self, tmp_path):
+        # a digit-only value is a file name, not file descriptor 1
+        (tmp_path / "run.cfg").write_text("out = 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosesi.cli", "ne", "--cost", "linear", "--config", "run.cfg"],
+            capture_output=True, text=True, env=subprocess_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "theta_star=0.5\n"
+        assert (tmp_path / "1").read_text().splitlines()[0] == "concept,theta_star,residual"
+
+    @pytest.mark.parametrize("argv", [["ne", "--cost", "pow:3"], ["repro"]])
+    def test_unwritable_out_exits_2(self, argv, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: cannot write --out {str(path)!r}: No such file or directory\n"
 
     def test_seed_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COSESI_SEED", "99")
