@@ -399,28 +399,28 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
     That parser is the one ``build_parser`` would hand the arguments to.  Any
     other argv (none, an option or unknown name first, or arguments the
-    subcommand leaves over) goes through the full parser, so the usage and
-    error texts stay argparse's own.  ``--config`` values become defaults of
-    the subcommand's parser and the arguments are parsed again, so explicit
-    flags still win.
+    subcommand leaves over) is one the full parser refuses or answers with
+    help, so it goes there for argparse's own text.  ``--config`` values
+    become defaults of the subcommand's parser and the arguments are parsed
+    again, so explicit flags still win.
     """
     name = argv[0] if argv else None
     if name in _SUBCOMMANDS:
         _, kwargs, add_flags = _SUBCOMMANDS[name]
         sub = argparse.ArgumentParser(prog=f"cosesi {name}", **kwargs)
         add_flags(sub)
-        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=name))
+        # argparse converts a string default only when the namespace holds the
+        # default itself; holding None keeps COSESI_SEED unread until the config
+        # file, which may set the seed, is known
+        held = {"seed": None} if sub.get_default("seed") is not None else {}
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=name, **held))
         if not extra:
             if args.config:
                 sub.set_defaults(**_config_defaults(args))
+            if args.config or held:
                 args, _ = sub.parse_known_args(argv[1:], argparse.Namespace(command=name))
             return args
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:  # on the subparser, whose own defaults would clobber top-level ones
-        parser.subparsers_by_name[args.command].set_defaults(**_config_defaults(args))
-        args = parser.parse_args(argv)
-    return args
+    return build_parser().parse_args(argv)  # only ever exits: help, version or a usage error
 
 
 def _emit_result(args, res) -> None:

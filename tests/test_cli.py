@@ -416,6 +416,24 @@ class TestConfigAndDeterminism:
         assert code == 2 and out == ""
         assert err.endswith("cosesi simulate: error: argument --seed: invalid int value: 'abc'\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dgp", "rho:0.6", "--n", "4", "--theta", "0.4", "--draws", "2000"],
+        ["mc", "--cost", "pow:3", "--n", "3", "--dgp", "rho:0.5", "--agents", "10000"],
+    ])
+    def test_config_seed_wins_over_seed_env(self, argv, monkeypatch, capsys, tmp_path):
+        # the config file replaces the COSESI_SEED default, as an explicit --seed does
+        monkeypatch.setenv("COSESI_SEED", "abc")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 5\n")
+        code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert (code, out, err) == run_cli(argv + ["--seed", "5"], capsys)
+        # a config file without a seed leaves the variable in charge
+        cfg.write_text("n = 3\n")
+        code, out, err = _exit_and_output(lambda: main(argv + ["--config", str(cfg)]), capsys)
+        assert code == 2 and out == ""
+        assert err.endswith(f"cosesi {argv[0]}: error: argument --seed: invalid int value: 'abc'\n")
+
     @pytest.mark.parametrize("cmd, line, message", [
         ("dynamics", "T = 5.5", "cosesi dynamics: error: argument --T: invalid int value: '5.5'\n"),
         ("ne", "command = mc", "config error: unknown config keys for 'ne': ['command']\n"),
