@@ -407,7 +407,7 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
     A residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid is
     taken for a continuum of equilibria and raises :class:`ApplicationError`.
     """
-    shutdown_cost = lambda t: min(1.0, max(0.0, spec.cost(1.0 - t)))
+    shutdown_cost = lambda t: np.clip(spec.cost(1.0 - t), 0.0, 1.0)
     # clamped once more: quadrature may leave [0, 1], where vasicek_cdf is undefined
     costs = expected_costs(spec.G, spec.n, shutdown_cost).map(lambda v: min(1.0, max(0.0, v)))
 

@@ -17,13 +17,14 @@ same either way.
 Exit codes: 0 success, 1 solver error, 2 configuration error.  Every spec
 string (--cost, --inference, --dgp, --rho-fn, --groups, --values) is parsed
 before any solve, and one that fails to parse is a configuration error; so
-is an `--out` path that cannot be written.
+is an `--out` path that cannot be written, refused before the solve too.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import os
 import sys
 from functools import partial
@@ -194,6 +195,24 @@ def _emit(args, header: list[str], rows: list[list], summary: list[tuple[str, ob
             raise ConfigError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
     for key, val in summary:
         print(f"{key}={_fmt(val)}")
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written before anything is solved,
+    without creating it: the path must not be a directory, and its parent
+    must be a writable directory (as must the file, if it exists)."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write --out {path!r}: {os.strerror(code)}")
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -567,6 +586,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        if args.out:
+            _check_out(args.out)
         return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,8 +6,12 @@ whose sum y may be correlated, and best-respond to the expected cost
 C_{n,z} = int c dG_{n,z} under an inference procedure G that treats the
 signals as independent.  This module supplies:
 
-* cost functions with shape metadata and derivatives,
+* cost functions with shape metadata and derivatives, evaluated elementwise
+  on float arrays,
 * the inference procedures (MLE, Beta estimation, Bayes with Beta prior),
+  each of whose ``expected_cells`` takes a whole cost grid in one array
+  evaluation: at the sample means, or at the nodes of one fixed-node Gauss
+  rule per Beta cell (``beta_expectation``),
 * every distribution of the action count y used by the solvers: the
   rho-mixtures (iid, rho-mixture, Markov shock), Conway-Maxwell-Binomial,
   additive-binomial, Bahadur joints for n <= 3, sequential sampling; each
@@ -27,8 +31,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .numerics import Tolerance, integrate
 
 __all__ = [
     "ModelError",
@@ -131,10 +133,23 @@ def _classify_shape(ys: np.ndarray) -> frozenset[str]:
     return frozenset(tags)
 
 
+def _evaluate(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """``fn`` at every entry of ``xs``: one call on the array, broadcasting a
+    scalar result; a callable that takes only floats is called per point."""
+    try:
+        out = np.asarray(fn(xs), dtype=float)
+    except (TypeError, ValueError):
+        return np.array([fn(x) for x in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
+    return out if out.shape == xs.shape else np.full(xs.shape, out)
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Continuous cost c: [0,1] -> [0,1] with derivative and shape metadata.
 
+    ``fn`` is called on float arrays (the sample means of a cost grid, the
+    nodes of a Beta rule) and should act elementwise, as every builtin cost
+    does; a callable that takes only floats is called once per point.
     ``deriv`` is analytic when supplied by a builtin constructor, otherwise a
     central difference at step 1e-6 (one-sided at the endpoints).
     """
@@ -145,8 +160,7 @@ class CostFunction:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        xs = np.linspace(0.0, 1.0, _SHAPE_GRID)
-        ys = np.array([self.fn(float(x)) for x in xs])
+        ys = _evaluate(self.fn, np.linspace(0.0, 1.0, _SHAPE_GRID))
         if not self.shape_tags:
             object.__setattr__(self, "shape_tags", _classify_shape(ys))
         if ys.min() < -1e-12 or ys.max() > 1.0 + 1e-12:
@@ -193,7 +207,7 @@ def exp_decay_cost(t_rate: float) -> CostFunction:
     if t_rate < 0:
         raise ModelError(f"exp_decay rate must be >= 0, got {t_rate}")
     return CostFunction(
-        fn=lambda t: math.exp(-t_rate * t),
+        fn=lambda t: np.exp(-t_rate * t),
         deriv=lambda t: -t_rate * math.exp(-t_rate * t),
         shape_tags=frozenset({"decreasing", "convex"}),
         name=f"exp:{t_rate:g}",
@@ -215,7 +229,7 @@ def s_shaped_cost(
         raise ModelError("s_shaped needs 0 < lo < hi < 1")
 
     def sig(x: float) -> float:
-        return 1.0 / (1.0 + math.exp(-x))
+        return 1.0 / (1.0 + np.exp(-x))
 
     s0 = sig(-steepness * midpoint)
     s1 = sig(steepness * (1.0 - midpoint))
@@ -266,50 +280,125 @@ def parse_cost(spec: str) -> CostFunction:
 # Beta expectations (shared by Beta estimation and Bayesian posteriors)
 # ---------------------------------------------------------------------------
 
+_BETA_NODES = 128  # nodes of every Beta rule; 64 leave 1e-8 on sshape:0.05,0.95,50,0.5 at Beta(2, 3)
+_BETA_BLOCK = 64  # cells per node array, so that memory does not grow with n
+_CUSP_SHAPE = 8.0  # a non-integer shape below this puts its endpoint power into the rule's weight
+_FALLOFF = 40.0  # a window ends where the smooth log-density is this far below its peak
+_NEWTON_STEPS = 3  # from the quadratic bound inwards; two already meet the tested errors
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+@lru_cache(maxsize=1024)
+def _gauss_jacobi(m: int, left: float, right: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m-node Gauss rule on [0, 1] for the weight t^left (1 - t)^right, with
+    left, right > -1: the nodes t, the same nodes as 1 - t, and weights that sum
+    to one.  Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
+    of the Jacobi polynomials P^(right, left) on [-1, 1] and each weight is the
+    squared first component of its eigenvector.  left = right = 0 is
+    Gauss-Legendre."""
+    al, be = right, left
+    k = np.arange(1.0, m)
+    s = 2.0 * k + al + be
+    diag = np.empty(m)
+    diag[0] = (be - al) / (al + be + 2.0)
+    diag[1:] = (be * be - al * al) / (s * (s + 2.0))
+    off = np.empty(m - 1)
+    # k = 1 with the factor 1 + al + be cancelled, so that al + be = -1 is allowed
+    off[0] = 4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + al + be) ** 2 * (3.0 + al + be))
+    k, s = k[1:], s[1:]
+    off[1:] = 4.0 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1.0) * (s - 1.0))
+    off = np.sqrt(off)
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = vec[0] ** 2
+    rule = ((1.0 + lam) / 2.0, (1.0 - lam) / 2.0, w / w.sum())
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
-def beta_expectation(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-) -> float:
-    """E[fn(X)] for X ~ Beta(a, b) by adaptive quadrature.
+def _split_shapes(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(power, rest) with power + rest = shape - 1 for each shape.  A cusp,
+    a shape below ``_CUSP_SHAPE`` more than 1e-12 from an integer >= 1, gets
+    the integer rest = ceil(shape - 1) and the power in (-1, 0) that a rule's
+    weight carries, rounded to 12 digits so that the shapes alpha + y of one
+    prior share one rule; any other shape gets power 0 and rest shape - 1."""
+    near = np.round(shapes)
+    cusp = (shapes < _CUSP_SHAPE) & ((near < 1.0) | (np.abs(shapes - near) > 1e-12))
+    rest = np.where(cusp, np.ceil(shapes - 1.0), np.maximum(shapes - 1.0, 0.0))
+    power = np.round(shapes - 1.0 - rest, 12)
+    power = np.where(power > -1.0, power, shapes - 1.0 - rest)  # a shape below 5e-13
+    return np.where(cusp, power, 0.0), rest
 
-    Endpoint singularities for shape parameters below one are removed by the
-    substitutions u = x^a on [0, 1/2] and v = (1-x)^b on [1/2, 1], leaving
-    bounded integrands.
+
+def _windows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The (2, cells) ends [lo, hi] where p log x + q log(1 - x), p, q >= 0,
+    is T = ``_FALLOFF`` below its peak at m = p / (p + q).  This concave
+    function falls at least as fast as its quadratic bound, and on the left
+    at least as fast as p log(x / m) - p (on the right likewise), so
+    lo = max(m - sqrt(2 T m / (p + q)), m exp(-1 - T / p)) and its mirror
+    image hi lie beyond the fall-off points; Newton steps from there stay
+    beyond them while they close in.  A start at or outside 0 or 1 is that
+    endpoint; p = q = 0 gives [0, 1]."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mode = p / (p + q)  # nan for p = q = 0
+        side = np.stack([mode, 1.0 - mode])
+        quadratic = np.sqrt(2.0 * _FALLOFF / (p + q) * side)
+        reach = np.minimum(quadratic, side * -np.expm1(-1.0 - _FALLOFF / np.stack([p, q])))
+        x = mode + reach * [[-1.0], [1.0]]
+        inside = (x > 0.0) & (x < 1.0)
+        x = np.where(inside, x, [[0.0], [1.0]])
+        drop = _FALLOFF - np.where(p > 0.0, p * np.log(mode), 0.0) - np.where(q > 0.0, q * np.log1p(-mode), 0.0)
+        for _ in range(_NEWTON_STEPS):
+            g = p * np.log(x) + q * np.log1p(-x) + drop
+            x = np.where(inside, x - g / (p / x - q / (1.0 - x)), x)
+    return x
+
+
+def beta_expectation(fn: Callable[[float], float], a, b):
+    """E[fn(X)] for X ~ Beta(a, b), elementwise over 1-D arrays of shapes
+    (a float for float shapes).
+
+    Every cell is one fixed 128-node Gauss rule (:func:`_gauss_jacobi`,
+    cached per pair of endpoint powers), and ``fn`` is called on (cells, 128)
+    arrays of nodes, 64 cells at a time.  A non-integer shape below 8 is a
+    cusp: its fractional power x^(a - 1 - k) (or (1 - x)^(b - 1 - k)), k the
+    integer above a - 1, is the Gauss-Jacobi weight on a window that reaches
+    that end.  Every other end is that of windowed Gauss-Legendre, cut where
+    the rest of the log-density, k log x + l log(1 - x), has fallen 40 below
+    its peak (:func:`_windows`).  The weighted sum of fn is divided by the
+    rule's sum of the density, so B(a, b) never enters.
+
+    Tested error, against exact moments and 30-digit quadratures: 1e-13 on
+    pow:1..5 for n up to 200, also for priors with shapes 0.5, 0.93 and 1.25,
+    and 1e-12 on exp:2 and sshape:0.05,0.95,50,0.5 at shapes from (0.5, 0.7)
+    to (198, 2).  The density is exp(k log x + l log(1 - x)), so its relative
+    error grows as (a + b) times the unit roundoff: about 1e-11 at
+    Beta(0.5, 1e6).  A cost that is not smooth where a window reaches an end,
+    such as x^d with a fractional d below 2 at 0 (7e-7 for pow:0.51 at
+    n = 20), or that has a kink inside a window, converges only as a power of
+    the node count.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ModelError(f"Beta parameters must be positive, got ({a}, {b})")
-    log_b = _log_beta(a, b)
-    quad_tol = Tolerance(abs_tol=tol)
-
-    def density_integrand(x: float) -> float:
-        return fn(x) * x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)
-
-    if a < 1.0:  # u = x^a removes the singularity at 0
-
-        def left(u: float) -> float:
-            x = u ** (1.0 / a)
-            return fn(x) * (1.0 - x) ** (b - 1.0)
-
-        total = integrate(left, 0.0, 0.5**a, quad_tol) / a
-    else:
-        total = integrate(density_integrand, 0.0, 0.5, quad_tol)
-    if b < 1.0:  # v = (1-x)^b removes the singularity at 1
-
-        def right(v: float) -> float:
-            x = 1.0 - v ** (1.0 / b)
-            return fn(x) * x ** (a - 1.0)
-
-        total += integrate(right, 0.0, 0.5**b, quad_tol) / b
-    else:
-        total += integrate(density_integrand, 0.5, 1.0, quad_tol)
-    return total / math.exp(log_b)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    bad = ~((a > 0.0) & (b > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ModelError(f"Beta parameters must be positive, got ({a[i]}, {b[i]})")
+    (left, right), (p, q) = _split_shapes(np.stack([a, b]))
+    lo, hi = np.where([left != 0.0, right != 0.0], [[0.0], [1.0]], _windows(p, q))
+    keys, which = np.unique(left + 1j * right, return_inverse=True)
+    rules = [_gauss_jacobi(_BETA_NODES, key.real, key.imag) for key in keys.tolist()]
+    nodes, flipped, weights = (np.stack([r[i] for r in rules]) for i in range(3))
+    out = np.empty(a.size)
+    for i in range(0, a.size, _BETA_BLOCK):
+        cells = slice(i, i + _BETA_BLOCK)
+        rule, width = which[cells], (hi[cells] - lo[cells])[:, None]
+        x = lo[cells, None] + width * nodes[rule]  # x and 1 - x, each exact where it is small
+        y = (1.0 - hi[cells])[:, None] + width * flipped[rule]
+        log_h = p[cells, None] * np.log(x) + q[cells, None] * np.log(y)
+        wh = weights[rule] * np.exp(log_h - log_h.max(axis=1, keepdims=True))
+        out[cells] = (wh * _evaluate(fn, x)).sum(axis=1) / wh.sum(axis=1)
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +416,17 @@ def _check_sample_mean(n: int, z: float) -> int:
 
 
 class InferenceProcedure:
-    """Family of estimate distributions G_{n,z}, FOSD-increasing in z."""
+    """Family of estimate distributions G_{n,z}, FOSD-increasing in z.
+
+    ``expected_cells(n, ys, fn)`` gives int fn dG_{n, y/n} for an integer
+    array of counts ys in one array evaluation of ``fn``; each subclass's
+    ``expected_value`` is its one-cell case, bit for bit.
+    """
 
     kind: str = "abstract"
+
+    def expected_cells(self, n: int, ys: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
+        raise NotImplementedError
 
     def expected_value(self, n: int, z: float, fn: Callable[[float], float]) -> float:
         raise NotImplementedError
@@ -337,6 +434,9 @@ class InferenceProcedure:
     def expected_cost(self, n: int, z: float, cost: Callable[[float], float]) -> float:
         """C_{n,z} = int cost dG_{n,z}."""
         return self.expected_value(n, z, cost)
+
+    def _one_cell(self, n: int, z: float, fn: Callable[[float], float]) -> float:
+        return float(self.expected_cells(n, np.array([_check_sample_mean(n, z)]), fn)[0])
 
     def __repr__(self) -> str:  # pragma: no cover
         return self.kind
@@ -347,21 +447,34 @@ class MLE(InferenceProcedure):
 
     kind = "mle"
 
+    def expected_cells(self, n: int, ys: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
+        return _evaluate(fn, ys / n)
+
     def expected_value(self, n: int, z: float, fn: Callable[[float], float]) -> float:
-        _check_sample_mean(n, z)
-        return fn(z)
+        return self._one_cell(n, z, fn)
 
 
 class BetaEstimation(InferenceProcedure):
-    """Beta(zn, (1-z)n) estimate for interior samples, MLE at z in {0, 1}."""
+    """Beta(zn, (1-z)n) estimate for interior samples, MLE at z in {0, 1}.
+
+    The shapes are the integers y and n - y, so no cell has a cusp: every
+    interior cell is windowed 128-node Gauss-Legendre (:func:`beta_expectation`),
+    tested to 1e-13 against the exact moments of pow:1..5 for n up to 200.
+    """
 
     kind = "beta"
 
+    def expected_cells(self, n: int, ys: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
+        out = np.empty(len(ys))
+        inner = (ys > 0) & (ys < n)
+        if not inner.all():
+            out[~inner] = _evaluate(fn, ys[~inner] / n)
+        if inner.any():
+            out[inner] = beta_expectation(fn, ys[inner].astype(float), (n - ys[inner]).astype(float))
+        return out
+
     def expected_value(self, n: int, z: float, fn: Callable[[float], float]) -> float:
-        y = _check_sample_mean(n, z)
-        if y == 0 or y == n:
-            return fn(float(y // n))
-        return beta_expectation(fn, float(y), float(n - y))
+        return self._one_cell(n, z, fn)
 
 
 class BayesBeta(InferenceProcedure):
@@ -372,6 +485,12 @@ class BayesBeta(InferenceProcedure):
     procedure; interior rho is rejected at construction.  Under rho = 0 the
     aware posterior is the iid one, so zeta has no effect.  Under rho = 1 the
     aware posterior exists only for polarized samples y in {0, n}.
+
+    Each posterior expectation is one cell of :func:`beta_expectation`: a
+    prior shape that is not an integer gives the cells near y = 0 and y = n
+    a cusp, taken into a Gauss-Jacobi weight (one rule per prior side); the
+    rest are windowed Gauss-Legendre.  Tested to 1e-13 on pow:1..5 for priors
+    with shapes 0.5, 0.93 and 1.25 and n up to 200.
     """
 
     kind = "bayes"
@@ -390,13 +509,16 @@ class BayesBeta(InferenceProcedure):
         self.rho = float(rho)
         self.zeta = float(zeta)
 
-    def expected_value(self, n: int, z: float, fn: Callable[[float], float]) -> float:
-        y = _check_sample_mean(n, z)
-        naive = beta_expectation(fn, *bayes_posterior(self.alpha, self.beta, n, y, "iid"))
+    def expected_cells(self, n: int, ys: np.ndarray, fn: Callable[[float], float]) -> np.ndarray:
+        # the iid posterior Beta(alpha + y, beta + n - y) of every cell
+        naive = beta_expectation(fn, self.alpha + ys, self.beta + (n - ys))
         if self.rho == 0.0 or self.zeta == 1.0:
             return naive
-        aware = beta_expectation(fn, *bayes_posterior(self.alpha, self.beta, n, y, "polarized"))
-        return self.zeta * naive + (1.0 - self.zeta) * aware
+        aware = np.array([bayes_posterior(self.alpha, self.beta, n, y, "polarized") for y in ys.tolist()])
+        return self.zeta * naive + (1.0 - self.zeta) * beta_expectation(fn, aware[:, 0], aware[:, 1])
+
+    def expected_value(self, n: int, z: float, fn: Callable[[float], float]) -> float:
+        return self._one_cell(n, z, fn)
 
 
 def expected_cost(
@@ -448,9 +570,11 @@ def binom_pmf(n: int, theta: float) -> np.ndarray:
 
     The scalar Bernstein kernel that :func:`bernstein` and
     :func:`weighted_bernstein` sum, kept beside the row kernel ``_binom_rows``
-    because it is the hot path of every unique-root solve: at n = 200 one call
-    costs 5 us against 15 us for a one-row ``_binom_rows`` (Python 3.11,
-    numpy 2.4, Intel Xeon, 2 vCPUs).
+    because it is the hot path of every unique-root solve: with the cost grids
+    one array evaluation each, its 3 320 calls are the second largest self
+    time of a unique-workload pass, after the assortative quadratures.  One
+    call costs 5 us at n = 20 and 9 us at n = 200, against 23 and 20 us for a
+    one-row ``_binom_rows`` (Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs).
     """
     if n < 0:
         raise UnsupportedN(f"n must be >= 0, got {n}")
@@ -682,10 +806,12 @@ def additive_binomial_rho_bounds(n: int, theta: float) -> tuple[float, float]:
 
 
 def joint_count_probs(n: int, joint: Sequence[float]) -> np.ndarray:
-    """Fold a joint over 2^n outcomes (binary little-endian, the last axis) onto the count y."""
+    """Fold a joint over 2^n outcomes (binary little-endian, the last axis) onto
+    the count y.  Each row goes through its own one-row product, as in
+    :func:`row_dots`, so a row does not depend on the others beside it."""
     joint = np.asarray(joint, dtype=float)
     counts = np.array([bin(b).count("1") for b in range(joint.shape[-1])])
-    return joint @ (counts[:, None] == np.arange(n + 1))
+    return np.matmul(joint[..., None, :], counts[:, None] == np.arange(n + 1))[..., 0, :]
 
 
 def action_count_pmf(dgp: SignalDGP, n: int, theta: float) -> ActionCountPMF:

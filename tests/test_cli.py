@@ -469,6 +469,24 @@ class TestConfigAndDeterminism:
         assert code == 2 and out == ""
         assert err == f"config error: cannot write --out {str(path)!r}: No such file or directory\n"
 
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/x.csv", "No such file or directory"),
+        ("file.txt/x.csv", "Not a directory"),
+        ("", "Is a directory"),
+    ])
+    def test_unwritable_out_is_refused_before_solving(self, where, reason, capsys, tmp_path, monkeypatch):
+        (tmp_path / "file.txt").write_text("")
+
+        def boom():
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_repro", boom)
+        path = str(tmp_path / where) if where else str(tmp_path)
+        code, out, err = run_cli(["repro", "--out", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: cannot write --out {path!r}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
     def test_seed_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("COSESI_SEED", "99")
         args = build_parser().parse_args(["simulate"])
