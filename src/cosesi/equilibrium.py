@@ -141,10 +141,11 @@ def cost_grid(G: InferenceProcedure, n: int, cost: Callable[[float], float]) -> 
     ``G.expected_value(n, y / n, cost)`` bit for bit.
 
     MLE reads ``cost`` at ``np.arange(n + 1) / n``.  Beta estimation and the
-    Bayes posteriors take every cell through one 128-node Gauss rule
-    (``model.beta_expectation``: windowed Gauss-Legendre, or Gauss-Jacobi
-    where a non-integer shape below 8 puts a cusp at an end), tested to 1e-13
-    on pow costs for n up to 200 and to 1e-12 on exp and steep S-shaped costs.
+    Bayes posteriors take every cell through fixed-node Gauss rules
+    (``model.beta_expectation``: 128-node Gauss-Legendre on a window, and a
+    graded 64-node Gauss-Jacobi panel at an end where a shape is below 4),
+    tested to 1e-13 on pow costs for n up to 200 and to 1e-12 on fractional
+    powers, exp and steep S-shaped costs.
     """
     _check_n(n)
     return G.expected_cells(n, np.arange(n + 1), cost)

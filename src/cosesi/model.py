@@ -280,53 +280,46 @@ def parse_cost(spec: str) -> CostFunction:
 # Beta expectations (shared by Beta estimation and Bayesian posteriors)
 # ---------------------------------------------------------------------------
 
-_BETA_NODES = 128  # nodes of every Beta rule; 64 leave 1e-8 on sshape:0.05,0.95,50,0.5 at Beta(2, 3)
+_BETA_NODES = 128  # nodes of the body rule; 64 leave 4e-10 on sshape:0.05,0.95,50,0.5 at Beta(2, 3)
+_PANEL_NODES = 64  # nodes of an end panel
+_PANEL_SHAPE = 4.0  # a shape below this gets an end panel at its end
+_PANEL_GRADING = 16  # x = c u^16 on an end panel
+_PANEL_SHARE = 1.0 / 16.0  # an end panel's share of the window
 _BETA_BLOCK = 64  # cells per node array, so that memory does not grow with n
-_CUSP_SHAPE = 8.0  # a non-integer shape below this puts its endpoint power into the rule's weight
-_FALLOFF = 40.0  # a window ends where the smooth log-density is this far below its peak
-_NEWTON_STEPS = 3  # from the quadratic bound inwards; two already meet the tested errors
+_FALLOFF = 40.0  # a window ends where the log-density is this far below its peak
+_NEWTON_STEPS = 3  # from the safe start inwards; two already meet the tested errors
 
 
 @lru_cache(maxsize=1024)
-def _gauss_jacobi(m: int, left: float, right: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m-node Gauss rule on [0, 1] for the weight t^left (1 - t)^right, with
-    left, right > -1: the nodes t, the same nodes as 1 - t, and weights that sum
-    to one.  Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
-    of the Jacobi polynomials P^(right, left) on [-1, 1] and each weight is the
-    squared first component of its eigenvector.  left = right = 0 is
+def _gauss_jacobi(m: int, power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m-node Gauss rule on [0, 1] for the weight t^power, power > -1: the
+    nodes t, the same nodes as 1 - t, and the weights, which sum to
+    1 / (power + 1).  Golub-Welsch: the nodes are the eigenvalues of the
+    Jacobi matrix of the Jacobi polynomials P^(0, power) on [-1, 1] and each
+    weight is the squared first component of its eigenvector.  power = 0 is
     Gauss-Legendre."""
-    al, be = right, left
     k = np.arange(1.0, m)
-    s = 2.0 * k + al + be
-    diag = np.empty(m)
-    diag[0] = (be - al) / (al + be + 2.0)
-    diag[1:] = (be * be - al * al) / (s * (s + 2.0))
-    off = np.empty(m - 1)
-    # k = 1 with the factor 1 + al + be cancelled, so that al + be = -1 is allowed
-    off[0] = 4.0 * (1.0 + al) * (1.0 + be) / ((2.0 + al + be) ** 2 * (3.0 + al + be))
-    k, s = k[1:], s[1:]
-    off[1:] = 4.0 * k * (k + al) * (k + be) * (k + al + be) / (s * s * (s + 1.0) * (s - 1.0))
-    off = np.sqrt(off)
+    s = 2.0 * k + power
+    diag = np.concatenate([[power / (power + 2.0)], power * power / (s * (s + 2.0))])
+    off = 2.0 * k * (k + power) / (s * np.sqrt(s * s - 1.0))
     lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = vec[0] ** 2
-    rule = ((1.0 + lam) / 2.0, (1.0 - lam) / 2.0, w / w.sum())
+    rule = ((1.0 + lam) / 2.0, (1.0 - lam) / 2.0, w / (w.sum() * (power + 1.0)))
     for arr in rule:
         arr.setflags(write=False)
     return rule
 
 
-def _split_shapes(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(power, rest) with power + rest = shape - 1 for each shape.  A cusp,
-    a shape below ``_CUSP_SHAPE`` more than 1e-12 from an integer >= 1, gets
-    the integer rest = ceil(shape - 1) and the power in (-1, 0) that a rule's
-    weight carries, rounded to 12 digits so that the shapes alpha + y of one
-    prior share one rule; any other shape gets power 0 and rest shape - 1."""
-    near = np.round(shapes)
-    cusp = (shapes < _CUSP_SHAPE) & ((near < 1.0) | (np.abs(shapes - near) > 1e-12))
-    rest = np.where(cusp, np.ceil(shapes - 1.0), np.maximum(shapes - 1.0, 0.0))
-    power = np.round(shapes - 1.0 - rest, 12)
-    power = np.where(power > -1.0, power, shapes - 1.0 - rest)  # a shape below 5e-13
-    return np.where(cusp, power, 0.0), rest
+def _panel_powers(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(power, rest) with power + rest = 16 s - 1 for each shape s, the power
+    of u in x^(s - 1) dx on x = c u^16: the integer rest = ceil(16 s - 1), and
+    the power in (-1, 0] that the panel rule's weight carries, rounded to 12
+    digits so that the shapes alpha + y of one prior share one rule."""
+    e = _PANEL_GRADING * shapes - 1.0
+    near = np.round(e)
+    rest = np.where(np.abs(e - near) <= 1e-9, near, np.ceil(e))
+    power = np.round(e - rest, 12)
+    return np.where(power > -1.0, power, e - rest), rest  # a shape below 3e-14
 
 
 def _windows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -357,25 +350,25 @@ def beta_expectation(fn: Callable[[float], float], a, b):
     """E[fn(X)] for X ~ Beta(a, b), elementwise over 1-D arrays of shapes
     (a float for float shapes).
 
-    Every cell is one fixed 128-node Gauss rule (:func:`_gauss_jacobi`,
-    cached per pair of endpoint powers), and ``fn`` is called on (cells, 128)
-    arrays of nodes, 64 cells at a time.  A non-integer shape below 8 is a
-    cusp: its fractional power x^(a - 1 - k) (or (1 - x)^(b - 1 - k)), k the
-    integer above a - 1, is the Gauss-Jacobi weight on a window that reaches
-    that end.  Every other end is that of windowed Gauss-Legendre, cut where
-    the rest of the log-density, k log x + l log(1 - x), has fallen 40 below
-    its peak (:func:`_windows`).  The weighted sum of fn is divided by the
-    rule's sum of the density, so B(a, b) never enters.
+    Each cell's window [lo, hi] ends where the log-density, (a - 1) log x +
+    (b - 1) log(1 - x), has fallen 40 below its peak (:func:`_windows`), or
+    at 0 (at 1) for a (b) below 4.  There, at a cusp of the density or of the
+    cost (x^d with a fractional d), an end panel takes 1/16 of the window:
+    x = c u^16 turns x^(a - 1) dx into 16 c^a u^(16 a - 1) du, whose
+    fractional power is the weight of a 64-node Gauss-Jacobi rule (one per
+    prior side, cached), and lifts x^d to u^(16 d).  The rest of the window is
+    128-node Gauss-Legendre.  ``fn`` is called on the nodes of 64 cells at a
+    time, and the weighted sum of fn is divided by that of the density, so
+    B(a, b) never enters.
 
     Tested error, against exact moments and 30-digit quadratures: 1e-13 on
     pow:1..5 for n up to 200, also for priors with shapes 0.5, 0.93 and 1.25,
-    and 1e-12 on exp:2 and sshape:0.05,0.95,50,0.5 at shapes from (0.5, 0.7)
-    to (198, 2).  The density is exp(k log x + l log(1 - x)), so its relative
-    error grows as (a + b) times the unit roundoff: about 1e-11 at
-    Beta(0.5, 1e6).  A cost that is not smooth where a window reaches an end,
-    such as x^d with a fractional d below 2 at 0 (7e-7 for pow:0.51 at
-    n = 20), or that has a kink inside a window, converges only as a power of
-    the node count.
+    1e-12 on pow:0.3, 0.51, 1.5 and 2.3, and 1e-12 on exp:2 and
+    sshape:0.05,0.95,50,0.5 at shapes from (0.5, 0.7) to (198, 2).  The
+    density is exp((a - 1) log x + (b - 1) log(1 - x)), so its relative error
+    grows as (a + b) times the unit roundoff: about 1e-11 at Beta(0.5, 1e6).
+    A cost with a kink inside a window converges only as a power of the node
+    count.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -384,20 +377,43 @@ def beta_expectation(fn: Callable[[float], float], a, b):
     if bad.any():
         i = int(np.argmax(bad))
         raise ModelError(f"Beta parameters must be positive, got ({a[i]}, {b[i]})")
-    (left, right), (p, q) = _split_shapes(np.stack([a, b]))
-    lo, hi = np.where([left != 0.0, right != 0.0], [[0.0], [1.0]], _windows(p, q))
-    keys, which = np.unique(left + 1j * right, return_inverse=True)
-    rules = [_gauss_jacobi(_BETA_NODES, key.real, key.imag) for key in keys.tolist()]
-    nodes, flipped, weights = (np.stack([r[i] for r in rules]) for i in range(3))
+    shapes = np.stack([a, b])
+    panel = shapes < _PANEL_SHAPE  # (2, cells): an end panel at 0, at 1
+    lo, hi = np.where(panel, [[0.0], [1.0]], _windows(np.maximum(a - 1.0, 0.0), np.maximum(b - 1.0, 0.0)))
+    share = (hi - lo) * _PANEL_SHARE
+    lo, hi = lo + panel[0] * share, hi - panel[1] * share  # the body
+    width = hi - lo
+    body_t, body_u, body_w = _gauss_jacobi(_BETA_NODES, 0.0)
+    powers, rests = _panel_powers(shapes)
     out = np.empty(a.size)
     for i in range(0, a.size, _BETA_BLOCK):
-        cells = slice(i, i + _BETA_BLOCK)
-        rule, width = which[cells], (hi[cells] - lo[cells])[:, None]
-        x = lo[cells, None] + width * nodes[rule]  # x and 1 - x, each exact where it is small
-        y = (1.0 - hi[cells])[:, None] + width * flipped[rule]
-        log_h = p[cells, None] * np.log(x) + q[cells, None] * np.log(y)
-        wh = weights[rule] * np.exp(log_h - log_h.max(axis=1, keepdims=True))
-        out[cells] = (wh * _evaluate(fn, x)).sum(axis=1) / wh.sum(axis=1)
+        cells = np.arange(i, min(i + _BETA_BLOCK, a.size))
+        x = lo[cells, None] + width[cells, None] * body_t  # x and 1 - x, each exact where it is small
+        y = (1.0 - hi[cells])[:, None] + width[cells, None] * body_u
+        log_h = (a[cells] - 1.0)[:, None] * np.log(x) + (b[cells] - 1.0)[:, None] * np.log(y)
+        # the end panels of these cells, those at 0 first: v = c u^16 is the distance to the end
+        side, row = np.nonzero(panel[:, cells])
+        cell = cells[row]
+        if row.size:
+            keys, which = np.unique(powers[side, cell], return_inverse=True)
+            rules = [_gauss_jacobi(_PANEL_NODES, key) for key in keys.tolist()]
+            u, w = (np.stack([r[j] for r in rules])[which] for j in (0, 2))
+        else:
+            u = w = np.empty((0, _PANEL_NODES))
+        c = share[cell, None]
+        v = c * u**_PANEL_GRADING
+        near, far = shapes[side, cell], shapes[1 - side, cell]
+        log_p = (np.log(_PANEL_GRADING * c / width[cell, None]) + (near - 1.0)[:, None] * np.log(c)
+                 + rests[side, cell, None] * np.log(u) + (far - 1.0)[:, None] * np.log1p(-v))
+        top = log_h.max(axis=1)
+        np.maximum.at(top, row, log_p.max(axis=1))
+        wh = body_w * np.exp(log_h - top[:, None])
+        wp = w * np.exp(log_p - top[row, None])
+        f = _evaluate(fn, np.concatenate([x.ravel(), np.where(side[:, None] == 0, v, 1.0 - v).ravel()]))
+        num, den = (wh * f[: x.size].reshape(x.shape)).sum(axis=1), wh.sum(axis=1)
+        np.add.at(num, row, (wp * f[x.size :].reshape(v.shape)).sum(axis=1))
+        np.add.at(den, row, wp.sum(axis=1))
+        out[cells] = num / den
     return float(out[0]) if scalar else out
 
 
@@ -457,9 +473,11 @@ class MLE(InferenceProcedure):
 class BetaEstimation(InferenceProcedure):
     """Beta(zn, (1-z)n) estimate for interior samples, MLE at z in {0, 1}.
 
-    The shapes are the integers y and n - y, so no cell has a cusp: every
-    interior cell is windowed 128-node Gauss-Legendre (:func:`beta_expectation`),
-    tested to 1e-13 against the exact moments of pow:1..5 for n up to 200.
+    Every interior cell is a cell of :func:`beta_expectation`: windowed
+    128-node Gauss-Legendre, with an end panel at 0 for y below 4 and at 1 for
+    n - y below 4, where x^d costs with a fractional d are not smooth.  Tested
+    to 1e-13 against the exact moments of pow:1..5 for n up to 200, and to
+    1e-12 on pow:0.1 to pow:2.3 at n = 20.
     """
 
     kind = "beta"
@@ -486,11 +504,12 @@ class BayesBeta(InferenceProcedure):
     aware posterior is the iid one, so zeta has no effect.  Under rho = 1 the
     aware posterior exists only for polarized samples y in {0, n}.
 
-    Each posterior expectation is one cell of :func:`beta_expectation`: a
-    prior shape that is not an integer gives the cells near y = 0 and y = n
-    a cusp, taken into a Gauss-Jacobi weight (one rule per prior side); the
-    rest are windowed Gauss-Legendre.  Tested to 1e-13 on pow:1..5 for priors
-    with shapes 0.5, 0.93 and 1.25 and n up to 200.
+    Each posterior expectation is one cell of :func:`beta_expectation`: the
+    cells whose shape alpha + y (beta + n - y) is below 4 get an end panel at
+    0 (at 1), whose Gauss-Jacobi weight carries the cusp of a fractional
+    prior shape (one rule per prior side); the rest of each window is
+    Gauss-Legendre.  Tested to 1e-13 on pow:1..5 for priors with shapes 0.5,
+    0.93 and 1.25 and n up to 200.
     """
 
     kind = "bayes"

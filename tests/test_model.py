@@ -121,8 +121,8 @@ class TestBetaExpectation:
 
     @pytest.mark.parametrize("a, b", [(2.5, 0.7), (0.4, 3.0)])
     def test_cusp_cells_exact_third_moment(self, a, b):
-        # a shape below 1 puts an unbounded cusp at one end, carried by the
-        # Gauss-Jacobi weight; a fractional shape above 1 a weaker one
+        # a shape below 1 puts an unbounded cusp at one end, a fractional
+        # shape above 1 a weaker one; the end panels take both
         assert beta_expectation(power_cost(3), a, b) == pytest.approx(_beta_moment(3, a, b), abs=1e-15)
 
     def test_arrays_of_shapes(self):
@@ -132,21 +132,21 @@ class TestBetaExpectation:
         assert got.tolist() == [beta_expectation(power_cost(2), x, y) for x, y in zip(a, b)]
 
     def test_one_rule_per_endpoint_power(self):
-        # the shapes alpha + y of one prior share the rule of their fractional part
+        # the shapes alpha + y of one prior share the panel rule of their fractional part
         model._gauss_jacobi.cache_clear()
         BayesBeta(0.93, 1.25, 0.0).expected_cells(200, np.arange(201), power_cost(2))
-        # Legendre and the two one-sided cusp rules; no cell has both cusps at n = 200
+        # the body's Legendre rule; at 0 the power of 16 (0.93 + y) - 1, -0.12;
+        # at 1 that of 16 (1.25 + y) - 1, an integer, so 64-node Legendre
         assert model._gauss_jacobi.cache_info().currsize == 3
 
-    @pytest.mark.parametrize("m", [4, 16, 128])
-    @pytest.mark.parametrize("left, right", [(0.0, 0.0), (-0.5, 0.0), (0.0, -0.75), (-0.3, -0.9)])
-    def test_gauss_jacobi_rule_is_exact_to_its_degree(self, m, left, right):
-        # sum_j w_j t_j^k = B(left + 1 + k, right + 1) / B(left + 1, right + 1) for k < 2m
-        t, u, w = model._gauss_jacobi(m, left, right)
+    @pytest.mark.parametrize("m", [4, 16, 64, 128])
+    @pytest.mark.parametrize("power", [0.0, -0.12, -0.5, -0.75, -0.99])
+    def test_gauss_jacobi_rule_is_exact_to_its_degree(self, m, power):
+        # sum_j w_j t_j^k = int_0^1 t^(power + k) dt for k < 2m
+        t, u, w = model._gauss_jacobi(m, power)
         assert np.all(np.abs(t + u - 1.0) <= 2e-16)
         for k in range(2 * m):
-            want = math.prod((left + 1 + j) / (left + right + 2 + j) for j in range(k))
-            assert float(w @ t**k) == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert float(w @ t**k) == pytest.approx(1.0 / (power + 1.0 + k), rel=1e-12)
 
 
 def _beta_moment(d, a, b):
@@ -173,21 +173,19 @@ class TestBetaAccuracy:
             want = [_beta_moment(d, a, b) if a and b else float(a > 0) for a, b in shapes]
             assert np.max(np.abs(grid - want)) <= 1e-13, d
 
-    @pytest.mark.parametrize("d, bound", [
-        (1.5, 1e-10),
-        (2.3, 1e-12),
-        pytest.param(0.51, 1e-12, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 4: a cost with a fractional power below 2 at an end "
-            "that a window reaches converges only as m^(-2d-2); 7e-7 here")),
-    ])
-    def test_fractional_power_cells(self, d, bound):
-        # E[X^d] = B(a + d, b) / B(a, b); x^d is not smooth at 0, where the
-        # windows of the cells y = 1, 2 reach
+    @pytest.mark.parametrize("d", [0.1, 0.3, 0.51, 1.5, 2.3])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 0.93), (1.25, 0.5)])
+    def test_fractional_power_cells(self, d, alpha, beta):
+        # E[X^d] = B(a + d, b) / B(a, b); x^d is not smooth at 0, so the cells
+        # whose density is not negligible there need their end panel
         n = 20
-        grid = cost_grid(BetaEstimation(), n, power_cost(d))
+        G = BayesBeta(alpha, beta, 0.0) if alpha else BetaEstimation()
+        grid = cost_grid(G, n, power_cost(d))
+        ys = range(n + 1) if alpha else range(1, n)
         lg = math.lgamma
-        want = [math.exp(lg(y + d) + lg(n) - lg(y) - lg(n + d)) for y in range(1, n)]
-        assert np.max(np.abs(grid[1:-1] - want)) <= bound
+        want = [math.exp(lg(a + d) + lg(a + b) - lg(a) - lg(a + b + d))
+                for a, b in ((alpha + y, beta + n - y) for y in ys)]
+        assert np.max(np.abs(grid[list(ys)] - want)) <= 1e-12
 
     @pytest.mark.parametrize("a, b", [(1.05, 3.0), (0.5, 0.7), (2.0, 3.0), (3.0, 7.0),
                                       (150.0, 50.0), (198.0, 2.0)])
