@@ -285,26 +285,56 @@ _PANEL_NODES = 64  # nodes of an end panel
 _PANEL_SHAPE = 4.0  # a shape below this gets an end panel at its end
 _PANEL_GRADING = 16  # x = c u^16 on an end panel
 _PANEL_SHARE = 1.0 / 16.0  # an end panel's share of the window
-_BETA_BLOCK = 64  # cells per node array, so that memory does not grow with n
+_BETA_BLOCK = 32  # cells per node array, so that memory does not grow with n
 _FALLOFF = 40.0  # a window ends where the log-density is this far below its peak
 _NEWTON_STEPS = 3  # from the safe start inwards; two already meet the tested errors
+_RULE_NEWTON_STEPS = 4  # on the zeros of P_m; three leave 2e-12 at power -0.99
 
 
 @lru_cache(maxsize=1024)
 def _gauss_jacobi(m: int, power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m-node Gauss rule on [0, 1] for the weight t^power, power > -1: the
     nodes t, the same nodes as 1 - t, and the weights, which sum to
-    1 / (power + 1).  Golub-Welsch: the nodes are the eigenvalues of the
-    Jacobi matrix of the Jacobi polynomials P^(0, power) on [-1, 1] and each
-    weight is the squared first component of its eigenvector.  power = 0 is
-    Gauss-Legendre."""
+    1 / (power + 1).  power = 0 is Gauss-Legendre.
+
+    On [-1, 1] the weight is (1 + x)^power and the nodes are the zeros of the
+    Jacobi polynomial P_m^(0, power): Newton steps on its three-term
+    recurrence from the Gatteschi-Pittaluga estimates (Hale and Townsend,
+    SIAM J. Sci. Comput. 35, 2013).  The weights are the Christoffel numbers
+    1 / sum_k p_k(x)^2 of the orthonormal polynomials, whose recurrence is
+    the Jacobi matrix of Golub and Welsch (Math. Comp. 23, 1969).  Their
+    eigenvalue route, ``np.linalg.eigh``, gives the same rule (a test
+    compares them) but pages in LAPACK: 2 MB of peak memory, and with BLAS
+    threads unpinned its first call in a process can take 200 ms.
+    """
+    n = np.arange(2.0, m + 1)
+    c = 2.0 * n + power
+    den = 2.0 * n * (n + power) * (c - 2.0)
+    # 2n (n + power)(c - 2) P_n = (c - 1)(c (c - 2) x - power^2) P_{n-1} - 2 (n - 1)(n + power - 1) c P_{n-2}
+    steps = list(zip(((c - 1.0) * c * (c - 2.0) / den).tolist(), (-(c - 1.0) * power * power / den).tolist(),
+                     (2.0 * (n - 1.0) * (n + power - 1.0) * c / den).tolist()))
+    rho = m + (power + 1.0) / 2.0
+    phi = (np.arange(1, m + 1) - 0.25) * np.pi / rho
+    half = np.tan(phi / 2.0)
+    x = np.cos(phi + (0.25 / half - (0.25 - power * power) * half) / (4.0 * rho * rho))
+    cm = 2.0 * m + power
+    for _ in range(_RULE_NEWTON_STEPS):
+        p0, p1 = np.ones(m), 1.0 + (power + 2.0) * (x - 1.0) / 2.0
+        for a, b, d in steps:
+            p0, p1 = p1, (a * x + b) * p1 - d * p0
+        dp = m * ((-power - cm * x) * p1 + 2.0 * (m + power) * p0) / (cm * (1.0 - x) * (1.0 + x))
+        x = x - p1 / dp
     k = np.arange(1.0, m)
     s = 2.0 * k + power
     diag = np.concatenate([[power / (power + 2.0)], power * power / (s * (s + 2.0))])
     off = 2.0 * k * (k + power) / (s * np.sqrt(s * s - 1.0))
-    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = vec[0] ** 2
-    rule = ((1.0 + lam) / 2.0, (1.0 - lam) / 2.0, w / (w.sum() * (power + 1.0)))
+    p0, p1, norm, b0 = np.zeros(m), np.ones(m), np.ones(m), 0.0
+    for a, b1 in zip(diag.tolist(), off.tolist()):
+        p0, p1, b0 = p1, ((x - a) * p1 - b0 * p0) / b1, b1
+        norm += p1 * p1
+    # each Christoffel number stands alone: a sum to normalise by would carry the
+    # error of the largest, at the node nearest 0, into every other weight
+    rule = ((1.0 + x[::-1]) / 2.0, (1.0 - x[::-1]) / 2.0, 1.0 / (norm[::-1] * (power + 1.0)))
     for arr in rule:
         arr.setflags(write=False)
     return rule

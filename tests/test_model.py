@@ -139,6 +139,20 @@ class TestBetaExpectation:
         # at 1 that of 16 (1.25 + y) - 1, an integer, so 64-node Legendre
         assert model._gauss_jacobi.cache_info().currsize == 3
 
+    @pytest.mark.parametrize("m", [2, 16, 64, 128])
+    @pytest.mark.parametrize("power", [0.0, -0.12, -0.5, -0.75, -0.99])
+    def test_gauss_jacobi_rule_is_golub_welsch(self, m, power):
+        # the eigenvalues of the Jacobi matrix of P^(0, power) and the squared
+        # first components of their eigenvectors
+        k = np.arange(1.0, m)
+        s = 2.0 * k + power
+        diag = np.concatenate([[power / (power + 2.0)], power * power / (s * (s + 2.0))])
+        off = 2.0 * k * (k + power) / (s * np.sqrt(s * s - 1.0))
+        lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        t, u, w = model._gauss_jacobi(m, power)
+        np.testing.assert_allclose(t, (1.0 + lam) / 2.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(w, vec[0] ** 2 / (power + 1.0), rtol=2e-12)
+
     @pytest.mark.parametrize("m", [4, 16, 64, 128])
     @pytest.mark.parametrize("power", [0.0, -0.12, -0.5, -0.75, -0.99])
     def test_gauss_jacobi_rule_is_exact_to_its_degree(self, m, power):
