@@ -10,8 +10,8 @@ signals as independent.  This module supplies:
   on float arrays,
 * the inference procedures (MLE, Beta estimation, Bayes with Beta prior),
   each of whose ``expected_cells`` takes a whole cost grid in one array
-  evaluation: at the sample means, or at the nodes of one fixed-node Gauss
-  rule per Beta cell (``beta_expectation``),
+  evaluation: at the sample means, or at the nodes of the fixed-node Gauss
+  rules of every Beta cell (``beta_expectation``),
 * every distribution of the action count y used by the solvers: the
   rho-mixtures (iid, rho-mixture, Markov shock), Conway-Maxwell-Binomial,
   additive-binomial, Bahadur joints for n <= 3, sequential sampling; each
