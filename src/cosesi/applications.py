@@ -417,7 +417,7 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
 
     if all(abs(res(i / 10)) <= SOLVE_TOL.abs_tol for i in range(11)):
         raise ApplicationError("a continuum of bank equilibria: every theta in [0,1] solves")
-    roots, _ = _roots(lambda xs: np.array([res(t) for t in xs.tolist()]), 1e-3)
+    roots = _roots(lambda xs: np.array([res(t) for t in xs.tolist()]), 1e-3)[0]
     if not roots:
         raise ApplicationError("no bank equilibrium found on [0,1]")
     theta_star = roots[0]

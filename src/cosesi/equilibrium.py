@@ -24,11 +24,15 @@ once (``ExpectedCosts.map_rows``), solved in lockstep with the same roots
 bit for bit.
 The scans of :func:`_roots` take one residual on arrays of thetas.  Those of
 :func:`solve_with_dgp` and :func:`enumerate_cosesi` (finite n) evaluate
-their 10 001 nodes in blocks of count-law rows (``model.weighted_bernstein_rows``
+their nodes in blocks of count-law rows (``model.weighted_bernstein_rows``
 under a rho-mixture law, else ``model.count_pmf_grid`` rows met with the
 cost grid by ``model.row_dots``).  Each row's value does not depend on the
 block it is in, so the refinement, which calls the same residual at one
-theta, reads the scan's values bit for bit.
+theta, reads the scan's values bit for bit.  Where the law's residual has
+Bernstein coefficients (``model.bernstein_residual``), the scan takes only
+the grid cells that ``numerics.isolate_roots`` cannot rule out, and the end
+cells; a dropped cell is proved free of sign changes of the scanned
+residual, so the roots are those of the scan of every cell, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +43,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import Tolerance, find_roots, integrate, solve_decreasing, solve_decreasing_rows
+from .numerics import (
+    RootInterval,
+    Tolerance,
+    find_roots,
+    integrate,
+    isolate_roots,
+    scan_cells,
+    solve_decreasing,
+    solve_decreasing_rows,
+)
 from .model import (
     CMB,
     BayesBeta,
@@ -51,6 +64,8 @@ from .model import (
     RhoMixture,
     SignalDGP,
     UnsupportedN,
+    _check_mixture_rho,
+    bernstein_residual,
     count_pmf_grid,
     row_dots,
     weighted_bernstein,
@@ -297,15 +312,63 @@ def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
     return theta, abs(res(theta))
 
 
-def _roots(res: Callable[[np.ndarray], np.ndarray], grid_step: float) -> tuple[tuple[float, ...], float]:
+def _roots(
+    res: Callable[[np.ndarray], np.ndarray],
+    grid_step: float,
+    poly: Callable[[], tuple[np.ndarray, np.ndarray] | None] = lambda: None,
+) -> tuple[tuple[float, ...], float, str]:
     """Every root of ``res``, a residual on arrays of thetas (see
     ``numerics.find_roots``), on a ``grid_step`` scan of [0, 1], refined, with
-    roots closer than 1e-6 merged, and the largest |residual| over them (inf if none)."""
+    roots closer than 1e-6 merged, the largest |residual| over them (inf if
+    none) and the root-count certificate.
+
+    ``poly``, called once the grid step is checked, gives the residual's
+    Bernstein coefficients and their bounds (``model.bernstein_residual``),
+    or None.  With finite coefficients the scan takes only the cells that
+    ``numerics.isolate_roots`` cannot rule out, and the two end cells, where
+    a count law may put a point mass at theta = 0 or 1; otherwise all cells.
+    The certificate reads ``certified k`` when every kept interval has
+    exactly one sign variation, with its coefficients beyond their bounds,
+    and holds exactly one of the roots found, and the k roots are all that
+    was found, each in one interval; else ``>= k found``.
+    """
+    n_cells = scan_cells(grid_step)
+    bernstein = poly()
+    cells, kept = None, None
+    if bernstein is not None and all(np.isfinite(v).all() for v in bernstein):
+        coeffs, errs = bernstein
+        kept = isolate_roots(coeffs, errs, _split_depth(len(coeffs), n_cells))
+        scanned = np.zeros(n_cells, dtype=bool)
+        scanned[[0, -1]] = True
+        for iv in kept:
+            scanned[math.floor(iv.lo * n_cells) : math.ceil(iv.hi * n_cells)] = True
+        cells = np.flatnonzero(scanned)
+    found = find_roots(res, grid_step, cells=cells)
     roots: list[float] = []
-    for r in find_roots(res, grid_step):
+    for r in found:
         if not roots or r - roots[-1] > 1e-6:
             roots.append(r)
-    return tuple(roots), float(np.abs(res(np.array(roots))).max()) if roots else math.inf
+    residual = float(np.abs(res(np.array(roots))).max()) if roots else math.inf
+    return tuple(roots), residual, _certificate(kept, found, len(roots))
+
+
+def _split_depth(m: int, n_cells: int) -> int:
+    """The halvings after which an interval spans at most m grid cells, m the
+    number of coefficients: a level of halvings takes m array steps, and
+    scanning a node costs a count-law row of about m cells, so below that
+    width a halving saves less than it costs (and above some 10 000
+    coefficients on a 1e-4 grid there is none)."""
+    return max(0, math.ceil(math.log2(n_cells / m)))
+
+
+def _certificate(kept: tuple[RootInterval, ...] | None, found: list[float], k: int) -> str:
+    """``certified k`` when the k roots found and the kept intervals, each
+    ``single``, pair off one to one, a root inside (ends included) its interval."""
+    if kept is None or not len(kept) == len(found) == k or not all(iv.single for iv in kept):
+        return f">= {k} found"
+    inside = [[iv.lo <= r <= iv.hi for r in found] for iv in kept]
+    one_to_one = all(sum(row) == 1 for row in inside) and all(sum(col) == 1 for col in zip(*inside))
+    return f"certified {k}" if one_to_one else f">= {k} found"
 
 
 _SCAN_CELLS = 10_000  # pmf or cost cells per block of an array scan or lockstep solve, so its memory is flat in n
@@ -337,16 +400,28 @@ def enumerate_cosesi(
     """All CoSESIs of the cooperative benefit-form game theta = Psi_n(theta, rho; c).
 
     Intended for S-shaped benefit curves under MLE (so C_n = c); there is at
-    least one and at most three roots, exactly one when rho = 1.
+    least one and at most three roots, exactly one when rho = 1.  At finite n
+    the ``grid_step`` scan takes only the cells that the residual's
+    Bernstein coefficients cannot rule out, and ``params["certificate"]``
+    states the root count (see :func:`_roots`); the large-n limit scans
+    every cell.
     """
     costs = expected_costs(MLE(), n, c)
     if callable(costs.values):  # the limit's cost is a Python function: called node by node
         res = lambda xs: np.array([t - costs.psi(t, rho) for t in xs.tolist()])
+        poly = lambda: None
     else:
         rhs = _in_blocks(costs.n, lambda xs: weighted_bernstein_rows(costs.n, xs, rho, costs.values))
         res = lambda xs: xs - rhs(xs)
-    roots, residual = _roots(res, grid_step)
-    return EquilibriumResult(roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho})
+
+        def poly():
+            _check_mixture_rho(rho)  # the kernel's check and message, not RhoMixture's
+            return bernstein_residual(RhoMixture(rho), costs.n, costs.values, benefit=True)
+
+    roots, residual, certificate = _roots(res, grid_step, poly)
+    return EquilibriumResult(
+        roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho, "certificate": certificate}
+    )
 
 
 @dataclass(frozen=True)
@@ -450,19 +525,27 @@ def solve_with_dgp(
     """General CoSESI for an arbitrary action-count law: roots of
     1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection.
 
-    One residual serves the scan of 10 001 nodes and the refinement at one
+    One residual serves the scan of a 1e-4 grid and the refinement at one
     theta.  Its right side is ``model.weighted_bernstein_rows`` under a
     rho-mixture law (iid, rho-mixture and Markov shock), otherwise the
     ``model.count_pmf_grid`` rows met with the cost grid by
-    ``model.row_dots``, taken in blocks of at most 10 000 pmf cells."""
+    ``model.row_dots``, taken in blocks of at most 10 000 pmf cells.  The
+    scan takes only the cells that the residual's Bernstein coefficients
+    cannot rule out (every cell under Bahadur and additive-binomial laws),
+    and ``params["certificate"]`` states the root count (see :func:`_roots`)."""
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         rhs = _in_blocks(n, lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid))
     else:
         rhs = _in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
-    roots, residual = _roots(lambda xs: 1.0 - xs - rhs(xs), 1e-4)
+    roots, residual, certificate = _roots(
+        lambda xs: 1.0 - xs - rhs(xs), 1e-4, lambda: bernstein_residual(dgp, n, grid)
+    )
     return EquilibriumResult(
-        roots, "GeneralCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp)}
+        roots,
+        "GeneralCoSESI",
+        residual,
+        {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp), "certificate": certificate},
     )
 
 
@@ -471,14 +554,14 @@ def solve_general_cmb(
 ) -> EquilibriumResult:
     """General CoSESI under the Conway-Maxwell-Binomial count law.
 
-    Uniqueness is not guaranteed away from nu = 1, so all roots found on a
-    1e-4 scan are reported.  nu = 1 reproduces the SESI; nu = -inf is the
-    extreme positive-dependence case.
+    Uniqueness is not guaranteed away from nu = 1, so all roots that
+    :func:`solve_with_dgp` finds on a 1e-4 grid, in the cells that the
+    Bernstein coefficients leave, are reported.  nu = 1 reproduces the SESI;
+    nu = -inf is the extreme positive-dependence case.
     """
     result = solve_with_dgp(c, G, n, CMB(nu))
-    return EquilibriumResult(
-        result.theta_star, "GeneralCMB", result.residual, {"cost": c.name, "G": G.kind, "n": n, "nu": nu}
-    )
+    params = {"cost": c.name, "G": G.kind, "n": n, "nu": nu, "certificate": result.params["certificate"]}
+    return EquilibriumResult(result.theta_star, "GeneralCMB", result.residual, params)
 
 
 def sweep(

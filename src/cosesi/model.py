@@ -20,7 +20,9 @@ signals as independent.  This module supplies:
 * plain and rho-weighted Bernstein polynomial evaluation (the expectation
   under a rho-mixture) and the large-n limit of the latter,
 * ``row_dots``, the expectation of a grid under each of many pmf rows, each
-  row rounded as its one-row product.
+  row rounded as its one-row product,
+* ``bernstein_residual``, the Bernstein coefficients of a count-law residual
+  with a rounding bound on each, from which the root scans pick their cells.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ __all__ = [
     "weighted_limit",
     "bayes_posterior",
     "beta_expectation",
+    "bernstein_residual",
 ]
 
 
@@ -1078,6 +1081,89 @@ def _sequential_rows(n: int, thetas: np.ndarray, lams: Sequence[float]) -> np.nd
         nxt[:, : i + 1] += head * (1.0 - p_one)
         probs = nxt
     return probs
+
+
+# ---------------------------------------------------------------------------
+# Count-law residuals as Bernstein polynomials
+# ---------------------------------------------------------------------------
+
+
+def bernstein_residual(
+    dgp: SignalDGP, n: int, grid: np.ndarray, benefit: bool = False
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Bernstein coefficients on [0, 1] of the count-law residual
+    ``1 - theta - sum_y mu(y | theta) grid[y]`` (``theta - ...`` with
+    ``benefit``), up to a factor that is positive inside (0, 1), and a bound
+    per coefficient; None for a law without them here (AdditiveBinomial,
+    BahadurJoint).
+
+    * rho-mixtures: ``r_y = 1 - y/n - (1-rho) C_y - rho (C_0 + (y/n)(C_n - C_0))``.
+    * CMB: ``Z (1 - theta) - sum_y z_y C_y b_{n,y}`` of degree n + 1, with
+      ``z_y = comb(n, y)**(nu - 1)`` (scaled) and ``Z = sum_y z_y b_{n,y}``
+      the law's normaliser.  At nu = -inf only z_0 = z_n = 1 are left; at
+      nu = +inf the residual is linear inside (0, 1), where the central
+      count(s) carry the weights 1 - theta and theta.
+    * Sequential: the backward recursion over (signal, count) run on
+      Bernstein polynomials, each step a product with a line.
+
+    Bound k is ``E Z_k``, with Z_k the normaliser's coefficients in the
+    residual's degree (1 but for CMB).  E bounds the rounding of the
+    coefficients and of the residual that the scans evaluate (the rows of
+    ``weighted_bernstein_rows`` or ``count_pmf_grid``) at any theta in
+    (0, 1) with log theta and log(1 - theta) above -40, so a coefficient
+    beyond its bound gives the sign of that residual, not only of the
+    polynomial.  n must be a positive integer (the grid's).
+    """
+    n, grid = int(n), np.asarray(grid, dtype=float)
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        rho = dgp.rho
+        _check_mixture_rho(rho)
+        y = np.arange(n + 1) / n
+        coeffs = (y if benefit else 1.0 - y) - (1.0 - rho) * grid - rho * (grid[0] + y * (grid[-1] - grid[0]))
+        return coeffs, np.full(n + 1, _rounding(grid, math.lgamma(n + 1) + n))
+    if isinstance(dgp, CMB):
+        nu, values, terms = dgp.nu, grid, 40.0 * n  # y log theta + (n - y) log(1 - theta)
+        if nu == math.inf:
+            z, values = np.ones(2), grid[[n // 2, (n + 1) // 2]]
+        elif nu == -math.inf:
+            z = np.zeros(n + 1)
+            z[[0, n]] = 1.0
+        else:
+            t = (nu - 1.0) * _log_binom_coeffs(n)
+            z, terms = np.exp(t - t.max()), terms + (1.0 + abs(nu)) * math.lgamma(n + 1)
+        k = np.arange(len(z) + 1) / len(z)
+        elevate = lambda v: k * np.r_[0.0, v] + (1.0 - k) * np.r_[v, 0.0]
+        target = k * np.r_[0.0, z] if benefit else (1.0 - k) * np.r_[z, 0.0]
+        return target - elevate(z * values), _rounding(grid, terms) * elevate(z)
+    if isinstance(dgp, Sequential):
+        lams = dgp.weights(n)
+        v = grid[:, None]  # row y: E[C | count y after i signals], of degree n - i; i = n first
+        for i in range(n - 1, 0, -1):
+            p0 = lams[i - 1] * (np.arange(i + 1) / i)  # P(signal i + 1 is one | y) at theta = 0
+            p1 = (1.0 - lams[i - 1]) + p0  # and at theta = 1
+            v = _times_line(p0, p1, v[1:]) + _times_line(1.0 - p0, 1.0 - p1, v[:-1])
+        # the first signal is one with probability theta
+        poly = _times_line(np.ones(1), np.zeros(1), v[:1]) + _times_line(np.zeros(1), np.ones(1), v[1:])
+        y = np.arange(n + 1) / n
+        return (y if benefit else 1.0 - y) - poly[0], np.full(n + 1, _rounding(grid, n))
+    return None
+
+
+def _times_line(a0: np.ndarray, a1: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row of Bernstein coefficients of degree d times the line
+    ``a0[i] (1 - theta) + a1[i] theta``: the coefficients of degree d + 1."""
+    d = rows.shape[1] - 1
+    k = np.arange(d + 2) / (d + 1)
+    pad = np.zeros((len(rows), 1))
+    return (1.0 - k) * a0[:, None] * np.hstack([rows, pad]) + k * a1[:, None] * np.hstack([pad, rows])
+
+
+def _rounding(grid: np.ndarray, terms: float) -> float:
+    """The bound E of :func:`bernstein_residual`: 16 unit roundoffs per unit
+    of ``terms``, the magnitude of a weight's logarithm or its number of
+    rounded products, plus 2 for the dot product and the subtraction, per
+    unit of 1 + max |C| (a weighted mean of the costs, and 1 - theta)."""
+    return 16.0 * np.finfo(float).eps * (terms + 2.0) * (1.0 + float(np.abs(grid).max()))
 
 
 def dgp_variance(dgp: RhoMixture, n: int, theta: float) -> float:

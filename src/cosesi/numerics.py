@@ -3,7 +3,9 @@
 Normal CDF/quantile, Owen's T function, adaptive quadrature, bracketed
 root finding, and the root helpers the solvers share: the clamped solve of a
 decreasing residual, its array form that solves many residuals in lockstep,
-and the scan-plus-refine root enumeration.  The four root routines share one
+the scan-plus-refine root enumeration over all grid cells or a chosen set
+of them, and the isolation of a Bernstein polynomial's roots that picks
+those cells.  The four root routines share one
 default, ``SOLVE_TOL`` (|f| <= 1e-12 within 300 steps), and no solver in the
 package passes a tolerance of its own.  The array form takes each row
 through the scalar solve's steps elementwise, so a row whose residual values
@@ -46,8 +48,11 @@ __all__ = [
     "solve_bracketed",
     "solve_decreasing",
     "solve_decreasing_rows",
+    "scan_cells",
     "find_sign_changes",
     "find_roots",
+    "RootInterval",
+    "isolate_roots",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -317,23 +322,43 @@ def solve_decreasing_rows(
     raise MaxIterExceeded(f"no root to tolerance {tol.abs_tol} in {tol.max_iter} iterations")
 
 
-def find_sign_changes(f: Callable[[np.ndarray], np.ndarray], grid_step: float = 1e-4) -> SignChangeScan:
-    """Scan [0, 1] on a uniform grid for sign changes of ``f``.
-
-    ``f`` maps the array of the n + 1 nodes ``i / n`` to its values there and
-    is called once.  Nodes where f is exactly zero count as roots directly and
-    never as part of a bracket.  ``grid_step`` must lie in (0, 0.01].  Raises
-    :class:`DomainError` naming the first node where f is not finite.
-    """
+def scan_cells(grid_step: float) -> int:
+    """The number of cells of a ``grid_step`` scan of [0, 1]: nodes ``i / n``
+    for i = 0..n.  Raises :class:`DomainError` unless ``grid_step`` lies in
+    (0, 0.01]."""
     if not 0.0 < grid_step <= 0.01:
         raise DomainError(f"grid_step must be in (0, 0.01], got {grid_step}")
-    n = max(2, round(1.0 / grid_step))
-    xs = np.arange(n + 1) / n  # bitwise [i / n for i in range(n + 1)]
+    return max(2, round(1.0 / grid_step))
+
+
+def find_sign_changes(
+    f: Callable[[np.ndarray], np.ndarray], grid_step: float = 1e-4, cells: np.ndarray | None = None
+) -> SignChangeScan:
+    """Scan [0, 1] on a uniform grid for sign changes of ``f``.
+
+    The grid has the :func:`scan_cells` cells ``[i / n, (i + 1) / n]``;
+    ``cells`` names the ones to scan (all by default).  ``f`` maps the array
+    of the ends of those cells to its values there and is called once.  Two
+    evaluated nodes next to each other on the grid form a bracket where f
+    changes sign strictly; nodes where f is exactly zero count as roots
+    directly and never as part of a bracket.  Raises :class:`DomainError`
+    for a ``grid_step`` outside (0, 0.01] and naming the first evaluated node
+    where f is not finite.
+    """
+    n = scan_cells(grid_step)
+    if cells is None:
+        nodes = np.arange(n + 1)
+    else:
+        ends = np.zeros(n + 1, dtype=bool)
+        ends[cells] = True
+        ends[np.asarray(cells) + 1] = True
+        nodes = np.flatnonzero(ends)
+    xs = nodes / n  # bitwise [i / n for i in nodes]
     fs = np.asarray(f(xs), dtype=float)
     bad = np.flatnonzero(~np.isfinite(fs))
     if len(bad):
         raise DomainError(f"f is not finite at theta = {float(xs[bad[0]])}: {float(fs[bad[0]])}")
-    cross = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0).tolist()
+    cross = np.flatnonzero((np.diff(nodes) == 1) & (np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)).tolist()
     node_roots = xs[fs == 0.0].tolist()
     xs, fs = xs.tolist(), fs.tolist()
     brackets = tuple(Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1]) for i in cross)
@@ -344,15 +369,71 @@ def find_roots(
     f: Callable[[np.ndarray], np.ndarray],
     grid_step: float = 1e-4,
     tol: Tolerance = SOLVE_TOL,
+    cells: np.ndarray | None = None,
 ) -> list[float]:
-    """Every root found on a :func:`find_sign_changes` scan of ``f``, sorted.
+    """Every root found on a :func:`find_sign_changes` scan of ``f`` (over
+    ``cells``, all by default), sorted.
 
     Exact node roots are kept as they are; each bracket is refined with
     :func:`solve_bracketed` on ``f`` at one theta, ``f(np.array([x]))[0]``.
     Returns ``[]`` when the scan finds no root.
     """
-    scan = find_sign_changes(f, grid_step)
+    scan = find_sign_changes(f, grid_step, cells)
     at = lambda x: float(f(np.array([x]))[0])
     roots = list(scan.node_roots)
     roots += [solve_bracketed(at, b, tol) for b in scan.brackets]
     return sorted(roots)
+
+
+@dataclass(frozen=True)
+class RootInterval:
+    """A dyadic interval [lo, hi] of [0, 1] that :func:`isolate_roots` could
+    not rule out.  ``single`` says that its Bernstein coefficients are all
+    beyond their bounds with exactly one sign variation, so the polynomial
+    has exactly one root inside, and none at an end."""
+
+    lo: float
+    hi: float
+    single: bool
+
+
+def isolate_roots(coeffs: np.ndarray, errs: np.ndarray, depth: int) -> tuple[RootInterval, ...]:
+    """The intervals of width ``2**-depth`` that may hold a root of the
+    polynomial with Bernstein coefficients ``coeffs`` on [0, 1], sorted.
+
+    An interval is dropped as soon as all of its coefficients share one sign
+    and each exceeds its bound: the polynomial is then at least its bound
+    away from zero on the whole interval (the Bernstein basis is a positive
+    partition of unity).  ``errs`` bounds each coefficient's distance from
+    the exact one, and whatever else the caller needs beaten, such as the
+    rounding of the function the polynomial stands for; to it is added the
+    rounding of the halvings, at most ``depth * len(coeffs)`` unit roundoffs
+    of the coefficients' magnitudes.  Every other interval is halved, by de
+    Casteljau's algorithm on each level's intervals at once with the bounds
+    carried alongside, down to the floor width (Lane & Riesenfeld, IEEE PAMI
+    3(1), 1981).  Memory is O(len(coeffs)) per interval of a level.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    errs = np.asarray(errs, dtype=float) + depth * len(coeffs) * np.finfo(float).eps * np.abs(coeffs)
+    rows, lo = np.stack([coeffs, errs])[None], np.zeros(1)  # rows[i] = (coefficients, bounds) of interval i
+    for level in range(depth + 1):
+        c, e = rows[:, 0], rows[:, 1]
+        sure = np.abs(c) > e
+        keep = ~(sure.all(axis=1) & ((c > 0.0).all(axis=1) | (c < 0.0).all(axis=1)))
+        if level == depth or not keep.any():
+            break
+        rows = np.stack(_halves(rows[keep]), axis=1).reshape(-1, *rows.shape[1:])  # left child, then right
+        lo = np.stack([lo[keep], lo[keep] + 2.0 ** -(level + 1)], axis=1).ravel()
+    single = sure.all(axis=1) & ((np.diff(np.sign(c), axis=1) != 0.0).sum(axis=1) == 1)
+    return tuple(RootInterval(a, a + 2.0**-level, s) for a, s in zip(lo[keep].tolist(), single[keep].tolist()))
+
+
+def _halves(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bernstein coefficients (last axis) on the left and right halves of
+    their interval, by de Casteljau's averages in place.  The right half is
+    the left half of the reversed coefficients, reversed, so the two halves
+    share their middle coefficient bit for bit."""
+    w = np.concatenate([rows, rows[..., ::-1]])
+    for k in range(1, w.shape[-1]):
+        w[..., k:] = 0.5 * (w[..., k - 1 : -1] + w[..., k:])
+    return w[: len(rows)], w[len(rows) :, ..., ::-1]

@@ -1,9 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cosesi import equilibrium
 from cosesi.model import (
@@ -29,7 +30,9 @@ from cosesi.model import (
     action_count_pmf,
     count_pmf_grid,
     parse_cost,
+    row_dots,
     weighted_bernstein,
+    weighted_bernstein_rows,
     weighted_limit,
 )
 from cosesi.equilibrium import (
@@ -49,7 +52,15 @@ from cosesi.equilibrium import (
     sweep,
     variation_diagnostic,
 )
-from cosesi.numerics import Tolerance, find_roots, find_sign_changes, solve_bracketed, solve_decreasing
+from cosesi.numerics import (
+    DomainError,
+    RootInterval,
+    Tolerance,
+    find_roots,
+    find_sign_changes,
+    solve_bracketed,
+    solve_decreasing,
+)
 
 from conftest import (
     ASSORT_LIMIT,
@@ -700,6 +711,173 @@ class TestArrayScan:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def _array_residual(dgp, n, grid, benefit=False):
+    """The array residual that ``solve_with_dgp`` (or, with ``benefit``,
+    ``enumerate_cosesi``) scans, in the same blocks of count-law rows."""
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
+        rhs = equilibrium._in_blocks(n, lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid))
+    else:
+        rhs = equilibrium._in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
+    return (lambda xs: xs - rhs(xs)) if benefit else (lambda xs: 1.0 - xs - rhs(xs))
+
+
+def _full_scan(res, grid_step):
+    """Roots and residual of the scan of every cell: ``_roots`` without coefficients."""
+    return equilibrium._roots(res, grid_step)[:2]
+
+
+# the laws that model.bernstein_residual gives coefficients for
+_ISOLATED_LAWS = st.one_of(
+    st.floats(0.0, 1.0).map(RhoMixture),
+    st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)).map(lambda pq: MarkovShock(*pq)),
+    st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-math.inf, math.inf])).map(CMB),
+    st.lists(st.floats(0.0, 0.9), max_size=3).map(lambda w: Sequential(tuple(w))),
+)
+
+_CERTIFICATE = r"^(certified \d+|>= \d+ found)$"
+
+
+class TestIsolatedScan:
+    """solve_with_dgp and enumerate_cosesi scan only the cells that the
+    residual's Bernstein coefficients cannot rule out, and the end cells; the
+    roots and residual are those of the scan of every cell, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(c=_SCAN_COSTS, dgp=_ISOLATED_LAWS, n=st.integers(1, 40))
+    @example(c=power_cost(3.0), dgp=CMB(math.inf), n=7)
+    @example(c=power_cost(3.0), dgp=CMB(math.inf), n=8)
+    @example(c=s_shaped_cost(), dgp=CMB(-math.inf), n=9)
+    @example(c=linear_cost(), dgp=MarkovShock(0.3, 0.6), n=12)  # the root is the split point 0.5
+    def test_solve_with_dgp_is_the_full_scan(self, c, dgp, n):
+        got = solve_with_dgp(c, MLE(), n, dgp)
+        assert (got.theta_star, got.residual) == _full_scan(_array_residual(dgp, n, cost_grid(MLE(), n, c)), 1e-4)
+        assert re.match(_CERTIFICATE, got.params["certificate"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        c=_SCAN_COSTS,
+        n=st.integers(1, 40),
+        rho=st.floats(0.0, 1.0),
+        grid_step=st.sampled_from([1e-4, 1e-3, 0.01]),
+    )
+    @example(c=s_shaped_cost(), n=12, rho=0.3, grid_step=1e-4)  # a root a hair past the split point 0.5
+    @example(c=power_cost(3.0), n=5, rho=0.3, grid_step=1e-4)  # exact node roots at 0 and 1
+    @example(c=power_cost(3.0), n=2, rho=1.0, grid_step=1e-3)  # a residual that is 0 up to rounding
+    def test_enumerate_is_the_full_scan(self, c, n, rho, grid_step):
+        got = enumerate_cosesi(c, n, rho, grid_step)
+        grid = cost_grid(MLE(), n, c)
+        assert (got.theta_star, got.residual) == _full_scan(_array_residual(RhoMixture(rho), n, grid, True), grid_step)
+        assert re.match(_CERTIFICATE, got.params["certificate"])
+
+    def test_split_point_root_keeps_its_bits(self):
+        got = enumerate_cosesi(s_shaped_cost(), 12, 0.3)
+        assert got.theta_star[1] == 0.5000000000007451
+        assert got.params["certificate"] == ">= 3 found"  # p(0.5) is within its bound of 0
+
+    def test_node_roots_at_both_ends(self):
+        got = enumerate_cosesi(power_cost(3.0), 5, 0.3)
+        assert got.theta_star == (0.0, 1.0)
+        assert got.params["certificate"] == ">= 2 found"
+
+    def test_scan_takes_few_cells(self, monkeypatch):
+        seen = []
+        scan = equilibrium.find_roots
+        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: seen.append(k["cells"]) or scan(*a, **k))
+        got = solve_with_dgp(power_cost(3.0), MLE(), 10, CMB(2.0))
+        assert got.params["certificate"] == "certified 1"
+        (cells,) = seen
+        assert {0, 9_999} <= set(cells.tolist()) and len(cells) < 500
+
+    def test_general_cmb_carries_the_certificate(self):
+        got = solve_general_cmb(power_cost(3.0), MLE(), 10, 2.0)
+        assert got.params["certificate"] == solve_with_dgp(power_cost(3.0), MLE(), 10, CMB(2.0)).params["certificate"]
+
+    @pytest.mark.parametrize("dgp", [BahadurJoint((0.3,)), AdditiveBinomial(0.05)])
+    def test_laws_without_coefficients_scan_every_cell(self, dgp, monkeypatch):
+        seen = []
+        scan = equilibrium.find_roots
+        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: seen.append(k["cells"]) or scan(*a, **k))
+        got = _outcome(lambda: solve_with_dgp(power_cost(3.0), MLE(), 2, dgp))
+        assert seen == [None]
+        if not isinstance(got, tuple):
+            assert got.params["certificate"] == ">= 1 found"
+
+
+def _no_coefficients(*args, **kwargs):
+    raise AssertionError("the coefficients are built after every argument check")
+
+
+class TestIsolatedScanErrors:
+    """The errors of the full scan, with their types and messages, raised
+    before any coefficient is built."""
+
+    @pytest.fixture(autouse=True)
+    def _guard(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "bernstein_residual", _no_coefficients)
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_sample_size(self, n):
+        with pytest.raises(UnsupportedN, match=f"^n must be a positive integer, got {n:g}$"):
+            solve_with_dgp(power_cost(3.0), MLE(), n, CMB(2.0))
+        with pytest.raises(UnsupportedN, match=f"^n must be a positive integer, got {n:g}$"):
+            enumerate_cosesi(s_shaped_cost(), n, 0.3)
+
+    @pytest.mark.parametrize("grid_step", [0, 0.5])
+    def test_grid_step(self, grid_step):
+        with pytest.raises(DomainError, match=rf"^grid_step must be in \(0, 0\.01\], got {grid_step}$"):
+            enumerate_cosesi(s_shaped_cost(), 12, 0.3, grid_step)
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("dgp", [RhoMixture(0.3), CMB(2.0), CMB(math.inf), Sequential((0.4,))])
+    def test_non_finite_residual_raises_as_the_full_scan(self, dgp, monkeypatch):
+        # a cost that is nan at 1/2 makes a cell, and so a coefficient, nan
+        c = lambda t: math.nan if t == 0.5 else t**3
+        grid = cost_grid(MLE(), 4, c)
+        seen = []
+        scan = equilibrium.find_roots
+        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: seen.append(k["cells"]) or scan(*a, **k))
+        want = _outcome(lambda: _full_scan(_array_residual(dgp, 4, grid), 1e-4))
+        assert want[0] is DomainError
+        assert _outcome(lambda: solve_with_dgp(c, MLE(), 4, dgp)) == want
+        assert seen[-1] is None  # the solve scanned every cell
+
+
+class TestCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(c=_SCAN_COSTS, n=st.integers(2, 30), rho=st.floats(0.0, 1.0, exclude_max=True))
+    def test_never_contradicts_the_variation_diagnostic(self, c, n, rho):
+        certificate = solve_with_dgp(c, MLE(), n, RhoMixture(rho)).params["certificate"]
+        if variation_diagnostic(c, n).unique_guaranteed:
+            assert not certificate.startswith("certified") or certificate == "certified 1"
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=_SCAN_COSTS, dgp=_ISOLATED_LAWS, n=st.integers(1, 30))
+    def test_certified_count_is_the_sign_changes_of_the_full_scan(self, c, dgp, n):
+        grid = cost_grid(MLE(), n, c)
+        certificate = solve_with_dgp(c, MLE(), n, dgp).params["certificate"]
+        if certificate.startswith("certified"):
+            scan = find_sign_changes(_array_residual(dgp, n, grid), 1e-4)
+            assert certificate == f"certified {len(scan.brackets) + len(scan.node_roots)}"
+
+    @pytest.mark.parametrize("found", [[], [0.3], [0.3, 0.31], [0.3, 0.6], [0.6]])
+    def test_not_certified_unless_each_interval_holds_one_root(self, found):
+        kept = (RootInterval(0.25, 0.375, True), RootInterval(0.5, 0.625, True))
+        want = "certified 2" if found == [0.3, 0.6] else f">= {len(found)} found"
+        assert equilibrium._certificate(kept, found, len(found)) == want
+
+    def test_not_certified_when_a_root_is_counted_twice(self):
+        # 0.5 ends both intervals, and 0.9 lies in neither
+        kept = (RootInterval(0.25, 0.5, True), RootInterval(0.5, 0.75, True))
+        assert equilibrium._certificate(kept, [0.5, 0.9], 2) == ">= 2 found"
+
+    def test_not_certified_with_more_than_one_sign_variation(self):
+        kept = (RootInterval(0.25, 0.375, False),)
+        assert equilibrium._certificate(kept, [0.3], 1) == ">= 1 found"
+        assert equilibrium._certificate(None, [0.3], 1) == ">= 1 found"
+        assert equilibrium._certificate((), [], 0) == "certified 0"
 
 
 class TestComparativeStatics:

@@ -233,13 +233,16 @@ def test_mle_grid_is_the_cost_at_each_mean(spec):
 
 
 def test_grid_path_imports_neither_scipy_nor_numpy_polynomial():
-    # the Gauss rules come from numpy.linalg, which numpy itself imports
+    # the Gauss rules come from the Jacobi recurrence and the roots from Bernstein
+    # coefficients, both on plain numpy arrays
     code = (
         "import sys, cosesi, cosesi.cli\n"
-        "from cosesi.equilibrium import cost_grid\n"
-        "from cosesi.model import BayesBeta, BetaEstimation, parse_cost\n"
+        "from cosesi.equilibrium import cost_grid, enumerate_cosesi, solve_with_dgp\n"
+        "from cosesi.model import CMB, MLE, BayesBeta, BetaEstimation, parse_cost\n"
         "cost_grid(BetaEstimation(), 20, parse_cost('pow:2'))\n"
         "cost_grid(BayesBeta(0.5, 1.25, 0.0), 20, parse_cost('exp:2'))\n"
+        "solve_with_dgp(parse_cost('pow:3'), MLE(), 10, CMB(2))\n"
+        "enumerate_cosesi(parse_cost('sshape'), 12, 0.3)\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'"
         " or m.startswith('numpy.polynomial')))\n"
     )

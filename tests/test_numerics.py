@@ -10,10 +10,12 @@ from cosesi.numerics import (
     DomainError,
     MaxIterExceeded,
     NoSignChange,
+    RootInterval,
     Tolerance,
     find_roots,
     find_sign_changes,
     integrate,
+    isolate_roots,
     norm_cdf,
     norm_pdf,
     norm_quantile,
@@ -218,6 +220,106 @@ class TestFindSignChanges:
         # a nan read as a sign would bracket [0.5, 0.501] and raise NoSignChange
         with pytest.raises(DomainError, match=r"^f is not finite at theta = 0\.501: nan$"):
             find_sign_changes(lambda ts: np.where(ts > 0.5, math.nan, ts - 0.9), 1e-3)
+
+
+    def test_cells_evaluate_only_their_ends(self):
+        seen = []
+        scan = find_sign_changes(lambda ts: seen.append(ts) or ts - 0.3005, 1e-3, np.array([0, 300, 700]))
+        assert seen[0].tolist() == [i / 1000 for i in (0, 1, 300, 301, 700, 701)]
+        (b,) = scan.brackets
+        assert (b.lo, b.hi) == (0.3, 0.301)
+
+    def test_cells_bracket_only_grid_neighbours(self):
+        # nodes 0.001 and 0.3 are evaluated, but no cell joins them
+        scan = find_sign_changes(lambda ts: ts - 0.2, 1e-3, np.array([0, 300]))
+        assert scan.brackets == () and scan.node_roots == ()
+
+    @pytest.mark.parametrize("cells", [np.array([199, 200]), np.array([200])])
+    def test_cells_find_node_roots_at_either_end(self, cells):
+        assert find_sign_changes(lambda ts: ts - 0.2, 1e-3, cells).node_roots == (0.2,)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cells=st.lists(st.integers(0, 999), min_size=1, max_size=40).map(np.array))
+    def test_cells_are_a_part_of_the_full_scan(self, cells):
+        f = lambda ts: np.sin(40.0 * ts) - 0.1
+        full, part = find_sign_changes(f, 1e-3), find_sign_changes(f, 1e-3, cells)
+        nodes = set(cells.tolist()) | set((cells + 1).tolist())
+        assert part.brackets == tuple(
+            b for b in full.brackets if round(b.lo * 1000) in nodes and round(b.hi * 1000) in nodes
+        )
+        assert set(part.node_roots) == {x for x in full.node_roots if round(x * 1000) in nodes}
+
+
+def _bernstein_at(coeffs, x):
+    """de Casteljau evaluation at one x, the reference for the isolation tests."""
+    w = np.array(coeffs, dtype=float)
+    while len(w) > 1:
+        w = (1.0 - x) * w[:-1] + x * w[1:]
+    return float(w[0])
+
+
+def _from_roots(roots, degree):
+    """Bernstein coefficients of degree ``degree`` of prod (x - r), by exact
+    rational conversion from the power basis."""
+    from fractions import Fraction
+
+    power = [Fraction(1)]
+    for r in roots:
+        r = Fraction(r)
+        power = [(power[j - 1] if j else 0) - r * (power[j] if j < len(power) else 0) for j in range(len(power) + 1)]
+    power += [Fraction(0)] * (degree + 1 - len(power))
+    return np.array([float(sum(Fraction(math.comb(k, j), math.comb(degree, j)) * power[j] for j in range(k + 1)))
+                     for k in range(degree + 1)])
+
+
+class TestIsolateRoots:
+    def test_keeps_the_interval_of_each_root(self):
+        coeffs = _from_roots([0.21, 0.55, 0.8], 9)
+        kept = isolate_roots(coeffs, np.full(10, 1e-15), 6)
+        assert [(iv.lo, iv.hi) for iv in kept] == [(0.203125, 0.21875), (0.546875, 0.5625), (0.796875, 0.8125)]
+        assert all(iv.single for iv in kept)
+
+    def test_root_free_polynomial_drops_everything(self):
+        assert isolate_roots(_from_roots([1.3, -0.2], 5), np.full(6, 1e-15), 8) == ()
+
+    def test_depth_zero_tests_the_whole_interval(self):
+        assert isolate_roots(_from_roots([0.4], 3), np.zeros(4), 0) == (RootInterval(0.0, 1.0, True),)
+        assert isolate_roots(_from_roots([1.4], 3), np.zeros(4), 0) == ()
+
+    def test_root_at_a_split_point_keeps_both_sides(self):
+        # p(0.5) = 0 is the last coefficient of the left half and the first of the right
+        kept = isolate_roots(_from_roots([0.5, 0.9], 4), np.full(5, 1e-15), 5)
+        assert [(iv.lo, iv.single) for iv in kept] == [(0.46875, False), (0.5, False), (0.875, True)]
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    def test_root_at_an_end_is_kept_uncertified(self, end):
+        (iv,) = isolate_roots(_from_roots([end], 3), np.full(4, 1e-15), 4)
+        assert (iv.lo == 0.0 or iv.hi == 1.0) and not iv.single
+
+    def test_a_coefficient_within_its_bound_is_not_a_sign(self):
+        # positive everywhere by 1e-9 at its minimum, but the bound says 1e-8
+        coeffs = _from_roots([0.5, 0.5], 2) + 1e-9
+        assert isolate_roots(coeffs, np.full(3, 1e-12), 4) == ()
+        assert len(isolate_roots(coeffs, np.full(3, 1e-8), 4)) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        roots=st.lists(st.floats(0.01, 0.99), min_size=0, max_size=4),
+        extra=st.integers(0, 8),
+        depth=st.integers(0, 9),
+    )
+    def test_every_root_lies_in_a_kept_interval(self, roots, extra, depth):
+        coeffs = _from_roots(roots, len(roots) + extra)
+        kept = isolate_roots(coeffs, np.full(len(coeffs), 1e-13), depth)
+        assert all(any(iv.lo <= r <= iv.hi for iv in kept) for r in roots)
+        assert all(iv.hi - iv.lo == 2.0**-depth for iv in kept)
+        assert [iv.lo for iv in kept] == sorted(iv.lo for iv in kept)
+        # a dropped point is beyond the bound, with the sign of its dropped neighbours
+        xs = np.linspace(0.0, 1.0, 257).tolist()
+        for a, b in zip(xs, xs[1:]):
+            if not any(iv.lo <= b and a <= iv.hi for iv in kept):
+                fa, fb = _bernstein_at(coeffs, a), _bernstein_at(coeffs, b)
+                assert abs(fa) > 0.9e-13 and fa * fb > 0.0
 
 
 class TestSolveDecreasing:
