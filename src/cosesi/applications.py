@@ -14,10 +14,12 @@ Four markets plus two policy exercises:
 Every rho-mixture expectation reads its costs through
 ``equilibrium.expected_costs``, mapped cell by cell with ``ExpectedCosts.map``.
 Monopoly demand and the tax equilibria are solved by
-``equilibrium._cosesi_root``, the bank's roots by ``equilibrium._roots``;
-the monopoly demand curve solves all its prices at once, in lockstep, by
-``equilibrium._cosesi_roots``, with the same roots bit for bit.  Three equations keep a solve of their own (the
-docstrings say why): the rational monopoly demand, the two-sided market and
+``equilibrium._cosesi_root``, the bank's roots by ``equilibrium._roots`` on a
+residual that takes the whole scan in one array pass.  The monopoly demand
+curves solve all their prices at once, in lockstep, by
+``numerics.solve_decreasing_rows`` (through ``equilibrium._cosesi_roots`` for
+naive consumers), with the scalar demand's roots bit for bit.  Two equations
+keep a solve of their own (the docstrings say why): the two-sided market and
 the supply shock.
 """
 
@@ -33,18 +35,22 @@ from .numerics import (
     SOLVE_TOL,
     Bracket,
     norm_cdf,
+    norm_cdf_array,
     norm_quantile,
     owen_t,
     solve_bracketed,
     solve_decreasing,
+    solve_decreasing_rows,
 )
 from .model import (
     CostFunction,
     InferenceProcedure,
     MLE,
     exp_decay_cost,
+    weighted_bernstein_rows,
+    weighted_limit,
 )
-from .equilibrium import _cosesi_root, _cosesi_roots, _roots, cost_grid, expected_costs
+from .equilibrium import _cosesi_root, _cosesi_roots, _in_blocks, _roots, cost_grid, expected_costs
 
 __all__ = [
     "ApplicationError",
@@ -242,8 +248,28 @@ def monopoly_demand(
 
 def monopoly_rational_demand(p: float, t: float = 6.0) -> float:
     """Rational-expectations demand: root of theta = 1 - p - (1 - exp(-t*theta)),
-    the n = inf, rho = 0 demand, solved directly: three times faster than the limit."""
+    the n = inf, rho = 0 demand, solved directly: three times faster than the
+    limit.  This scalar solve serves the golden-section refinement of
+    :func:`monopoly_optimize`; its demand curve solves every grid price at
+    once (``_rational_demand_curve``) with the same roots bit for bit."""
     return solve_decreasing(lambda theta: math.exp(-t * theta) - theta - p)
+
+
+def _rational_demand_curve(t: float) -> tuple[Callable[[float], float], Callable[[np.ndarray], list[float]]]:
+    """:func:`monopoly_rational_demand` and its rows form, as :func:`_demand_curve`
+    returns them: one ``solve_decreasing_rows`` call on exp(-t theta) - theta - p
+    for all the prices.  exp goes through ``math.exp`` per entry, since numpy's
+    exp differs from it in the last bit, so entry i is the scalar demand at
+    ``prices[i]`` bit for bit."""
+
+    def demand_rows(prices: np.ndarray) -> list[float]:
+        def res(thetas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            decay = np.fromiter(map(math.exp, (-t * thetas).tolist()), float, len(thetas))
+            return decay - thetas - prices[rows]
+
+        return solve_decreasing_rows(res, len(prices)).tolist()
+
+    return lambda p: monopoly_rational_demand(p, t), demand_rows
 
 
 def monopoly_optimize(
@@ -257,21 +283,17 @@ def monopoly_optimize(
     """Profit-maximizing price over a coarse grid plus golden-section refinement.
 
     The demand curve sample at the grid prices is included in the outcome.
-    For naive consumers it is solved at every grid price at once, in lockstep
-    (``equilibrium._cosesi_roots``), and each entry is bit for bit the scalar
-    demand at its price, ``monopoly_demand``, which the refinement calls.
-    Rational consumers keep one ``monopoly_rational_demand`` per price.
+    It is solved at every grid price at once, in lockstep
+    (``numerics.solve_decreasing_rows``, by ``equilibrium._cosesi_roots`` for
+    naive consumers), and each entry is bit for bit the scalar demand at its
+    price, ``monopoly_demand`` or ``monopoly_rational_demand``, which the
+    refinement calls.
     """
     if price_grid_step > 1e-3:
         raise ApplicationError("price grid step must be <= 1e-3")
     prices = np.arange(0.0, 1.0 + price_grid_step / 2, price_grid_step)
-    if rational:
-        demand = lambda p: monopoly_rational_demand(p, t)
-        quantities = [demand(p) for p in prices.tolist()]
-    else:
-        demand, demand_rows = _demand_curve(rho, t, n, G or MLE())
-        quantities = demand_rows(prices)
-    curve = list(zip(prices.tolist(), quantities))
+    demand, demand_rows = _rational_demand_curve(t) if rational else _demand_curve(rho, t, n, G or MLE())
+    curve = list(zip(prices.tolist(), demand_rows(prices)))
     profits = [p * q for p, q in curve]
     i_best = int(np.argmax(profits))
     lo = curve[max(0, i_best - 1)][0]
@@ -404,20 +426,15 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
     as the CDF complement 1 - F(C_y) rather than by quadrature of the
     displayed density (identical for rho < 1, and free of the endpoint
     singularity).  The borrower default rate is p* = Phi(omega * theta*).
-    A residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid is
-    taken for a continuum of equilibria and raises :class:`ApplicationError`.
+    One residual on arrays of thetas (:func:`_bank_residual`) serves the
+    1e-3 scan, the refinement at one theta and the continuum check: a
+    residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid is taken
+    for a continuum of equilibria and raises :class:`ApplicationError`.
     """
-    shutdown_cost = lambda t: np.clip(spec.cost(1.0 - t), 0.0, 1.0)
-    # clamped once more: quadrature may leave [0, 1], where vasicek_cdf is undefined
-    costs = expected_costs(spec.G, spec.n, shutdown_cost).map(lambda v: min(1.0, max(0.0, v)))
-
-    def res(theta: float) -> float:
-        tail = lambda v: 1.0 - vasicek_cdf(v, theta, spec.omega, spec.rho, spec.gaussian_omega)
-        return theta - costs.map(tail).psi(theta, spec.rho)
-
-    if all(abs(res(i / 10)) <= SOLVE_TOL.abs_tol for i in range(11)):
+    res = _bank_residual(spec)
+    if (np.abs(res(np.arange(11) / 10)) <= SOLVE_TOL.abs_tol).all():
         raise ApplicationError("a continuum of bank equilibria: every theta in [0,1] solves")
-    roots = _roots(lambda xs: np.array([res(t) for t in xs.tolist()]), 1e-3)[0]
+    roots = _roots(res, 1e-3)[0]
     if not roots:
         raise ApplicationError("no bank equilibrium found on [0,1]")
     theta_star = roots[0]
@@ -426,6 +443,53 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
     else:
         p_star = norm_cdf(spec.omega * theta_star)
     return BankOutcome(theta_star, p_star, roots)
+
+
+def _bank_residual(spec: CreditSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """theta - sum_y mu_rho(y|theta) * Lam(C_y, theta) on an array of thetas.
+
+    Entry i is bit for bit the residual of one theta, ``theta - psi(theta,
+    rho)`` of the clamped costs mapped by ``v -> 1 - vasicek_cdf(v, theta,
+    ...)``: the same float operations, with norm_quantile(C_y) times its
+    square-root factor taken once per cell and the normal CDF by
+    ``numerics.norm_cdf_array``.  Costs of 0 and 1 keep the tails 1 and 0.
+    The grid's rows are summed by ``model.weighted_bernstein_rows`` in blocks
+    (one mapped grid for all thetas under Gaussian obligations, whose tail
+    does not depend on theta); the large-n limit maps each theta's own cost
+    and the two end costs, and sums by ``model.weighted_limit``.
+    """
+    shutdown_cost = lambda t: np.clip(spec.cost(1.0 - t), 0.0, 1.0)
+    # clamped once more: quadrature may leave [0, 1], where vasicek_cdf is undefined
+    costs = expected_costs(spec.G, spec.n, shutdown_cost).map(lambda v: min(1.0, max(0.0, v)))
+    omega, rho, gaussian = spec.omega, spec.rho, spec.gaussian_omega
+    scale = math.sqrt((1.0 - rho) / (1.0 + rho)) if gaussian else math.sqrt(1.0 - rho)
+
+    def quantiles(etas: np.ndarray) -> np.ndarray:
+        qs = [norm_quantile(e) * scale if 0.0 < e < 1.0 else 0.0 for e in etas.ravel().tolist()]
+        return np.array(qs).reshape(etas.shape)
+
+    def tails(etas: np.ndarray, qs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        x = qs if gaussian else (qs - omega * thetas[:, None]) / math.sqrt(rho)
+        return np.where(etas <= 0.0, 1.0, np.where(etas >= 1.0, 0.0, 1.0 - norm_cdf_array(x)))
+
+    if callable(costs.values):  # the limit: each theta's own cost, then the end costs
+        fn, ends = costs.values, np.array(costs.ends)
+
+        def res(thetas: np.ndarray) -> np.ndarray:
+            etas = np.column_stack([[fn(t) for t in thetas.tolist()], np.tile(ends, (len(thetas), 1))])
+            lam = tails(etas, quantiles(etas), thetas)
+            return thetas - weighted_limit(thetas, rho, lambda _: lam[:, 0], (lam[:, 1], lam[:, 2]))
+
+        return res
+    etas = costs.values
+    qs = quantiles(etas)
+    if gaussian:  # one mapped grid for every theta
+        grid = tails(etas, qs, None)
+        lam = lambda thetas: grid
+    else:
+        lam = lambda thetas: tails(etas, qs, thetas)
+    rhs = _in_blocks(costs.n, lambda thetas: weighted_bernstein_rows(costs.n, thetas, rho, lam(thetas)))
+    return lambda thetas: thetas - rhs(thetas)
 
 
 def var_two_borrowers(p: float, tau: float, alpha: float) -> float:

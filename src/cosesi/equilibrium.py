@@ -77,6 +77,7 @@ __all__ = [
     "EquilibriumResult",
     "SweepTable",
     "BadWeights",
+    "ContinuumOfEquilibria",
     "LARGE_N",
     "solve_ne",
     "solve_cosesi",
@@ -100,6 +101,10 @@ LARGE_N = 100_000  # above this, MLE Bernstein sums switch to the limit C(theta)
 
 class BadWeights(ValueError):
     """Mixture weights are negative or do not sum to one."""
+
+
+class ContinuumOfEquilibria(ValueError):
+    """The residual is 0 up to rounding on all of [0, 1]: every theta solves."""
 
 
 @dataclass(frozen=True)
@@ -144,10 +149,12 @@ class SweepTable:
         return [r[1] for r in self.rows]
 
 
-def _check_n(n: float) -> None:
-    """Refuse a sample size that is not a positive integer (inf included)."""
+def _check_n(n: float) -> int:
+    """n as an int; refuses a sample size that is not a positive integer (inf
+    included), so an integral float such as 4.0 solves as 4."""
     if not (n >= 1 and float(n).is_integer()):
         raise UnsupportedN(f"n must be a positive integer, got {n:g}")
+    return int(n)
 
 
 def cost_grid(G: InferenceProcedure, n: int, cost: Callable[[float], float]) -> np.ndarray:
@@ -162,7 +169,7 @@ def cost_grid(G: InferenceProcedure, n: int, cost: Callable[[float], float]) -> 
     tested to 1e-13 on pow costs for n up to 200 and to 1e-12 on fractional
     powers, exp and steep S-shaped costs.
     """
-    _check_n(n)
+    n = _check_n(n)
     return G.expected_cells(n, np.arange(n + 1), cost)
 
 
@@ -244,8 +251,9 @@ def expected_costs(G: InferenceProcedure, n: float, c: Callable[[float], float])
     where :func:`_takes_limit` says so."""
     if _takes_limit(G, n):
         return ExpectedCosts(math.inf, c, (c(0.0), c(1.0)))
-    grid = cost_grid(G, int(n), c)
-    return ExpectedCosts(int(n), grid, (float(grid[0]), float(grid[-1])))
+    n = _check_n(n)
+    grid = cost_grid(G, n, c)
+    return ExpectedCosts(n, grid, (float(grid[0]), float(grid[-1])))
 
 
 def solve_ne(c: CostFunction) -> EquilibriumResult:
@@ -327,6 +335,9 @@ def _roots(
     or None.  With finite coefficients the scan takes only the cells that
     ``numerics.isolate_roots`` cannot rule out, and the two end cells, where
     a count law may put a point mass at theta = 0 or 1; otherwise all cells.
+    When every coefficient lies within its bound, the residual is 0 up to
+    rounding on all of [0, 1], and :class:`ContinuumOfEquilibria` is raised
+    instead of a list of rounding roots.
     The certificate reads ``certified k`` when every kept interval has
     exactly one sign variation, with its coefficients beyond their bounds,
     and holds exactly one of the roots found, and the k roots are all that
@@ -337,6 +348,8 @@ def _roots(
     cells, kept = None, None
     if bernstein is not None and all(np.isfinite(v).all() for v in bernstein):
         coeffs, errs = bernstein
+        if (np.abs(coeffs) <= errs).all():
+            raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
         kept = isolate_roots(coeffs, errs, _split_depth(len(coeffs), n_cells))
         scanned = np.zeros(n_cells, dtype=bool)
         scanned[[0, -1]] = True
@@ -400,11 +413,13 @@ def enumerate_cosesi(
     """All CoSESIs of the cooperative benefit-form game theta = Psi_n(theta, rho; c).
 
     Intended for S-shaped benefit curves under MLE (so C_n = c); there is at
-    least one and at most three roots, exactly one when rho = 1.  At finite n
-    the ``grid_step`` scan takes only the cells that the residual's
-    Bernstein coefficients cannot rule out, and ``params["certificate"]``
-    states the root count (see :func:`_roots`); the large-n limit scans
-    every cell.
+    least one and at most three roots, exactly one when rho = 1 unless c(0) = 0
+    and c(1) = 1.  At finite n the ``grid_step`` scan takes only the cells
+    that the residual's Bernstein coefficients cannot rule out, and
+    ``params["certificate"]`` states the root count (see :func:`_roots`);
+    where the residual vanishes identically (rho = 1 with c(0) = 0 and
+    c(1) = 1, or a linear cost at any rho) it raises
+    :class:`ContinuumOfEquilibria`.  The large-n limit scans every cell.
     """
     costs = expected_costs(MLE(), n, c)
     if callable(costs.values):  # the limit's cost is a Python function: called node by node
@@ -532,7 +547,10 @@ def solve_with_dgp(
     ``model.row_dots``, taken in blocks of at most 10 000 pmf cells.  The
     scan takes only the cells that the residual's Bernstein coefficients
     cannot rule out (every cell under Bahadur and additive-binomial laws),
-    and ``params["certificate"]`` states the root count (see :func:`_roots`)."""
+    and ``params["certificate"]`` states the root count (see :func:`_roots`);
+    a residual that vanishes identically raises :class:`ContinuumOfEquilibria`.
+    An integral float n solves as that integer."""
+    n = _check_n(n)
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         rhs = _in_blocks(n, lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid))
@@ -560,7 +578,8 @@ def solve_general_cmb(
     nu = -inf is the extreme positive-dependence case.
     """
     result = solve_with_dgp(c, G, n, CMB(nu))
-    params = {"cost": c.name, "G": G.kind, "n": n, "nu": nu, "certificate": result.params["certificate"]}
+    n, certificate = result.params["n"], result.params["certificate"]
+    params = {"cost": c.name, "G": G.kind, "n": n, "nu": nu, "certificate": certificate}
     return EquilibriumResult(result.theta_star, "GeneralCMB", result.residual, params)
 
 
@@ -581,9 +600,8 @@ def sweep(
         rows = [(r, _cosesi_root(costs, r)[0]) for r in rhos]
     elif axis == "n":
         ns = [float(v) for v in values]
-        for m in ns:
-            _check_n(m)
-        rows = [(m, solve_cosesi(c, G, int(m), rho).theta) for m in ns]
+        sizes = [_check_n(m) for m in ns]
+        rows = [(m, solve_cosesi(c, G, size, rho).theta) for m, size in zip(ns, sizes)]
     else:
         raise ValueError(f"axis must be 'rho' or 'n', got '{axis}'")
     rows.sort(key=lambda r: r[0])

@@ -946,7 +946,7 @@ def _log_columns(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cell for cell :func:`binom_pmf`, the scalar Bernstein kernel."""
     ts = thetas.tolist()
     lt = np.fromiter(map(math.log, ts), float, len(ts))
-    l1 = np.fromiter((math.log1p(-t) for t in ts), float, len(ts))
+    l1 = np.fromiter(map(math.log1p, (-thetas).tolist()), float, len(ts))
     return lt[:, None], l1[:, None]
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cosesi import applications
 from cosesi.model import (
@@ -15,11 +15,12 @@ from cosesi.model import (
     RhoMixture,
     action_count_pmf,
     exp_decay_cost,
+    affine_cost,
     linear_cost,
     power_cost,
     weighted_bernstein,
 )
-from cosesi.equilibrium import cost_grid, solve_cosesi
+from cosesi.equilibrium import LARGE_N, _roots, cost_grid, expected_costs, solve_cosesi
 from cosesi.applications import (
     ApplicationError,
     CreditSpec,
@@ -239,6 +240,23 @@ class TestMonopolyDemandRows:
             want = [(p, monopoly_demand(p, rho, 6.0, n)) for p in prices]
         assert out.demand_curve == tuple(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        t=st.one_of(st.sampled_from([0.0, 6.0]), st.floats(0.0, 30.0)),
+        prices=st.lists(st.floats(0.0, 1.0), max_size=20),
+    )
+    @example(t=4.6561, prices=[0.449])
+    def test_rational_rows_are_the_scalar_demand_bit_for_bit(self, t, prices):
+        prices = np.array([0.0, 1.0, *prices])  # the clamped ends among them
+        demand, demand_rows = applications._rational_demand_curve(t)
+        want = [monopoly_rational_demand(p, t) for p in prices.tolist()]
+        assert demand_rows(prices) == want == [demand(p) for p in prices.tolist()]
+
+    @pytest.mark.parametrize("t", [0.5, 3.0, 6.8663, 12.0])
+    def test_rational_curve_is_the_scalar_demand(self, t):
+        out = monopoly_optimize(0.0, t, rational=True)
+        assert out.demand_curve == tuple((p, monopoly_rational_demand(p, t)) for p, _ in out.demand_curve)
+
     def test_blocks_do_not_change_the_demand(self):
         # 10 000 cost cells hold 9 prices at n = 1000: 40 prices make five blocks
         demand, demand_rows = applications._demand_curve(0.3, 6.0, 1000, MLE())
@@ -398,6 +416,84 @@ class TestBankEquilibrium:
         # report hundreds of rounding roots and theta* = 0
         with pytest.raises(ApplicationError, match="every theta in \\[0,1\\] solves"):
             solve_bank_cosesi(spec)
+
+
+def _scalar_bank_residual(spec):
+    """The bank residual one theta at a time: every cost cell mapped by
+    ``1 - vasicek_cdf`` at that theta, then ``ExpectedCosts.psi``."""
+    shutdown_cost = lambda t: np.clip(spec.cost(1.0 - t), 0.0, 1.0)
+    costs = expected_costs(spec.G, spec.n, shutdown_cost).map(lambda v: min(1.0, max(0.0, v)))
+
+    def res(theta):
+        tail = lambda v: 1.0 - vasicek_cdf(v, theta, spec.omega, spec.rho, spec.gaussian_omega)
+        return theta - costs.map(tail).psi(theta, spec.rho)
+
+    return res
+
+
+def _scalar_bank(spec):
+    """``solve_bank_cosesi`` on the one-theta residual."""
+    res = _scalar_bank_residual(spec)
+    if all(abs(res(i / 10)) <= 1e-12 for i in range(11)):
+        raise ApplicationError("a continuum of bank equilibria: every theta in [0,1] solves")
+    roots = _roots(lambda xs: np.array([res(t) for t in xs.tolist()]), 1e-3)[0]
+    if not roots:
+        raise ApplicationError("no bank equilibrium found on [0,1]")
+    p_star = 0.5 if spec.gaussian_omega else norm_cdf(spec.omega * roots[0])
+    return applications.BankOutcome(roots[0], p_star, roots)
+
+
+def _outcome(solve, spec):
+    """The outcome, or the error's type and message."""
+    try:
+        return solve(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_BANK_COSTS = st.one_of(
+    st.floats(0.05, 1.0).map(lambda slope: affine_cost(1.0, -slope)),  # the workload's costs
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda ab: affine_cost(ab[0], ab[1] - ab[0])),
+    st.floats(0.3, 4.0).map(power_cost),
+    st.just(linear_cost()),
+)
+
+
+class TestBankResidualRows:
+    """The bank residual on arrays is, at every scan node and every single
+    theta, the one-theta residual bit for bit, and so are the outcomes."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        omega=st.floats(-2.0, 2.0),
+        rho=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+        n=st.integers(1, 40),
+        cost=_BANK_COSTS,
+        G=st.sampled_from([MLE(), BetaEstimation()]),
+        gaussian=st.booleans(),
+        theta=st.floats(0.0, 1.0),
+    )
+    @example(omega=0.3, rho=0.4, n=5, cost=affine_cost(1.0, -0.8), G=MLE(), gaussian=False, theta=0.25)
+    @example(omega=0.0, rho=0.5, n=2, cost=affine_cost(1.0, -1.0), G=MLE(), gaussian=False, theta=0.5)
+    @example(omega=0.0, rho=1.0, n=2, cost=power_cost(2.0), G=MLE(), gaussian=False, theta=0.3)
+    @example(omega=0.0, rho=0.5, n=2, cost=linear_cost(), G=MLE(), gaussian=True, theta=0.3)
+    def test_every_scan_node_is_the_scalar_residual(self, omega, rho, n, cost, G, gaussian, theta):
+        spec = CreditSpec(omega, rho, n, cost, G, gaussian)
+        res, ref = applications._bank_residual(spec), _scalar_bank_residual(spec)
+        nodes = np.arange(1001) / 1000
+        assert res(nodes).tolist() == [ref(t) for t in nodes.tolist()]
+        assert res(np.array([theta])).tolist() == [ref(theta)]
+        assert _outcome(solve_bank_cosesi, spec) == _outcome(_scalar_bank, spec)
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @pytest.mark.parametrize("rho", [0.4, 1.0])
+    def test_the_limit_is_the_scalar_residual(self, gaussian, rho):
+        spec = CreditSpec(0.3, rho, LARGE_N + 1, affine_cost(1.0, -0.8), MLE(), gaussian)
+        res, ref = applications._bank_residual(spec), _scalar_bank_residual(spec)
+        nodes = np.arange(1001) / 1000
+        assert res(nodes).tolist() == [ref(t) for t in nodes.tolist()]
+        assert res(np.array([0.123])).tolist() == [ref(0.123)]
+        assert _outcome(solve_bank_cosesi, spec) == _outcome(_scalar_bank, spec)
 
 
 class TestVarTwoBorrowers:

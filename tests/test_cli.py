@@ -189,6 +189,11 @@ class TestCommands:
         assert code == 0
         assert "num_roots=1" in out
 
+    def test_enumerate_s_shape_at_full_correlation(self, capsys):
+        code, out, _ = run_cli(["enumerate", "--cost", "sshape", "--n", "12", "--rho", "1"], capsys)
+        assert code == 0
+        assert "num_roots=1" in out
+
     def test_bank(self, capsys):
         code, out, _ = run_cli(
             ["bank", "--omega", "0", "--rho", "0.5", "--n", "2", "--cost", "affine:1,-1"],
@@ -312,6 +317,8 @@ class TestCommands:
         (["dynamics", "--p-xi", "0", "--q-xi", "0"], "Markov shock needs"),
         (["bank", "--omega", "0", "--rho", "0.5", "--n", "2", "--cost", "linear", "--gaussian-omega"],
          "continuum of bank equilibria"),
+        (["enumerate", "--cost", "pow:3", "--n", "5", "--rho", "1"], "continuum of equilibria"),
+        (["enumerate", "--cost", "linear", "--n", "12", "--rho", "0"], "continuum of equilibria"),
     ])
     def test_rejected_law_or_continuum_exits_1(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)

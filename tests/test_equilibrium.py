@@ -38,6 +38,7 @@ from cosesi.model import (
 from cosesi.equilibrium import (
     LARGE_N,
     BadWeights,
+    ContinuumOfEquilibria,
     cost_grid,
     cosesi_rho1_closed,
     expected_costs,
@@ -57,7 +58,9 @@ from cosesi.numerics import (
     RootInterval,
     Tolerance,
     find_roots,
+    SOLVE_TOL,
     find_sign_changes,
+    scan_cells,
     solve_bracketed,
     solve_decreasing,
 )
@@ -173,6 +176,20 @@ class TestSolveCosesi:
         with pytest.raises(UnsupportedN, match="n must be a positive integer"):
             cost_grid(mle, n, pow3)
 
+    @pytest.mark.parametrize("G", [MLE(), BetaEstimation()])
+    def test_integral_float_n_solves_as_the_integer(self, G, pow3):
+        # solve_with_dgp(pow3, MLE(), 4.0, CMB(2.0)) used to raise TypeError from the block size
+        same = lambda call: (lambda a, b: a == b and type(a.params.get("n")) is int)(call(4.0), call(4))
+        assert same(lambda n: solve_with_dgp(pow3, G, n, CMB(2.0)))
+        assert same(lambda n: solve_with_dgp(pow3, G, n, RhoMixture(0.3)))
+        assert same(lambda n: solve_general_cmb(pow3, G, n, 2.0))
+        assert enumerate_cosesi(s_shaped_cost(), 12.0, 0.3).roots == enumerate_cosesi(s_shaped_cost(), 12, 0.3).roots
+        assert solve_cosesi(pow3, G, 4.0, 0.3).theta == solve_cosesi(pow3, G, 4, 0.3).theta
+        assert cosesi_rho1_closed(pow3, G, 4.0).theta == cosesi_rho1_closed(pow3, G, 4).theta
+        assert (cost_grid(G, 4.0, pow3) == cost_grid(G, 4, pow3)).all()
+        assert expected_costs(G, 4.0, pow3).n == 4
+        assert sweep("n", [4.0], pow3, G, rho=0.3).thetas() == sweep("n", [4], pow3, G, rho=0.3).thetas()
+
 
 class TestClosedFormRhoOne:
     def test_power_costs_give_half(self, mle):
@@ -256,6 +273,28 @@ class TestEnumerate:
         n0 = len(enumerate_cosesi(c, 40, 0.0).roots)
         n1 = len(enumerate_cosesi(c, 40, 1.0).roots)
         assert n1 == 1 <= n0
+
+    @pytest.mark.parametrize("c, n, rho", [
+        (power_cost(3.0), 5, 1.0),  # theta - (theta c(1) + (1 - theta) c(0)) with c(0) = 0, c(1) = 1
+        (linear_cost(), 12, 0.0),  # B_n reproduces lines
+        (linear_cost(), 7, 0.6),
+    ])
+    def test_continuum_raises(self, c, n, rho):
+        # the scan used to report 10 001 and 842 rounding roots for the first two
+        with pytest.raises(ContinuumOfEquilibria, match=r"^a continuum of equilibria: every theta in \[0,1\] solves$"):
+            enumerate_cosesi(c, n, rho)
+
+    def test_continuum_is_a_value_error(self):
+        assert issubclass(ContinuumOfEquilibria, ValueError)
+
+    def test_general_law_continuum_raises(self):
+        # 1 - theta = B_n(theta; 1 - z) for every theta under iid signals
+        with pytest.raises(ContinuumOfEquilibria, match="every theta in \\[0,1\\] solves"):
+            solve_with_dgp(affine_cost(1.0, -1.0), MLE(), 4, IID())
+
+    def test_full_correlation_s_shape_keeps_one_root(self):
+        res = enumerate_cosesi(s_shaped_cost(), 12, 1.0)
+        assert len(res.roots) == 1
 
 
 class TestVariationDiagnostic:
@@ -766,9 +805,16 @@ class TestIsolatedScan:
     @example(c=power_cost(3.0), n=5, rho=0.3, grid_step=1e-4)  # exact node roots at 0 and 1
     @example(c=power_cost(3.0), n=2, rho=1.0, grid_step=1e-3)  # a residual that is 0 up to rounding
     def test_enumerate_is_the_full_scan(self, c, n, rho, grid_step):
-        got = enumerate_cosesi(c, n, rho, grid_step)
         grid = cost_grid(MLE(), n, c)
-        assert (got.theta_star, got.residual) == _full_scan(_array_residual(RhoMixture(rho), n, grid, True), grid_step)
+        res = _array_residual(RhoMixture(rho), n, grid, True)
+        try:
+            got = enumerate_cosesi(c, n, rho, grid_step)
+        except ContinuumOfEquilibria:
+            # every node the full scan reads is a root to the solvers' tolerance
+            nodes = np.arange(scan_cells(grid_step) + 1) / scan_cells(grid_step)
+            assert np.abs(res(nodes)).max() <= SOLVE_TOL.abs_tol
+            return
+        assert (got.theta_star, got.residual) == _full_scan(res, grid_step)
         assert re.match(_CERTIFICATE, got.params["certificate"])
 
     def test_split_point_root_keeps_its_bits(self):

@@ -234,15 +234,18 @@ def test_mle_grid_is_the_cost_at_each_mean(spec):
 
 def test_grid_path_imports_neither_scipy_nor_numpy_polynomial():
     # the Gauss rules come from the Jacobi recurrence and the roots from Bernstein
-    # coefficients, both on plain numpy arrays
+    # coefficients, both on plain numpy arrays; the bank's normal CDF is math.erfc
     code = (
         "import sys, cosesi, cosesi.cli\n"
+        "from cosesi.applications import CreditSpec, monopoly_optimize, solve_bank_cosesi\n"
         "from cosesi.equilibrium import cost_grid, enumerate_cosesi, solve_with_dgp\n"
         "from cosesi.model import CMB, MLE, BayesBeta, BetaEstimation, parse_cost\n"
         "cost_grid(BetaEstimation(), 20, parse_cost('pow:2'))\n"
         "cost_grid(BayesBeta(0.5, 1.25, 0.0), 20, parse_cost('exp:2'))\n"
         "solve_with_dgp(parse_cost('pow:3'), MLE(), 10, CMB(2))\n"
         "enumerate_cosesi(parse_cost('sshape'), 12, 0.3)\n"
+        "solve_bank_cosesi(CreditSpec(0.1, 0.4, 5, parse_cost('affine:1,-0.8')))\n"
+        "monopoly_optimize(0.0, 6.0, rational=True)\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'"
         " or m.startswith('numpy.polynomial')))\n"
     )
