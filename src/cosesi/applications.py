@@ -12,11 +12,13 @@ Four markets plus two policy exercises:
 * a two-period competitive market hit by a supply shock.
 
 Every rho-mixture expectation reads its costs through
-``equilibrium.expected_costs``, mapped cell by cell with ``ExpectedCosts.map``.
-Monopoly demand and the tax equilibria are solved by
-``equilibrium._cosesi_root``, the bank's roots by ``equilibrium._roots`` on a
-residual that takes the whole scan in one array pass.  The monopoly demand
-curves solve all their prices at once, in lockstep, by
+``equilibrium.expected_costs``, mapped cell by cell with ``ExpectedCosts.map``,
+and takes Psi at one theta by ``ExpectedCosts.psi`` or at many by
+``ExpectedCosts.psi_rows``.  Monopoly demand and the tax equilibria are
+solved by ``equilibrium._cosesi_root``; the bank's roots by
+``equilibrium._roots`` on a residual that takes the whole scan in one
+``psi_rows`` pass, with each theta's Vasicek tail as the map of its row.
+The monopoly demand curves solve all their prices at once, in lockstep, by
 ``numerics.solve_decreasing_rows`` (through ``equilibrium._cosesi_roots`` for
 naive consumers), with the scalar demand's roots bit for bit.  Two equations
 keep a solve of their own (the docstrings say why): the two-sided market and
@@ -32,7 +34,6 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
-    SOLVE_TOL,
     Bracket,
     norm_cdf,
     norm_cdf_array,
@@ -42,15 +43,8 @@ from .numerics import (
     solve_decreasing,
     solve_decreasing_rows,
 )
-from .model import (
-    CostFunction,
-    InferenceProcedure,
-    MLE,
-    exp_decay_cost,
-    weighted_bernstein_rows,
-    weighted_limit,
-)
-from .equilibrium import _cosesi_root, _cosesi_roots, _in_blocks, _roots, cost_grid, expected_costs
+from .model import CostFunction, InferenceProcedure, MLE, exp_decay_cost
+from .equilibrium import ContinuumOfEquilibria, _cosesi_root, _cosesi_roots, _roots, cost_grid, expected_costs
 
 __all__ = [
     "ApplicationError",
@@ -289,8 +283,8 @@ def monopoly_optimize(
     price, ``monopoly_demand`` or ``monopoly_rational_demand``, which the
     refinement calls.
     """
-    if price_grid_step > 1e-3:
-        raise ApplicationError("price grid step must be <= 1e-3")
+    if not 0.0 < price_grid_step <= 1e-3:
+        raise ApplicationError(f"price grid step must be in (0, 1e-3], got {price_grid_step:g}")
     prices = np.arange(0.0, 1.0 + price_grid_step / 2, price_grid_step)
     demand, demand_rows = _rational_demand_curve(t) if rational else _demand_curve(rho, t, n, G or MLE())
     curve = list(zip(prices.tolist(), demand_rows(prices)))
@@ -427,14 +421,14 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
     displayed density (identical for rho < 1, and free of the endpoint
     singularity).  The borrower default rate is p* = Phi(omega * theta*).
     One residual on arrays of thetas (:func:`_bank_residual`) serves the
-    1e-3 scan, the refinement at one theta and the continuum check: a
-    residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid is taken
-    for a continuum of equilibria and raises :class:`ApplicationError`.
+    1e-3 scan and the refinement at one theta.  ``equilibrium._roots`` takes
+    a residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid for a
+    continuum of equilibria, re-raised here as :class:`ApplicationError`.
     """
-    res = _bank_residual(spec)
-    if (np.abs(res(np.arange(11) / 10)) <= SOLVE_TOL.abs_tol).all():
-        raise ApplicationError("a continuum of bank equilibria: every theta in [0,1] solves")
-    roots = _roots(res, 1e-3)[0]
+    try:
+        roots = _roots(_bank_residual(spec), 1e-3)[0]
+    except ContinuumOfEquilibria:
+        raise ApplicationError("a continuum of bank equilibria: every theta in [0,1] solves") from None
     if not roots:
         raise ApplicationError("no bank equilibrium found on [0,1]")
     theta_star = roots[0]
@@ -451,45 +445,30 @@ def _bank_residual(spec: CreditSpec) -> Callable[[np.ndarray], np.ndarray]:
     Entry i is bit for bit the residual of one theta, ``theta - psi(theta,
     rho)`` of the clamped costs mapped by ``v -> 1 - vasicek_cdf(v, theta,
     ...)``: the same float operations, with norm_quantile(C_y) times its
-    square-root factor taken once per cell and the normal CDF by
-    ``numerics.norm_cdf_array``.  Costs of 0 and 1 keep the tails 1 and 0.
-    The grid's rows are summed by ``model.weighted_bernstein_rows`` in blocks
-    (one mapped grid for all thetas under Gaussian obligations, whose tail
-    does not depend on theta); the large-n limit maps each theta's own cost
-    and the two end costs, and sums by ``model.weighted_limit``.
+    square-root factor mapped once per cost cell (``ExpectedCosts.map``) and
+    the normal CDF by ``numerics.norm_cdf_array``.  The costs 0 and 1 map to
+    the quantiles -inf and inf, not scaled (at rho = 1 the scale is 0, and
+    0 * inf is nan), so their tails are exactly vasicek_cdf's 1 and 0.  The
+    tail of each theta is the ``f`` of ``ExpectedCosts.psi_rows``; under
+    Gaussian obligations it does not depend on theta, and one mapped grid
+    serves every theta.
     """
     shutdown_cost = lambda t: np.clip(spec.cost(1.0 - t), 0.0, 1.0)
-    # clamped once more: quadrature may leave [0, 1], where vasicek_cdf is undefined
-    costs = expected_costs(spec.G, spec.n, shutdown_cost).map(lambda v: min(1.0, max(0.0, v)))
     omega, rho, gaussian = spec.omega, spec.rho, spec.gaussian_omega
     scale = math.sqrt((1.0 - rho) / (1.0 + rho)) if gaussian else math.sqrt(1.0 - rho)
 
-    def quantiles(etas: np.ndarray) -> np.ndarray:
-        qs = [norm_quantile(e) * scale if 0.0 < e < 1.0 else 0.0 for e in etas.ravel().tolist()]
-        return np.array(qs).reshape(etas.shape)
+    def quantile(eta: float) -> float:
+        eta = min(1.0, max(0.0, eta))  # quadrature may leave [0, 1], where vasicek_cdf is undefined
+        if 0.0 < eta < 1.0:
+            return norm_quantile(eta) * scale
+        return -math.inf if eta == 0.0 else math.inf
 
-    def tails(etas: np.ndarray, qs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        x = qs if gaussian else (qs - omega * thetas[:, None]) / math.sqrt(rho)
-        return np.where(etas <= 0.0, 1.0, np.where(etas >= 1.0, 0.0, 1.0 - norm_cdf_array(x)))
-
-    if callable(costs.values):  # the limit: each theta's own cost, then the end costs
-        fn, ends = costs.values, np.array(costs.ends)
-
-        def res(thetas: np.ndarray) -> np.ndarray:
-            etas = np.column_stack([[fn(t) for t in thetas.tolist()], np.tile(ends, (len(thetas), 1))])
-            lam = tails(etas, quantiles(etas), thetas)
-            return thetas - weighted_limit(thetas, rho, lambda _: lam[:, 0], (lam[:, 1], lam[:, 2]))
-
-        return res
-    etas = costs.values
-    qs = quantiles(etas)
-    if gaussian:  # one mapped grid for every theta
-        grid = tails(etas, qs, None)
-        lam = lambda thetas: grid
-    else:
-        lam = lambda thetas: tails(etas, qs, thetas)
-    rhs = _in_blocks(costs.n, lambda thetas: weighted_bernstein_rows(costs.n, thetas, rho, lam(thetas)))
-    return lambda thetas: thetas - rhs(thetas)
+    qs = expected_costs(spec.G, spec.n, shutdown_cost).map(quantile)
+    if gaussian:
+        tails = qs.map(lambda q: 1.0 - norm_cdf(q))
+        return lambda thetas: thetas - tails.psi_rows(thetas, rho)
+    tail = lambda q, theta: 1.0 - norm_cdf_array((q - omega * theta) / math.sqrt(rho))
+    return lambda thetas: thetas - qs.psi_rows(thetas, rho, tail, thetas)
 
 
 def var_two_borrowers(p: float, tau: float, alpha: float) -> float:
@@ -536,7 +515,7 @@ def tax_policy_check(
     ``recommend_tax`` is the sign test 1 - c(theta_0) - theta_0 c'(theta_0) < 0
     at the untaxed equilibrium of the supplied DGP.
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ApplicationError(f"tax must be >= 0, got {tau}")
     costs = expected_costs(G, n, c)
     taxed = costs.map(lambda v: min(v + tau, 1.0))

@@ -12,27 +12,29 @@ relevant action-count law:
 
 Under a rho-mixture law the right side is ``ExpectedCosts.psi``: the kernel
 ``model.weighted_bernstein`` on the cost grid, or its large-n limit
-``model.weighted_limit`` on the cost itself.  :func:`_takes_limit` is the
-one place that picks between them: MLE requests with n above ``LARGE_N``
-and infinite n (hence NE) use the limit B_n(theta; C_n) -> c(theta).
+``model.weighted_limit`` on the cost itself.  ``ExpectedCosts.psi_rows`` is
+the one array form of it, bit for bit, for many thetas (each with its own
+mapped costs, if asked), in blocks of grid cells or one limit call per
+theta.  :func:`_takes_limit` is the one place that picks between grid and
+limit: MLE requests with n above ``LARGE_N`` and infinite n (hence NE) use
+the limit B_n(theta; C_n) -> c(theta).
 Every equation here and in ``applications`` is solved, at the default
 ``numerics.SOLVE_TOL``, by :func:`_cosesi_root` (the unique root for
 increasing costs: a closed form at rho = 1, else the clamped solve
 :func:`_root`) or by :func:`_roots` (scan, refine, merge roots within 1e-6).
 :func:`_cosesi_roots` is :func:`_cosesi_root` on many mapped cost rows at
-once (``ExpectedCosts.map_rows``), solved in lockstep with the same roots
-bit for bit.
-The scans of :func:`_roots` take one residual on arrays of thetas.  Those of
-:func:`solve_with_dgp` and :func:`enumerate_cosesi` (finite n) evaluate
-their nodes in blocks of count-law rows (``model.weighted_bernstein_rows``
-under a rho-mixture law, else ``model.count_pmf_grid`` rows met with the
-cost grid by ``model.row_dots``).  Each row's value does not depend on the
-block it is in, so the refinement, which calls the same residual at one
-theta, reads the scan's values bit for bit.  Where the law's residual has
-Bernstein coefficients (``model.bernstein_residual``), the scan takes only
-the grid cells that ``numerics.isolate_roots`` cannot rule out, and the end
-cells; a dropped cell is proved free of sign changes of the scanned
-residual, so the roots are those of the scan of every cell, bit for bit.
+once, one lockstep solve on ``psi_rows`` with the same roots bit for bit.
+The scans of :func:`_roots` take one residual on arrays of thetas:
+``psi_rows`` under a rho-mixture law, else ``model.count_pmf_grid`` rows
+met with the cost grid by ``model.row_dots``, in blocks.  Each row's value
+does not depend on the block it is in, so the refinement, which calls the
+same residual at one theta, reads the scan's values bit for bit.  Where the
+law's residual has Bernstein coefficients (``model.bernstein_residual``),
+the scan takes only the grid cells that ``numerics.isolate_roots`` cannot
+rule out, and the end cells; a dropped cell is proved free of sign changes
+of the scanned residual, so the roots are those of the scan of every cell,
+bit for bit.  A residual that vanishes on all of [0, 1] raises
+:class:`ContinuumOfEquilibria` instead of a list of rounding roots.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import (
+    SOLVE_TOL,
     RootInterval,
     Tolerance,
     find_roots,
@@ -203,35 +206,30 @@ class ExpectedCosts:
         cells = [f(v) for v in values.tolist()]
         return ExpectedCosts(self.n, np.array(cells), (cells[0], cells[-1]))
 
-    def map_rows(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray], params: np.ndarray) -> ExpectedCostRows:
-        """Row i is ``map(lambda v: f(v, params[i]))``, bit for bit, with ``f``
-        elementwise on arrays: the grid mapped as one (m, n + 1) array, or the
-        limit cost called one theta at a time and mapped per row."""
+    def psi_rows(
+        self,
+        thetas: np.ndarray,
+        rho: float,
+        f: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+        params: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Entry i is ``psi(thetas[i], rho)``, or with ``f`` (elementwise on
+        arrays) ``map(lambda v: f(v, params[i])).psi(thetas[i], rho)``, bit for
+        bit.  The grid is read in blocks of at most ``_SCAN_CELLS`` cells, so
+        memory is flat in n; the limit calls the cost once per theta."""
         values = self.values
-        ends = (f(self.ends[0], params), f(self.ends[1], params))
         if callable(values):
-            composed = lambda xs, rows: f(np.array([values(x) for x in xs.tolist()]), params[rows])
-            return ExpectedCostRows(self.n, composed, ends)
-        return ExpectedCostRows(self.n, f(values, params[:, None]), ends)
+            cost = lambda xs: np.array([values(x) for x in xs.tolist()])
+            if f is None:
+                return weighted_limit(thetas, rho, cost, self.ends)
+            ends = (f(self.ends[0], params), f(self.ends[1], params))
+            return weighted_limit(thetas, rho, lambda xs: f(cost(xs), params), ends)
 
+        def rows(idx: np.ndarray) -> np.ndarray:
+            grid = values if f is None else f(values, params[idx, None])
+            return weighted_bernstein_rows(self.n, thetas[idx], rho, grid)
 
-@dataclass(frozen=True)
-class ExpectedCostRows:
-    """m rows of mapped expected costs, built by :meth:`ExpectedCosts.map_rows`:
-    an (m, n + 1) grid, or in the limit ``values(xs, rows)``, the cost of row
-    ``rows[i]`` at ``xs[i]``; ``ends`` holds the m pairs as two arrays."""
-
-    n: float
-    values: np.ndarray | Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ends: tuple[np.ndarray, np.ndarray]
-
-    def psi(self, thetas: np.ndarray, rho: float, rows: np.ndarray) -> np.ndarray:
-        """Entry i is ``ExpectedCosts.psi(thetas[i], rho)`` of row ``rows[i]``, bit for bit."""
-        ends = (self.ends[0][rows], self.ends[1][rows])
-        if callable(self.values):
-            values = self.values
-            return weighted_limit(thetas, rho, lambda xs: values(xs, rows), ends)
-        return weighted_bernstein_rows(self.n, thetas, rho, self.values[rows])
+        return _in_blocks(self.n, rows)(np.arange(len(thetas)))
 
 
 def _takes_limit(G: InferenceProcedure, n: float) -> bool:
@@ -299,18 +297,12 @@ def _cosesi_roots(
 ) -> np.ndarray:
     """``_cosesi_root(costs.map(lambda v: f(v, q)), rho)[0]`` at every q of
     ``params``, bit for bit, with ``f`` elementwise on arrays: one lockstep
-    solve (``numerics.solve_decreasing_rows``) per block of at most
-    ``_SCAN_CELLS`` mapped grid cells, or the closed form at rho = 1."""
-    step = len(params) if callable(costs.values) else max(1, _SCAN_CELLS // len(costs.values))
-    blocks = []
-    for i in range(0, len(params), step):
-        rows = costs.map_rows(f, params[i : i + step])
-        if rho == 1.0:
-            blocks.append(_rho1_root(*rows.ends)[0])
-        else:
-            res = lambda thetas, active: 1.0 - thetas - rows.psi(thetas, rho, active)
-            blocks.append(solve_decreasing_rows(res, len(rows.ends[0])))
-    return np.concatenate(blocks)
+    solve (``numerics.solve_decreasing_rows``) on ``ExpectedCosts.psi_rows``,
+    or the closed form at rho = 1."""
+    if rho == 1.0:
+        return _rho1_root(f(costs.ends[0], params), f(costs.ends[1], params))[0]
+    res = lambda thetas, rows: 1.0 - thetas - costs.psi_rows(thetas, rho, f, params[rows])
+    return solve_decreasing_rows(res, len(params))
 
 
 def _root(rhs: Callable[[float], float]) -> tuple[float, float]:
@@ -337,7 +329,10 @@ def _roots(
     a count law may put a point mass at theta = 0 or 1; otherwise all cells.
     When every coefficient lies within its bound, the residual is 0 up to
     rounding on all of [0, 1], and :class:`ContinuumOfEquilibria` is raised
-    instead of a list of rounding roots.
+    instead of a list of rounding roots.  Without coefficients the same error
+    is raised, after the scan (so a law's own error still comes from the
+    scan), when the residual is within ``SOLVE_TOL`` of 0 at every node of a
+    0.1 grid.
     The certificate reads ``certified k`` when every kept interval has
     exactly one sign variation, with its coefficients beyond their bounds,
     and holds exactly one of the roots found, and the k roots are all that
@@ -357,6 +352,8 @@ def _roots(
             scanned[math.floor(iv.lo * n_cells) : math.ceil(iv.hi * n_cells)] = True
         cells = np.flatnonzero(scanned)
     found = find_roots(res, grid_step, cells=cells)
+    if kept is None and (np.abs(res(np.arange(11) / 10)) <= SOLVE_TOL.abs_tol).all():
+        raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
     roots: list[float] = []
     for r in found:
         if not roots or r - roots[-1] > 1e-6:
@@ -419,21 +416,18 @@ def enumerate_cosesi(
     ``params["certificate"]`` states the root count (see :func:`_roots`);
     where the residual vanishes identically (rho = 1 with c(0) = 0 and
     c(1) = 1, or a linear cost at any rho) it raises
-    :class:`ContinuumOfEquilibria`.  The large-n limit scans every cell.
+    :class:`ContinuumOfEquilibria`.  The large-n limit scans every cell,
+    and raises the same error where the residual vanishes on a 0.1 grid.
     """
     costs = expected_costs(MLE(), n, c)
-    if callable(costs.values):  # the limit's cost is a Python function: called node by node
-        res = lambda xs: np.array([t - costs.psi(t, rho) for t in xs.tolist()])
-        poly = lambda: None
-    else:
-        rhs = _in_blocks(costs.n, lambda xs: weighted_bernstein_rows(costs.n, xs, rho, costs.values))
-        res = lambda xs: xs - rhs(xs)
 
-        def poly():
-            _check_mixture_rho(rho)  # the kernel's check and message, not RhoMixture's
-            return bernstein_residual(RhoMixture(rho), costs.n, costs.values, benefit=True)
+    def poly():
+        if costs.n == math.inf:  # the limit has no Bernstein coefficients
+            return None
+        _check_mixture_rho(rho)  # the kernel's check and message, not RhoMixture's
+        return bernstein_residual(RhoMixture(rho), costs.n, costs.values, benefit=True)
 
-    roots, residual, certificate = _roots(res, grid_step, poly)
+    roots, residual, certificate = _roots(lambda xs: xs - costs.psi_rows(xs, rho), grid_step, poly)
     return EquilibriumResult(
         roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho, "certificate": certificate}
     )
@@ -541,10 +535,10 @@ def solve_with_dgp(
     1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection.
 
     One residual serves the scan of a 1e-4 grid and the refinement at one
-    theta.  Its right side is ``model.weighted_bernstein_rows`` under a
+    theta.  Its right side is ``ExpectedCosts.psi_rows`` under a
     rho-mixture law (iid, rho-mixture and Markov shock), otherwise the
     ``model.count_pmf_grid`` rows met with the cost grid by
-    ``model.row_dots``, taken in blocks of at most 10 000 pmf cells.  The
+    ``model.row_dots``; both take blocks of at most 10 000 cells.  The
     scan takes only the cells that the residual's Bernstein coefficients
     cannot rule out (every cell under Bahadur and additive-binomial laws),
     and ``params["certificate"]`` states the root count (see :func:`_roots`);
@@ -553,7 +547,8 @@ def solve_with_dgp(
     n = _check_n(n)
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
-        rhs = _in_blocks(n, lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid))
+        costs = ExpectedCosts(n, grid, (float(grid[0]), float(grid[-1])))
+        rhs = lambda xs: costs.psi_rows(xs, dgp.rho)
     else:
         rhs = _in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
     roots, residual, certificate = _roots(

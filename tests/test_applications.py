@@ -257,6 +257,12 @@ class TestMonopolyDemandRows:
         out = monopoly_optimize(0.0, t, rational=True)
         assert out.demand_curve == tuple((p, monopoly_rational_demand(p, t)) for p, _ in out.demand_curve)
 
+    def test_naive_curve_at_n_200_is_the_scalar_demand(self):
+        # 10 000 cost cells hold 49 prices at n = 200: the 1 001 prices span 21 blocks
+        out = monopoly_optimize(0.4, 6.0, 200)
+        sampled = out.demand_curve[::37] + out.demand_curve[-1:]
+        assert sampled == tuple((p, monopoly_demand(p, 0.4, 6.0, 200)) for p, _ in sampled)
+
     def test_blocks_do_not_change_the_demand(self):
         # 10 000 cost cells hold 9 prices at n = 1000: 40 prices make five blocks
         demand, demand_rows = applications._demand_curve(0.3, 6.0, 1000, MLE())

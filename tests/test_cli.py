@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cosesi import cli
+from cosesi import applications, cli
 from cosesi.cli import build_parser, main
 
 from conftest import subprocess_env
@@ -17,6 +17,10 @@ SUBCOMMANDS = [
     "market", "monopoly", "bank", "var", "tax", "supply-shock", "dynamics",
     "simulate", "info", "mc", "repro",
 ]
+
+
+def _not_solved(*args, **kwargs):
+    raise AssertionError("the input is refused before anything is solved")
 
 
 def run_cli(args, capsys):
@@ -319,6 +323,7 @@ class TestCommands:
          "continuum of bank equilibria"),
         (["enumerate", "--cost", "pow:3", "--n", "5", "--rho", "1"], "continuum of equilibria"),
         (["enumerate", "--cost", "linear", "--n", "12", "--rho", "0"], "continuum of equilibria"),
+        (["enumerate", "--cost", "linear", "--n", "200000", "--rho", "0.3"], "continuum of equilibria"),
     ])
     def test_rejected_law_or_continuum_exits_1(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)
@@ -332,6 +337,21 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err == f"solver error: supply shock needs |eps| < 1, got {eps}\n"
+
+    @pytest.mark.parametrize("step", ["0", "-0.001", "nan"])
+    def test_monopoly_grid_step_outside_its_interval_exits_1(self, step, capsys, monkeypatch):
+        monkeypatch.setattr(applications, "_demand_curve", _not_solved)
+        code, out, err = run_cli(["monopoly", "--grid-step", step], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"solver error: price grid step must be in (0, 1e-3], got {step}\n"
+
+    def test_nan_tax_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(applications, "expected_costs", _not_solved)
+        code, out, err = run_cli(["tax", "--tax", "nan"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "solver error: tax must be >= 0, got nan\n"
 
     @pytest.mark.parametrize("draws", ["0", "-3", "1"])
     def test_simulate_without_draws_exits_2(self, draws, capsys, tmp_path):

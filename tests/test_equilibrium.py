@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -278,9 +279,14 @@ class TestEnumerate:
         (power_cost(3.0), 5, 1.0),  # theta - (theta c(1) + (1 - theta) c(0)) with c(0) = 0, c(1) = 1
         (linear_cost(), 12, 0.0),  # B_n reproduces lines
         (linear_cost(), 7, 0.6),
+        # the large-n limit, which has no Bernstein coefficients: the 0.1-grid test
+        (linear_cost(), 200_000, 0.3),
+        (linear_cost(), math.inf, 0.3),
+        (power_cost(3.0), math.inf, 1.0),
     ])
     def test_continuum_raises(self, c, n, rho):
-        # the scan used to report 10 001 and 842 rounding roots for the first two
+        # the scan used to report 10 001 and 842 rounding roots for the first two,
+        # and 7 009, 7 009 and 10 001 for the last three
         with pytest.raises(ContinuumOfEquilibria, match=r"^a continuum of equilibria: every theta in \[0,1\] solves$"):
             enumerate_cosesi(c, n, rho)
 
@@ -678,6 +684,51 @@ _SCAN_LAWS = st.one_of(
     st.tuples(st.floats(0.0, 0.9).map(lambda r: BahadurJoint((r,))), st.just(2)),
     st.tuples(st.floats(-0.05, 0.1).map(AdditiveBinomial), st.integers(2, 12)),
 )
+
+
+# maps f(v, q), elementwise on arrays, that psi_rows takes row by row
+_ROW_MAPS = st.sampled_from([
+    lambda v, q: np.minimum(1.0 + q - v, 1.0),  # the monopoly's price map
+    lambda v, q: v * v * q + (1.0 - q) * v,
+])
+
+
+class TestPsiRows:
+    """``ExpectedCosts.psi_rows`` is ``psi`` (or ``map(...).psi``) at every
+    entry, bit for bit, on the grid and in the limit, with and without a map."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=_SCAN_COSTS,
+        law=st.one_of(
+            st.tuples(st.sampled_from([MLE(), BetaEstimation()]), st.integers(1, 40)),
+            st.tuples(st.just(MLE()), st.sampled_from([LARGE_N + 1, math.inf])),
+        ),
+        rho=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        f=st.one_of(st.none(), _ROW_MAPS),
+        m=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_entry_is_the_one_theta_psi(self, c, law, rho, f, m, seed):
+        G, n = law
+        costs = expected_costs(G, n, c)
+        rng = np.random.default_rng(seed)
+        thetas = np.concatenate([[0.0, 1.0], rng.random(m)])
+        params = rng.random(len(thetas))
+        with mock.patch.object(equilibrium, "_SCAN_CELLS", 60):  # blocks of 60 // (n + 1) rows
+            got = costs.psi_rows(thetas, rho, f, None if f is None else params)
+        if f is None:
+            want = [costs.psi(t, rho) for t in thetas.tolist()]
+        else:
+            want = [costs.map(lambda v: f(v, q)).psi(t, rho) for t, q in zip(thetas.tolist(), params)]
+        assert got.tolist() == want
+
+    def test_limit_calls_the_cost_once_per_theta(self, mle):
+        calls = []
+        costs = expected_costs(mle, math.inf, _counting(calls, lambda t: t**3))
+        calls.clear()
+        costs.psi_rows(np.linspace(0.0, 1.0, 7), 0.3, lambda v, q: v + q, np.ones(7))
+        assert len(calls) == 7
 
 
 class TestArrayScan:
