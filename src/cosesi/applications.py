@@ -404,6 +404,8 @@ class CreditSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.rho <= 1.0:
             raise ApplicationError(f"credit market needs rho in (0,1], got {self.rho}")
+        if not math.isfinite(self.omega):
+            raise ApplicationError(f"credit market needs a finite omega, got {self.omega}")
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,26 @@ class TestCommands:
         assert out == ""
         assert err == "solver error: tax must be >= 0, got nan\n"
 
+    @pytest.mark.parametrize("t, message", [
+        ("nan", "exp_decay rate must be >= 0, got nan"),
+        ("inf", "exp_decay rate must be finite, got inf"),
+    ])
+    def test_non_finite_encounter_rate_exits_1(self, t, message, capsys, monkeypatch):
+        monkeypatch.setattr(applications, "expected_costs", _not_solved)
+        code, out, err = run_cli(["monopoly", "--t", t], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"solver error: {message}\n"
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("gaussian", [[], ["--gaussian-omega"]])
+    def test_non_finite_omega_exits_1(self, omega, gaussian, capsys, monkeypatch):
+        monkeypatch.setattr(applications, "expected_costs", _not_solved)
+        code, out, err = run_cli(["bank", f"--omega={omega}", *gaussian], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"solver error: credit market needs a finite omega, got {omega}\n"
+
     @pytest.mark.parametrize("draws", ["0", "-3", "1"])
     def test_simulate_without_draws_exits_2(self, draws, capsys, tmp_path):
         out_path = tmp_path / "sim.csv"

@@ -22,7 +22,7 @@ from cosesi.model import (
     power_cost,
     s_shaped_cost,
 )
-from cosesi.equilibrium import cost_grid, solve_cosesi, solve_with_dgp
+from cosesi.equilibrium import LARGE_N, ExpectedCosts, cost_grid, expected_costs, solve_cosesi, solve_with_dgp
 from cosesi.dynamics import (
     DynamicsError,
     MarkovShockChain,
@@ -119,6 +119,135 @@ class TestSimulateDynamics:
     def test_gamma_validated(self, mle, pow2):
         with pytest.raises(DynamicsError):
             simulate_dynamics(pow2, mle, 2, MarkovShockChain(0.2, 0.8), 0.0, 0.5, 0.5, 10)
+
+
+def _full_recursion(c, G, n, chain, gamma, theta0, rho0, T, realize_shocks=False, rng=None):
+    """Every step of the recursion to T, with the shocks drawn in the same
+    loop: the output that ``simulate_dynamics`` must give bit for bit."""
+    costs = expected_costs(G, n, c)
+    thetas = np.empty(T + 1)
+    rhos = np.empty(T + 1)
+    thetas[0], rhos[0] = theta0, rho0
+    xi_path = None
+    gen = None
+    if realize_shocks:
+        gen = (rng or SeedableRng(0)).generator()
+        xi_path = np.empty(T + 1, dtype=np.int8)
+        xi_path[0] = gen.random() < rho0
+    for t in range(1, T + 1):
+        th, rh = float(thetas[t - 1]), float(rhos[t - 1])
+        psi = costs.psi(th, rh)
+        thetas[t] = (1.0 - gamma) * th + gamma * (1.0 - psi)
+        rhos[t] = chain.step_probability(rh)
+        if xi_path is not None:
+            stay = 1.0 - chain.q_xi if xi_path[t - 1] else chain.p_xi
+            xi_path[t] = gen.random() < stay
+    return thetas, rhos, xi_path
+
+
+def _first_repeat(thetas, rhos, window):
+    """(t, P): the first step whose state has the bits of the state P <= window
+    steps back, or None."""
+    th, rh = thetas.view(np.int64).tolist(), rhos.view(np.int64).tolist()
+    return next(((t, p) for t in range(1, len(th)) for p in range(1, min(t, window) + 1)
+                 if th[t] == th[t - p] and rh[t] == rh[t - p]), None)
+
+
+# (first repeat (t, P), cost, G, n, p, q, gamma, theta0, rho0): a fixed point
+# from step 17, a 2-cycle from step 42 (also under Beta and in the limit), a
+# 3-cycle from step 203 and an 8-cycle, the longest the window finds, from step 38
+_CYCLES = {
+    "period 1": ((17, 1), "pow:4", MLE(), 2, 0.4, 0.5, 0.5, 0.5, 0.5),
+    "period 2": ((42, 2), "pow:4", MLE(), 2, 0.4, 1.0, 0.5, 0.5, 0.5),
+    "period 2, Beta": ((42, 2), "pow:2", BetaEstimation(), 5, 0.4, 1.0, 0.5, 0.5, 0.5),
+    "period 2, limit": ((42, 2), "pow:2", MLE(), LARGE_N + 1, 0.4, 1.0, 0.5, 0.5, 0.5),
+    "period 3": ((203, 3), "pow:2", MLE(), 34, 0.0315805699092685, 0.1304110409081467,
+                 0.8200981885886643, 0.3386576800363872, 0.03812395402702928),
+    "period 8": ((38, 8), "sshape", MLE(), 39, 0.303066331782163, 0.9855397512621293,
+                 0.7947879067898228, 0.5594132210327717, 0.35398845788636424),
+}
+
+
+def _inference(law):
+    """(G, n) of a drawn ("mle" | "beta" | "limit", n)."""
+    kind, n = law
+    if kind == "limit":
+        return MLE(), LARGE_N + 1
+    return (MLE() if kind == "mle" else BetaEstimation()), n
+
+
+class TestCycleShortcut:
+    """Once the state repeats, the rest of the path is copied, not computed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(["linear", "pow:2", "pow:4", "affine:1,-1", "sshape", "exp:6"]),
+        law=st.one_of(st.tuples(st.just("mle"), st.integers(1, 40)),
+                      st.tuples(st.just("beta"), st.integers(1, 12)),
+                      st.just(("limit", 0))),
+        pq=st.one_of(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), st.just((1.0, 1.0))),
+        gamma=st.floats(0.01, 1.0),
+        theta0=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0])),
+        rho0=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0])),
+        T=st.integers(1, 300),
+        shocks=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 0.5), gamma=0.5, theta0=0.5, rho0=0.5, T=1,
+             shocks=True, seed=0)
+    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 0.5), gamma=0.5, theta0=0.5, rho0=0.5, T=16,
+             shocks=False, seed=0)
+    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=300,
+             shocks=True, seed=1)
+    @example(spec="pow:2", law=("beta", 5), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=300,
+             shocks=False, seed=0)
+    @example(spec="pow:2", law=("limit", 0), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=43,
+             shocks=True, seed=2)
+    @example(spec="linear", law=("mle", 3), pq=(1.0, 1.0), gamma=1.0, theta0=-0.0, rho0=-0.0, T=20,
+             shocks=False, seed=0)
+    def test_is_the_full_recursion_bit_for_bit(self, spec, law, pq, gamma, theta0, rho0, T, shocks, seed):
+        p, q = pq
+        assume(p + q > 0.0)
+        G, n = _inference(law)
+        args = (parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, T)
+        traj = simulate_dynamics(*args, realize_shocks=shocks, rng=SeedableRng(seed))
+        thetas, rhos, xi = _full_recursion(*args, realize_shocks=shocks, rng=SeedableRng(seed))
+        assert traj.theta.tobytes() == thetas.tobytes()
+        assert traj.rho.tobytes() == rhos.tobytes()
+        assert traj.t.tolist() == list(range(T + 1))
+        assert (traj.xi is None) == (not shocks)
+        if shocks:
+            assert traj.xi.tobytes() == xi.tobytes()
+
+    @pytest.mark.parametrize("case", list(_CYCLES))
+    def test_psi_stops_at_the_first_repeat(self, case, monkeypatch):
+        repeat, spec, G, n, p, q, gamma, theta0, rho0 = _CYCLES[case]
+        args = (parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, 400)
+        thetas, rhos, _ = _full_recursion(*args)
+        assert _first_repeat(thetas, rhos, dynamics._CYCLE_WINDOW) == repeat
+        calls = []
+        psi = ExpectedCosts.psi
+        monkeypatch.setattr(ExpectedCosts, "psi", lambda self, th, rh: calls.append(th) or psi(self, th, rh))
+        traj = simulate_dynamics(*args)
+        assert len(calls) == repeat[0]
+        assert traj.theta.tobytes() == thetas.tobytes() and traj.rho.tobytes() == rhos.tobytes()
+
+    def test_a_path_without_a_repeat_runs_every_step(self, monkeypatch):
+        # T shorter than the first repeat (step 203): every step is computed
+        _, spec, G, n, p, q, gamma, theta0, rho0 = _CYCLES["period 3"]
+        calls = []
+        psi = ExpectedCosts.psi
+        monkeypatch.setattr(ExpectedCosts, "psi", lambda self, th, rh: calls.append(th) or psi(self, th, rh))
+        simulate_dynamics(parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, 202)
+        assert len(calls) == 202
+
+    def test_same_bits(self):
+        assert dynamics._same_bits(0.25, 0.25)
+        assert dynamics._same_bits(-0.0, -0.0)
+        assert not dynamics._same_bits(0.0, -0.0)
+        assert not dynamics._same_bits(-0.0, 0.0)
+        assert not dynamics._same_bits(math.nan, math.nan)
+        assert not dynamics._same_bits(0.25, math.nextafter(0.25, 1.0))
 
 
 class TestPopulationOracle:

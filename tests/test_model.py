@@ -65,6 +65,11 @@ class TestCostFunctions:
         assert c(0.0) == 1.0
         assert c(1.0) == pytest.approx(math.exp(-6.0))
 
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+    def test_exp_decay_rate_outside_its_interval(self, rate):
+        with pytest.raises(ModelError, match="exp_decay rate must be"):
+            exp_decay_cost(rate)
+
     def test_s_shaped_crosses_diagonal_three_times(self):
         c = s_shaped_cost()
         assert "s_shaped" in c.shape_tags
@@ -579,6 +584,77 @@ class TestBernstein:
         want = [weighted_bernstein(n, t, rho, g) for t in thetas.tolist()]
         assert weighted_bernstein_rows(n, thetas, rho, g).tolist() == want
         assert weighted_bernstein_rows(n, thetas, rho, np.tile(g, (1001, 1))).tolist() == want
+
+
+def _plain_binom_pmf(n, theta):
+    """The pmf by ``np.exp`` over the whole log-pmf, each term recomputed:
+    the bits that both binomial kernels must give."""
+    out = np.zeros(n + 1)
+    if theta <= 0.0:
+        out[0] = 1.0
+        return out
+    if theta >= 1.0:
+        out[n] = 1.0
+        return out
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    y = np.arange(n + 1, dtype=float)
+    return np.exp(math.lgamma(n + 1) - lg - lg[::-1] + y * math.log(theta) + (n - y) * math.log1p(-theta))
+
+
+_EXTREME_THETAS = [5e-324, 1e-300, 1 - 1e-16]
+
+
+class TestBinomialKernelBits:
+    """The kernels exponentiate only the cells above ``_EXP_ZERO``; the rest
+    must be the 0.0 that ``np.exp`` gives them."""
+
+    def test_exp_is_exactly_zero_below_the_cut_off(self):
+        # a numpy whose exp rounds any of these away from +0.0 would change answers
+        xs = np.linspace(-800.0, model._EXP_ZERO, 2_000_001)
+        assert xs[-1] == model._EXP_ZERO
+        assert not np.exp(xs).view(np.uint64).any()
+        assert not np.exp(xs[1::3]).view(np.uint64).any()  # a strided view too
+        assert np.exp(-745.0) > 0.0  # the cut-off is not far below the last subnormal
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 60), st.integers(0, 100_000)),
+        theta=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EXTREME_THETAS + [0.0, 1.0]),
+                        st.floats(5e-324, 1e-3), st.floats(0.999, 1.0)),
+    )
+    @example(n=5000, theta=0.37)
+    @example(n=100_000, theta=5e-324)
+    @example(n=100_000, theta=1e-300)
+    @example(n=100_000, theta=1 - 1e-16)
+    @example(n=1, theta=5e-324)
+    @example(n=0, theta=0.5)
+    def test_scalar_kernel_is_the_plain_exp(self, n, theta):
+        assert binom_pmf(n, theta).tobytes() == _plain_binom_pmf(n, theta).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 30, 1000, 100_000])
+    @pytest.mark.parametrize("theta", _EXTREME_THETAS)
+    def test_scalar_kernel_at_the_extremes(self, n, theta):
+        assert binom_pmf(n, theta).tobytes() == _plain_binom_pmf(n, theta).tobytes()
+
+    def test_scalar_kernel_keeps_nan(self):
+        assert np.isnan(binom_pmf(7, math.nan)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        thetas=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EXTREME_THETAS + [0.0, 1.0]),
+                                  st.floats(0.0, 0.05), st.floats(0.95, 1.0)),
+                        min_size=1, max_size=20),
+    )
+    # a masked block (about 20% of the cells underflow), a block whose ends
+    # underflow in under a tenth of the cells, and one where nothing does
+    @example(n=1000, thetas=np.linspace(0.0, 0.5, 11)[1:-1].tolist())
+    @example(n=1000, thetas=np.linspace(0.3, 0.5, 11)[1:-1].tolist())
+    @example(n=200, thetas=np.linspace(0.2, 0.8, 52)[1:-1].tolist())
+    @example(n=5000, thetas=_EXTREME_THETAS + [0.37])
+    def test_row_kernel_is_the_plain_exp(self, n, thetas):
+        want = b"".join(_plain_binom_pmf(n, t).tobytes() for t in thetas)
+        assert model._binom_rows(n, np.array(thetas)).tobytes() == want
 
 
 class TestRowDots:
