@@ -622,28 +622,16 @@ def _binom_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return math.lgamma(n + 1) - lg - lg[::-1], y, n - y
 
 
-# np.exp rounds to exactly 0.0 below about -745.1332, half the least subnormal;
-# a log-pmf entry at or below this cut-off is 0.0 without being exponentiated
-# (tests/test_model.py checks numpy's exp against it)
-_EXP_ZERO = -746.0
-# the share of cells at or below _EXP_ZERO from which _binom_rows masks its exp
-_MASKED_EXP_SHARE = 0.1
-
-
 def binom_pmf(n: int, theta: float) -> np.ndarray:
     """Binomial(n, theta) pmf over y = 0..n as a vector.
 
     The scalar Bernstein kernel that :func:`bernstein` and
     :func:`weighted_bernstein` sum, kept beside the row kernel ``_binom_rows``
     because it is the hot path of every one-theta solve step: 3 320 calls in
-    a unique-workload pass, 3 880 in a market pass.  Where an end of the
-    log-pmf is at or below ``_EXP_ZERO``, only the hull of the entries above
-    it is exponentiated and the rest are 0.0, which is what ``np.exp`` gives
-    them: the same bits, without the slow underflowing lanes.  One call costs
-    5.7 us at n = 20, 6.5 us at n = 200 and 42 us at n = 5 000, theta 0.37,
-    where half the entries underflow; the full-array exp without the cached
-    terms took 7.9, 9.5 and 83 us in the same run (Python 3.11, numpy 2.4,
-    Intel Xeon, 2 vCPUs).
+    a unique-workload pass, 3 880 in a market pass.  One call costs 3.7 us
+    at n = 20 and 6.5 us at n = 200, theta 0.37; it took 4.9 and 10 us in the
+    same run when it recomputed ``y`` and ``n - y`` and zero-filled its output
+    (best of 15, Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs).
     """
     if n < 0:
         raise UnsupportedN(f"n must be >= 0, got {n}")
@@ -653,17 +641,7 @@ def binom_pmf(n: int, theta: float) -> np.ndarray:
         return out
     logc, y, u = _binom_terms(n)
     logp = logc + y * math.log(theta) + u * math.log1p(-theta)
-    if not (logp[0] <= _EXP_ZERO or logp[-1] <= _EXP_ZERO):  # a NaN theta too: it keeps its NaNs
-        return np.exp(logp, out=logp)
-    # [a, b) is the hull of the entries above the cut-off, empty if there are
-    # none; argmax stops at the first True, where flatnonzero reads them all
-    live = logp > _EXP_ZERO
-    a = int(live.argmax())
-    b = n + 1 - int(live[::-1].argmax()) if live[a] else a
-    np.exp(logp[a:b], out=logp[a:b])
-    logp[:a] = 0.0
-    logp[b:] = 0.0
-    return logp
+    return np.exp(logp, out=logp)
 
 
 def bernstein(n: int, theta: float, values: Sequence[float]) -> float:
@@ -975,26 +953,11 @@ def _log_columns(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _binom_rows(n: int, thetas: np.ndarray) -> np.ndarray:
-    """Binomial(n, theta) rows, cell for cell the arithmetic of :func:`binom_pmf`.
-
-    Where an end column of the log-pmf is at or below ``_EXP_ZERO``, the exp
-    is masked to the cells above it and the rest stay 0.0, the bits
-    ``np.exp`` gives them.  The masked exp costs about 2.5 times the plain one
-    per cell, but the plain one spends ten times or more on an underflowing
-    cell than on a normal one, so the mask is taken only where at least
-    ``_MASKED_EXP_SHARE`` of the cells underflow; the end columns rule it out
-    in O(rows) first."""
+    """Binomial(n, theta) rows, cell for cell the arithmetic of :func:`binom_pmf`."""
     probs, inner = _edge_rows(n, thetas)
     lt, l1 = _log_columns(thetas[inner])
     logc, y, u = _binom_terms(n)
-    logp = logc + y * lt + u * l1
-    # the end columns are n log(1 - theta) and n log(theta), bit for bit
-    if lt.size and n * min(lt.min(), l1.min()) <= _EXP_ZERO:
-        live = logp > _EXP_ZERO
-        if np.count_nonzero(live) < (1.0 - _MASKED_EXP_SHARE) * live.size:
-            probs[inner] = np.exp(logp, out=np.zeros_like(logp), where=live)
-            return probs
-    probs[inner] = np.exp(logp, out=logp)
+    probs[inner] = np.exp(logc + y * lt + u * l1)
     return probs
 
 

@@ -605,16 +605,9 @@ _EXTREME_THETAS = [5e-324, 1e-300, 1 - 1e-16]
 
 
 class TestBinomialKernelBits:
-    """The kernels exponentiate only the cells above ``_EXP_ZERO``; the rest
-    must be the 0.0 that ``np.exp`` gives them."""
-
-    def test_exp_is_exactly_zero_below_the_cut_off(self):
-        # a numpy whose exp rounds any of these away from +0.0 would change answers
-        xs = np.linspace(-800.0, model._EXP_ZERO, 2_000_001)
-        assert xs[-1] == model._EXP_ZERO
-        assert not np.exp(xs).view(np.uint64).any()
-        assert not np.exp(xs[1::3]).view(np.uint64).any()  # a strided view too
-        assert np.exp(-745.0) > 0.0  # the cut-off is not far below the last subnormal
+    """Both kernels read their terms from the per-n cache and exponentiate in
+    place; every cell, underflowing ones included, must keep the bits of the
+    plain expression."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -646,7 +639,7 @@ class TestBinomialKernelBits:
                                   st.floats(0.0, 0.05), st.floats(0.95, 1.0)),
                         min_size=1, max_size=20),
     )
-    # a masked block (about 20% of the cells underflow), a block whose ends
+    # a block where about 20% of the cells underflow, one whose ends
     # underflow in under a tenth of the cells, and one where nothing does
     @example(n=1000, thetas=np.linspace(0.0, 0.5, 11)[1:-1].tolist())
     @example(n=1000, thetas=np.linspace(0.3, 0.5, 11)[1:-1].tolist())
