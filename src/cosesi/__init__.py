@@ -38,7 +38,6 @@ from .model import (
     binom_pmf,
     dgp_variance,
     exp_decay_cost,
-    expected_cost,
     linear_cost,
     mean_limit_variance,
     parse_cost,

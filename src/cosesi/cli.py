@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import math
 import os
 import sys
 from functools import partial
@@ -128,9 +129,13 @@ def _parse_rho_fn(spec: str):
         return lambda eta: eta
     if head == "const":
         v = float(rest)
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"const rho needs x in [0,1], got {v}")
         return lambda eta: v
     if head == "power":
         k = float(rest)
+        if not 0.0 <= k < math.inf:
+            raise ConfigError(f"power rho needs a finite k >= 0, got {k}")
         return lambda eta: eta**k
     raise ConfigError(f"unknown rho function '{spec}'")
 
@@ -268,7 +273,8 @@ def _enumerate_flags(p: argparse.ArgumentParser) -> None:
 
 def _assortative_flags(p: argparse.ArgumentParser) -> None:
     _common(p, rho=False)
-    p.add_argument("--rho-fn", default="identity", help="zero, identity, const:x, power:k")
+    p.add_argument("--rho-fn", default="identity",
+                   help="zero, identity, const:x (x in [0,1]), power:k (k >= 0)")
 
 
 def _bayes_flags(p: argparse.ArgumentParser) -> None:
@@ -490,12 +496,13 @@ def _run(args) -> int:
     if cmd == "market":
         spec = TwoSidedSpec(lam=args.lam, v=args.v, k=args.k, n=args.n,
                             rho_w=args.rho_w, rho_f=args.rho_f)
+        # the mixed population first: it refuses a kappa outside [0, 1] before any solve
+        mixed = None if args.kappa is None else mixed_population_employment(spec, args.kappa)
         out = solve_two_sided(spec, rational=args.rational)
         rows = [[out.concept, out.alpha_star, out.beta_star, out.employment]]
         summary = [("alpha_star", out.alpha_star), ("beta_star", out.beta_star),
                    ("employment", out.employment)]
-        if args.kappa is not None:
-            mixed = mixed_population_employment(spec, args.kappa)
+        if mixed is not None:
             summary += [("employment_total", mixed.employment_total),
                         ("inequality_factor", mixed.inequality_factor),
                         ("disadvantage_ratio", mixed.disadvantage_ratio)]

@@ -268,7 +268,7 @@ def solve_cosesi(
     Unique for any increasing cost, n, G, and rho in [0, 1]; rho = 0 is the
     SESI and rho = 1 is the closed form of :func:`cosesi_rho1_closed`.
     """
-    _check_rho(rho)
+    _check_mixture_rho(rho)
     if rho == 1.0:
         closed = cosesi_rho1_closed(c, G, n)
         theta, residual = closed.theta, closed.residual
@@ -278,11 +278,6 @@ def solve_cosesi(
     return EquilibriumResult(
         theta, concept, residual, {"cost": c.name, "G": G.kind, "n": n, "rho": rho}
     )
-
-
-def _check_rho(rho: float) -> None:
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0,1], got {rho}")
 
 
 def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
@@ -399,7 +394,7 @@ def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> EquilibriumResult:
     """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1}),
     from these two cells alone (c(0) and c(1) at infinite n)."""
-    ends = (c(0.0), c(1.0)) if _takes_limit(G, n) else (G.expected_cost(n, 0.0, c), G.expected_cost(n, 1.0, c))
+    ends = (c(0.0), c(1.0)) if _takes_limit(G, n) else (G.expected_value(n, 0.0, c), G.expected_value(n, 1.0, c))
     theta, residual = _rho1_root(*ends)
     return EquilibriumResult(theta, "CoSESI", residual, {"cost": c.name, "G": G.kind, "n": n})
 
@@ -424,7 +419,6 @@ def enumerate_cosesi(
     def poly():
         if costs.n == math.inf:  # the limit has no Bernstein coefficients
             return None
-        _check_mixture_rho(rho)  # the kernel's check and message, not RhoMixture's
         return bernstein_residual(RhoMixture(rho), costs.n, costs.values, benefit=True)
 
     roots, residual, certificate = _roots(lambda xs: xs - costs.psi_rows(xs, rho), grid_step, poly)
@@ -570,7 +564,9 @@ def solve_general_cmb(
     Uniqueness is not guaranteed away from nu = 1, so all roots that
     :func:`solve_with_dgp` finds on a 1e-4 grid, in the cells that the
     Bernstein coefficients leave, are reported.  nu = 1 reproduces the SESI;
-    nu = -inf is the extreme positive-dependence case.
+    nu = -inf is the extreme positive-dependence case.  Kept only because
+    the benchmark in ``perfbench/`` still calls it; everything else calls
+    ``solve_with_dgp(c, G, n, CMB(nu))``.
     """
     result = solve_with_dgp(c, G, n, CMB(nu))
     n, certificate = result.params["n"], result.params["certificate"]
@@ -590,7 +586,7 @@ def sweep(
     if axis == "rho":
         rhos = [float(v) for v in values]
         for r in rhos:
-            _check_rho(r)
+            _check_mixture_rho(r)
         costs = expected_costs(G, n, c)
         rows = [(r, _cosesi_root(costs, r)[0]) for r in rhos]
     elif axis == "n":

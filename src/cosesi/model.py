@@ -51,7 +51,6 @@ __all__ = [
     "MLE",
     "BetaEstimation",
     "BayesBeta",
-    "expected_cost",
     "SignalDGP",
     "IID",
     "RhoMixture",
@@ -166,7 +165,7 @@ class CostFunction:
         ys = _evaluate(self.fn, np.linspace(0.0, 1.0, _SHAPE_GRID))
         if not self.shape_tags:
             object.__setattr__(self, "shape_tags", _classify_shape(ys))
-        if ys.min() < -1e-12 or ys.max() > 1.0 + 1e-12:
+        if not (ys.min() >= -1e-12 and ys.max() <= 1.0 + 1e-12):  # nan fails too
             raise ModelError(f"cost '{self.name}' leaves [0,1] on the unit interval")
 
     def __call__(self, theta: float) -> float:
@@ -182,7 +181,7 @@ class CostFunction:
 
 def power_cost(d: float) -> CostFunction:
     """c(theta) = theta**d for d > 0."""
-    if d <= 0:
+    if not d > 0:
         raise ModelError(f"power cost needs d > 0, got {d}")
     tags = {"increasing", "convex"} if d >= 1.0 else {"increasing", "concave"}
     if d == 1.0:
@@ -392,7 +391,7 @@ def beta_expectation(fn: Callable[[float], float], a, b):
     x = c u^16 turns x^(a - 1) dx into 16 c^a u^(16 a - 1) du, whose
     fractional power is the weight of a 64-node Gauss-Jacobi rule (one per
     prior side, cached), and lifts x^d to u^(16 d).  The rest of the window is
-    128-node Gauss-Legendre.  ``fn`` is called on the nodes of 64 cells at a
+    128-node Gauss-Legendre.  ``fn`` is called on the nodes of 32 cells at a
     time, and the weighted sum of fn is divided by that of the density, so
     B(a, b) never enters.
 
@@ -483,7 +482,8 @@ class InferenceProcedure:
         raise NotImplementedError
 
     def expected_cost(self, n: int, z: float, cost: Callable[[float], float]) -> float:
-        """C_{n,z} = int cost dG_{n,z}."""
+        """C_{n,z} = int cost dG_{n,z}: ``expected_value`` under its old name,
+        kept only because the benchmark in ``perfbench/`` still calls it."""
         return self.expected_value(n, z, cost)
 
     def _one_cell(self, n: int, z: float, fn: Callable[[float], float]) -> float:
@@ -530,6 +530,11 @@ class BetaEstimation(InferenceProcedure):
         return self._one_cell(n, z, fn)
 
 
+def _check_prior(alpha: float, beta: float) -> None:
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):  # nan fails too
+        raise ModelError(f"Beta prior parameters must be positive and finite, got ({alpha}, {beta})")
+
+
 class BayesBeta(InferenceProcedure):
     """Bayesian updating from a Beta(alpha, beta) prior with partial neglect.
 
@@ -550,8 +555,7 @@ class BayesBeta(InferenceProcedure):
     kind = "bayes"
 
     def __init__(self, alpha: float, beta: float, rho: float, zeta: float = 1.0):
-        if alpha <= 0 or beta <= 0:
-            raise ModelError("Beta prior parameters must be positive")
+        _check_prior(alpha, beta)
         if rho not in (0.0, 1.0, 0, 1):
             raise InteriorRhoUnsupported(
                 f"Bayesian inference defined only for rho in {{0,1}}, got {rho}"
@@ -575,13 +579,6 @@ class BayesBeta(InferenceProcedure):
         return self._one_cell(n, z, fn)
 
 
-def expected_cost(
-    G: InferenceProcedure, n: int, z: float, cost: Callable[[float], float]
-) -> float:
-    """Module-level alias for G.expected_cost(n, z, cost)."""
-    return G.expected_cost(n, z, cost)
-
-
 def bayes_posterior(
     alpha: float, beta: float, n: int, y: int, regime: str
 ) -> tuple[float, float]:
@@ -591,8 +588,7 @@ def bayes_posterior(
     equal, so y must be 0 or n): Beta(alpha + z, beta + 1 - z) with z = y/n;
     the sample counts as a single observation, independent of n.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ModelError("Beta prior parameters must be positive")
+    _check_prior(alpha, beta)
     if not 0 <= y <= n:
         raise InvalidSampleMean(f"y={y} outside 0..{n}")
     if regime == "iid":
@@ -657,6 +653,7 @@ def bernstein(n: int, theta: float, values: Sequence[float]) -> float:
 
 
 def _check_mixture_rho(rho: float) -> None:
+    """The range test of every mixture rho, the laws' and the solvers' (nan fails it)."""
     if not 0.0 <= rho <= 1.0:
         raise InadmissibleCorrelation(f"rho must be in [0,1], got {rho}")
 
@@ -734,8 +731,7 @@ class RhoMixture:
     rho: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise InadmissibleCorrelation(f"rho-mixture needs rho in [0,1], got {self.rho}")
+        _check_mixture_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -744,12 +740,21 @@ class CMB:
 
     nu: float
 
+    def __post_init__(self) -> None:
+        if math.isnan(self.nu):
+            raise InadmissibleCorrelation(f"CMB needs nu in [-inf, inf], got {self.nu}")
+
 
 @dataclass(frozen=True)
 class AdditiveBinomial:
     """Common pairwise correlation rho (possibly negative), no higher-order terms."""
 
     rho: float
+
+    def __post_init__(self) -> None:
+        # the admissible interval depends on n and theta: additive_binomial_rho_bounds
+        if not math.isfinite(self.rho):
+            raise InadmissibleCorrelation(f"additive binomial needs a finite rho, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -1117,8 +1122,7 @@ def bernstein_residual(
     """
     n, grid = int(n), np.asarray(grid, dtype=float)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
-        rho = dgp.rho
-        _check_mixture_rho(rho)
+        rho = dgp.rho  # in [0, 1] by the law's constructor
         y = np.arange(n + 1) / n
         coeffs = (y if benefit else 1.0 - y) - (1.0 - rho) * grid - rho * (grid[0] + y * (grid[-1] - grid[0]))
         return coeffs, np.full(n + 1, _rounding(grid, math.lgamma(n + 1) + n))

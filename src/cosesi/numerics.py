@@ -160,20 +160,13 @@ def _std_normal():
     return NormalDist()
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance | float = Tolerance(),
-) -> float:
+def integrate(f: Callable[[float], float], a: float, b: float, tol: Tolerance = Tolerance()) -> float:
     """Adaptive-Simpson integral of ``f`` over [a, b] to absolute tolerance.
 
     ``tol.max_iter`` is the recursion depth budget (200 by default); raises
     :class:`MaxIterExceeded` when a subinterval at that depth still has a
     local error estimate above its share of the tolerance.
     """
-    if isinstance(tol, float):
-        tol = Tolerance(abs_tol=tol)
     if a > b:
         raise DomainError(f"integrate requires a <= b, got a={a}, b={b}")
     if a == b:

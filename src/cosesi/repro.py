@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MLE, BetaEstimation, MarkovShock, RhoMixture, linear_cost, power_cost, action_count_pmf
-from .equilibrium import (
-    solve_assortative,
-    solve_cosesi,
-    solve_general_cmb,
-    solve_heterogeneous,
-    solve_ne,
-)
+from .model import CMB, MLE, BetaEstimation, MarkovShock, RhoMixture, linear_cost, power_cost, action_count_pmf
+from .equilibrium import solve_assortative, solve_cosesi, solve_heterogeneous, solve_ne, solve_with_dgp
 from .applications import (
     TwoSidedSpec,
     default_stats,
@@ -231,7 +225,7 @@ def run_repro() -> list[ReproRow]:
     psi = informativeness(200, action_count_pmf(RhoMixture(1.0), 200, 0.3), 0.3)
     rows.append(_bound_row("informativeness rho=1 n=200 below 0.02", 0.02, psi))
     sesi = solve_cosesi(pow2, mle, 4, 0.0).theta
-    cmb1 = solve_general_cmb(pow2, mle, 4, 1.0).roots[0]
+    cmb1 = solve_with_dgp(pow2, mle, 4, CMB(1.0)).roots[0]
     rows.append(_row("CMB nu=1 reproduces SESI", sesi, cmb1, 1e-9))
     mix = solve_heterogeneous([(0.5, mle, 2), (0.5, mle, 5)], pow4, 0.0).theta
     lo, hi = sorted(solve_cosesi(pow4, mle, n, 0.0).theta for n in (2, 5))

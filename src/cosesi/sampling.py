@@ -2,12 +2,13 @@
 
 Monte Carlo generators for correlated Bernoulli signals under two laws of
 ``model``, the compound lottery ``RhoMixture`` and popularity-weighted
-``Sequential`` (whose constructors check the parameters; nothing here
-does), exact Bahadur joints for up to three signals (a row of
-``model._bahadur_joint_rows``, the kernel of the Bahadur count law), the
-balance-equation test for when a sum of dependent Bernoullis is binomial,
-the informativeness index based on total-variation distance, and the
-large-sample action-probability formulas for algorithmic sampling.
+``Sequential`` (whose constructors check the parameters; theta goes through
+the count laws' check, before any draw), exact Bahadur joints for up to
+three signals (a row of ``model._bahadur_joint_rows``, the kernel of the
+Bahadur count law), the balance-equation test for when a sum of dependent
+Bernoullis is binomial, the informativeness index based on total-variation
+distance, and the large-sample action-probability formulas for algorithmic
+sampling.
 
 All randomness flows through :class:`SeedableRng`; identical seed and stream
 id reproduce identical draws, and distinct stream ids are independent.
@@ -31,13 +32,13 @@ from .model import (
     Sequential,
     UnsupportedN,
     _bahadur_joint_rows,
+    _unit_thetas,
     binom_pmf,
     joint_count_probs,
 )
 
 __all__ = [
     "SamplingError",
-    "InvalidCorrelationRegion",
     "LambdaOutOfRange",
     "SeedableRng",
     "JointPMF",
@@ -56,10 +57,6 @@ __all__ = [
 
 class SamplingError(Exception):
     """Base error for samplers and diagnostics."""
-
-
-# correlation outside a law's region is the model's error, under its old name here
-InvalidCorrelationRegion = InadmissibleCorrelation
 
 
 class LambdaOutOfRange(SamplingError, ValueError):
@@ -100,7 +97,7 @@ class JointPMF:
         if probs.shape != (2**self.n,):
             raise SamplingError(f"need {2 ** self.n} outcome probabilities")
         if probs.min() < -1e-12:
-            raise InvalidCorrelationRegion(f"negative joint cell {probs.min()}")
+            raise InadmissibleCorrelation(f"negative joint cell {probs.min()}")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise SamplingError(f"joint pmf sums to {probs.sum()}")
 
@@ -135,8 +132,10 @@ def sample_correlated(
 
     With probability rho all n bits duplicate a single Bernoulli(theta) draw;
     otherwise the bits are iid Bernoulli(theta).  Returns a (size, n) 0/1
-    array; a size below 1 raises :class:`SamplingError`.
+    array; a size below 1 raises :class:`SamplingError`.  theta and rho are
+    checked before anything is drawn.
     """
+    _unit_thetas([theta])
     RhoMixture(rho)  # the law's constructor checks rho
     if size < 1:
         raise SamplingError(f"need at least one draw, got size={size}")
@@ -163,7 +162,9 @@ def sequential_sample(
     the law ``Sequential(lambdas)``, so a scalar or a short list is padded by
     ``Sequential.weights``.  Simulation is well defined for any lambda in
     [0, 1); only the normal-approximation formula restricts lambda further.
+    theta and the weights are checked before anything is drawn.
     """
+    _unit_thetas([theta])
     lams = Sequential((lambdas,) if np.isscalar(lambdas) else tuple(lambdas)).weights(n)
     gen = rng.generator()
     bits = np.empty((size, n), dtype=np.int8)

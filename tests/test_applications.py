@@ -148,7 +148,7 @@ class TestMonopoly:
         # theta = (1 - lam_0) / (1 - lam_0 + lam_1), lam_z = min(1 + p - C_{n,z}, 1)
         cost = exp_decay_cost(6.0)
         for p in (0.0, 0.001, 0.137, 0.586, 0.9, 1.0):
-            lam0, lam1 = (min(1.0 + p - G.expected_cost(n, z, cost), 1.0) for z in (0.0, 1.0))
+            lam0, lam1 = (min(1.0 + p - G.expected_value(n, z, cost), 1.0) for z in (0.0, 1.0))
             want = (1.0 - lam0) / (1.0 - lam0 + lam1)
             assert monopoly_demand(p, rho=1.0, t=6.0, n=n, G=G) == want
 

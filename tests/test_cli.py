@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cosesi import applications, cli
+from cosesi import applications, cli, sampling
 from cosesi.cli import build_parser, main
 
 from conftest import subprocess_env
@@ -372,6 +372,32 @@ class TestCommands:
         assert code == 1
         assert out == ""
         assert err == f"solver error: credit market needs a finite omega, got {omega}\n"
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["cosesi", "--dgp", "cmb:nan", "--cost", "pow:2", "--n", "3"], 2, "CMB needs nu in [-inf, inf], got nan"),
+        (["info", "--dgp", "cmb:nan", "--n", "3"], 2, "CMB needs nu in [-inf, inf], got nan"),
+        (["cosesi", "--dgp", "addbin:nan", "--n", "3"], 2, "additive binomial needs a finite rho, got nan"),
+        (["cosesi", "--inference", "bayes:nan,1,0"], 2,
+         "Beta prior parameters must be positive and finite, got (nan, 1.0)"),
+        (["cosesi", "--cost", "pow:nan"], 2, "power cost needs d > 0, got nan"),
+        (["cosesi", "--cost", "affine:nan,1"], 2, "leaves [0,1] on the unit interval"),
+        (["cosesi", "--cost", "affine:0.5,nan"], 2, "leaves [0,1] on the unit interval"),
+        (["assortative", "--rho-fn", "const:2", "--n", "3"], 2, "const rho needs x in [0,1], got 2.0"),
+        (["assortative", "--rho-fn", "const:nan", "--n", "3"], 2, "const rho needs x in [0,1], got nan"),
+        (["assortative", "--rho-fn", "power:nan", "--n", "3"], 2, "power rho needs a finite k >= 0, got nan"),
+        (["assortative", "--rho-fn", "power:-1", "--n", "3"], 2, "power rho needs a finite k >= 0, got -1.0"),
+        (["simulate", "--theta", "1.5", "--n", "3", "--draws", "1000"], 1, "theta must be in [0,1], got 1.5"),
+        (["market", "--kappa", "2"], 1, "kappa must be in [0,1], got 2.0"),
+    ])
+    def test_parameter_outside_its_region_is_refused_before_solving(self, args, code, message, capsys, monkeypatch):
+        for module, name in [(cli, "solve_cosesi"), (cli, "solve_with_dgp"), (cli, "solve_assortative"),
+                             (cli, "action_count_pmf"), (cli, "solve_two_sided"),
+                             (applications, "solve_two_sided"), (sampling.SeedableRng, "generator")]:
+            monkeypatch.setattr(module, name, _not_solved)
+        got, out, err = run_cli(args, capsys)
+        assert got == code
+        assert out == ""
+        assert err.startswith("config error: " if code == 2 else "solver error: ") and message in err
 
     @pytest.mark.parametrize("draws", ["0", "-3", "1"])
     def test_simulate_without_draws_exits_2(self, draws, capsys, tmp_path):

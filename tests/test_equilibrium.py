@@ -168,6 +168,19 @@ class TestSolveCosesi:
         with pytest.raises(ValueError):
             solve_cosesi(pow3, mle, 2, 1.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda c, G: RhoMixture(1.5),
+        lambda c, G: solve_cosesi(c, G, 2, 1.5),
+        lambda c, G: solve_cosesi(c, G, math.inf, 1.5),
+        lambda c, G: sweep("rho", [0.5, 1.5], c, G, n=2),
+        lambda c, G: enumerate_cosesi(s_shaped_cost(), 12, 1.5),
+        lambda c, G: enumerate_cosesi(s_shaped_cost(), math.inf, 1.5),
+    ])
+    def test_one_rho_check(self, call, mle, pow3):
+        # the law, the solvers and the kernels share one range test, its error and its text
+        with pytest.raises(InadmissibleCorrelation, match=r"^rho must be in \[0,1\], got 1.5$"):
+            call(pow3, mle)
+
     @pytest.mark.parametrize("n", [0, -3, 2.5])
     @pytest.mark.parametrize("rho", [0.3, 1.0])
     def test_sample_size_must_be_a_positive_integer(self, mle, pow3, n, rho):
@@ -382,7 +395,7 @@ class TestBayesianCosesi:
             with pytest.raises(UnsupportedN, match="n must be finite"):
                 solve()
         assert solve_cosesi(pow3, G, 100_000, 1.0).theta == pytest.approx(0.57576, abs=1e-5)
-        ends = (G.expected_cost(10, 0.0, pow3), G.expected_cost(10, 1.0, pow3))
+        ends = (G.expected_value(10, 0.0, pow3), G.expected_value(10, 1.0, pow3))
         assert cosesi_rho1_closed(pow3, G, 10).theta == (1.0 - ends[0]) / (1.0 - ends[0] + ends[1])
         # the procedures whose posteriors concentrate keep the limit
         for G in (BayesBeta(1.0, 1.0, 1.0, 1.0), BayesBeta(2.0, 1.0, 0.0, 0.5)):
@@ -418,8 +431,8 @@ class TestBayesianCosesi:
         # reference: the zeta-mixed polarized equation, solved iteratively
         naive = BayesBeta(*prior, 0.0)
         aware = BayesBeta(*prior, 1.0, 0.0)
-        c0 = (naive.expected_cost(n, 0.0, c), naive.expected_cost(n, 1.0, c))
-        c1 = (aware.expected_cost(n, 0.0, c), aware.expected_cost(n, 1.0, c))
+        c0 = (naive.expected_value(n, 0.0, c), naive.expected_value(n, 1.0, c))
+        c1 = (aware.expected_value(n, 0.0, c), aware.expected_value(n, 1.0, c))
 
         def res(t):
             mixed = zeta * (t * c0[1] + (1.0 - t) * c0[0]) + (1.0 - zeta) * (

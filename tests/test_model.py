@@ -40,7 +40,6 @@ from cosesi.model import (
     count_pmf_grid,
     dgp_variance,
     exp_decay_cost,
-    expected_cost,
     linear_cost,
     mixture_pmf_grid,
     mean_limit_variance,
@@ -81,6 +80,16 @@ class TestCostFunctions:
     def test_range_validation(self):
         with pytest.raises(ModelError):
             parse_cost("affine:0.5,2")  # exceeds 1 on [0,1]
+
+    @pytest.mark.parametrize("spec, message", [
+        ("pow:nan", "power cost needs d > 0, got nan"),
+        ("pow:-1", "power cost needs d > 0, got -1.0"),
+        ("affine:nan,1", "cost 'affine:nan,1' leaves [0,1] on the unit interval"),
+        ("affine:0.5,nan", "cost 'affine:0.5,nan' leaves [0,1] on the unit interval"),
+    ])
+    def test_nan_parameter_refused(self, spec, message):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            parse_cost(spec)
 
     def test_analytic_vs_numeric_derivative(self):
         c = power_cost(4)
@@ -284,19 +293,19 @@ def test_one_cell_is_its_grid_entry_bitwise(kind, n, data, spec):
 
 class TestExpectedCost:
     def test_mle_is_plugin(self, pow4):
-        assert expected_cost(MLE(), 2, 0.5, pow4) == pytest.approx(1.0 / 16.0, abs=1e-12)
+        assert MLE().expected_value(2, 0.5, pow4) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_beta_estimation_interior(self, pow4):
         # Beta(1,1) estimate at n=2, z=1/2: integral of t^4 is 1/5
-        assert expected_cost(BetaEstimation(), 2, 0.5, pow4) == pytest.approx(0.2, abs=1e-10)
+        assert BetaEstimation().expected_value(2, 0.5, pow4) == pytest.approx(0.2, abs=1e-10)
 
     def test_point_mass_at_zero(self, pow4):
         for G in (MLE(), BetaEstimation()):
-            assert expected_cost(G, 5, 0.0, pow4) == pytest.approx(pow4(0.0), abs=1e-12)
+            assert G.expected_value(5, 0.0, pow4) == pytest.approx(pow4(0.0), abs=1e-12)
 
     def test_invalid_sample_mean(self, pow4):
         with pytest.raises(InvalidSampleMean):
-            expected_cost(MLE(), 2, 0.3, pow4)
+            MLE().expected_value(2, 0.3, pow4)
 
     @pytest.mark.parametrize("G", [MLE(), BetaEstimation(), BayesBeta(1.0, 2.0, 0.0, 0.7)])
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -353,6 +362,16 @@ class TestBayesPosterior:
     def test_polarized_interior_rejected(self):
         with pytest.raises(PolarizedInteriorSample):
             bayes_posterior(1, 1, 4, 2, "polarized")
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.inf),
+    ])
+    def test_prior_outside_its_region(self, alpha, beta):
+        message = f"^Beta prior parameters must be positive and finite, got \\({alpha}, {beta}\\)$"
+        with pytest.raises(ModelError, match=message):
+            BayesBeta(alpha, beta, 0.0)
+        with pytest.raises(ModelError, match=message):
+            bayes_posterior(alpha, beta, 3, 1, "iid")
 
 
 class TestActionCountPMF:
@@ -429,8 +448,19 @@ class TestActionCountPMF:
 
     @pytest.mark.parametrize("rho", [-0.1, 1.2, math.nan, math.inf])
     def test_rho_mixture_validated_at_construction(self, rho):
-        with pytest.raises(InadmissibleCorrelation):
+        with pytest.raises(InadmissibleCorrelation, match=rf"^rho must be in \[0,1\], got {rho}$"):
             RhoMixture(rho)
+
+    def test_cmb_refuses_nan_nu(self):
+        with pytest.raises(InadmissibleCorrelation, match=r"^CMB needs nu in \[-inf, inf\], got nan$"):
+            CMB(math.nan)
+        for nu in (-math.inf, math.inf):
+            assert action_count_pmf(CMB(nu), 3, 0.4).probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+    def test_additive_binomial_refuses_non_finite_rho(self, rho):
+        with pytest.raises(InadmissibleCorrelation, match=f"^additive binomial needs a finite rho, got {rho}$"):
+            AdditiveBinomial(rho)
 
     @pytest.mark.parametrize("n, theta", [(1, 0.3), (5, 0.0), (7, 0.62), (12, 0.999), (30, 1.0)])
     def test_iid_and_markov_shock_are_rho_mixtures_bitwise(self, n, theta):

@@ -11,9 +11,8 @@ from cosesi.model import (
     action_count_pmf,
     binom_pmf,
 )
-from cosesi.model import InadmissibleCorrelation
+from cosesi.model import InadmissibleCorrelation, ModelError
 from cosesi.sampling import (
-    InvalidCorrelationRegion,
     LambdaOutOfRange,
     SamplingError,
     SeedableRng,
@@ -30,6 +29,22 @@ from cosesi.sampling import (
 from cosesi.numerics import norm_cdf
 
 from conftest import subprocess_env
+
+
+class _NoDraws(SeedableRng):
+    def generator(self):
+        raise AssertionError("the input is refused before anything is drawn")
+
+
+@pytest.mark.parametrize("theta", [1.5, -0.1, math.nan])
+@pytest.mark.parametrize("draw", [
+    lambda theta, rng: sample_correlated(3, theta, 0.5, rng, size=10),
+    lambda theta, rng: sequential_sample(3, theta, 0.3, rng, size=10),
+])
+def test_theta_outside_unit_interval_refused_before_drawing(theta, draw):
+    # the draws used to run, and returned all ones at theta = 1.5
+    with pytest.raises(ModelError, match=rf"^theta must be in \[0,1\], got {theta}$"):
+        draw(theta, _NoDraws(0))
 
 
 class TestSeedableRng:
@@ -238,11 +253,10 @@ class TestBahadurJoint:
             assert joint.probs[b] == pytest.approx(want, abs=1e-15)
 
     def test_negative_cell_rejected(self):
-        with pytest.raises(InvalidCorrelationRegion):
+        with pytest.raises(InadmissibleCorrelation):
             bahadur_joint(2, 0.05, -0.9)
 
     def test_region_error_is_the_model_error(self):
-        assert InvalidCorrelationRegion is InadmissibleCorrelation
         with pytest.raises(InadmissibleCorrelation, match="negative cell") as exc:
             bahadur_joint(2, 0.05, -0.9)
         assert exc.value.__cause__ is None
@@ -303,7 +317,7 @@ class TestBalanceEquations:
                 r[2] = -(r[0] + r[1])  # zero-sum pairs keep the count binomial
             try:
                 cases.append(bahadur_joint(3, theta, tuple(r), 0.0))
-            except InvalidCorrelationRegion:
+            except InadmissibleCorrelation:
                 continue
         checked_holds = checked_fails = 0
         for joint in cases:
