@@ -14,6 +14,9 @@ take whole (no command, an option or an unknown name first, arguments left
 over) goes through the full parser, so usage, help and error texts are the
 same either way.
 
+`import cosesi.cli` loads no solver module: each subcommand imports its own
+modules when it runs, and the spec parsers import the `model` classes.
+
 Exit codes: 0 success, 1 solver error, 2 configuration error.  Every spec
 string (--cost, --inference, --dgp, --rho-fn, --groups, --values) is parsed
 before any solve, and one that fails to parse is a configuration error; so
@@ -23,73 +26,40 @@ is an `--out` path that cannot be written, refused before the solve too.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import math
 import os
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import __version__
-from .numerics import NumericsError
-from .model import (
-    CMB,
-    AdditiveBinomial,
-    BayesBeta,
-    BetaEstimation,
-    IID,
-    MLE,
-    MarkovShock,
-    ModelError,
-    RhoMixture,
-    Sequential,
-    action_count_pmf,
-    parse_cost,
-)
-from .equilibrium import (
-    enumerate_cosesi,
-    solve_assortative,
-    solve_bayesian_cosesi,
-    solve_cosesi,
-    solve_heterogeneous,
-    solve_ne,
-    solve_with_dgp,
-    sweep,
-)
-from .applications import (
-    ApplicationError,
-    CreditSpec,
-    TwoSidedSpec,
-    mixed_population_employment,
-    monopoly_optimize,
-    solve_bank_cosesi,
-    solve_two_sided,
-    tax_policy_check,
-    two_part_supply,
-    var_two_borrowers,
-)
-from .dynamics import DynamicsError, simulate_dynamics, mc_population_equilibrium
-from .sampling import SamplingError, SeedableRng, informativeness, pairwise_correlation, sample_correlated
-from .repro import format_table, run_repro
 
-_SOLVER_ERRORS = (
-    NumericsError,
-    ModelError,
-    ApplicationError,
-    DynamicsError,
-    SamplingError,
-    ValueError,
-    ArithmeticError,
-)
+# home module -> its typed solver error, which main reports as a solver error
+_SOLVER_ERRORS = {"numerics": "NumericsError", "model": "ModelError",
+                  "applications": "ApplicationError", "dynamics": "DynamicsError",
+                  "sampling": "SamplingError"}
+
+
+def _solver_errors() -> tuple:
+    """The typed solver errors of the loaded modules: an error whose module was
+    never imported cannot have been raised."""
+    loaded = [(sys.modules.get(f"{__package__}.{m}"), e) for m, e in _SOLVER_ERRORS.items()]
+    return tuple(getattr(mod, e) for mod, e in loaded if mod) + (ValueError, ArithmeticError)
 
 
 class ConfigError(Exception):
     pass
 
 
+def _parse_cost(spec: str):
+    from .model import parse_cost
+
+    return parse_cost(spec)
+
+
 def _parse_inference(spec: str):
+    from .model import MLE, BayesBeta, BetaEstimation
+
     head, _, rest = spec.partition(":")
     if head == "mle":
         return MLE()
@@ -104,6 +74,8 @@ def _parse_inference(spec: str):
 
 
 def _parse_dgp(spec: str):
+    from .model import CMB, IID, AdditiveBinomial, MarkovShock, RhoMixture, Sequential
+
     head, _, rest = spec.partition(":")
     args = [float(a) for a in rest.split(",")] if rest else []
     if head == "iid":
@@ -141,6 +113,8 @@ def _parse_rho_fn(spec: str):
 
 
 def _parse_groups(spec: str):
+    from .equilibrium import _check_weights
+
     # a token with exactly two colons starts a group; any other token continues
     # the previous group's inference spec, so bayes:alpha,beta,rho keeps its commas
     parts: list[str] = []
@@ -154,13 +128,14 @@ def _parse_groups(spec: str):
         w, rest = part.split(":", 1)
         inf, nn = rest.rsplit(":", 1)
         groups.append((float(w), _parse_inference(inf), int(nn)))
+    _check_weights([w for w, _, _ in groups])
     return groups
 
 
 # args attribute -> parser of its spec string; _parse_specs runs them all
 # before any solve, so a malformed spec is a configuration error
 _SPEC_PARSERS = {
-    "cost": parse_cost,
+    "cost": _parse_cost,
     "inference": _parse_inference,
     "dgp": _parse_dgp,
     "rho_fn": _parse_rho_fn,
@@ -190,6 +165,8 @@ def _fmt(v) -> str:
 def _emit(args, header: list[str], rows: list[list], summary: list[tuple[str, object]]) -> None:
     # the CSV goes first, so an --out that cannot be written leaves stdout empty
     if args.out:
+        import csv
+
         try:
             with open(args.out, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -457,9 +434,13 @@ def _run(args) -> int:
     _parse_specs(args)
     cmd = args.command
     if cmd == "ne":
+        from .equilibrium import solve_ne
+
         _emit_result(args, solve_ne(args.cost))
         return 0
     if cmd == "cosesi":
+        from .equilibrium import solve_cosesi, solve_with_dgp
+
         if args.dgp is None:
             res = solve_cosesi(args.cost, args.inference, args.n, args.rho or 0.0)
         elif args.rho is None:
@@ -472,28 +453,40 @@ def _run(args) -> int:
               [("theta_star", roots[0] if len(roots) == 1 else ",".join(_fmt(r) for r in roots))])
         return 0
     if cmd == "sweep":
+        from .equilibrium import sweep
+
         table = sweep(args.axis, args.values, args.cost, args.inference, n=args.n, rho=args.rho)
         rows = [[args.axis, v, th] for v, th in table.rows]
         _emit(args, ["axis", "value", "theta_star"], rows,
               [("rows", len(rows)), ("last_theta", table.rows[-1][1])])
         return 0
     if cmd == "enumerate":
+        from .equilibrium import enumerate_cosesi
+
         res = enumerate_cosesi(args.cost, args.n, args.rho, args.grid_step)
         rows = [[i, r] for i, r in enumerate(res.roots)]
         _emit(args, ["root_index", "theta_star"], rows, [("num_roots", len(res.roots))] + [
             (f"theta_{i}", r) for i, r in enumerate(res.roots)])
         return 0
     if cmd == "assortative":
+        from .equilibrium import solve_assortative
+
         _emit_result(args, solve_assortative(args.cost, args.inference, args.n, args.rho_fn))
         return 0
     if cmd == "bayes":
+        from .equilibrium import solve_bayesian_cosesi
+
         _emit_result(args, solve_bayesian_cosesi(args.cost, (args.alpha, args.beta), args.n,
                                                  args.rho, args.zeta))
         return 0
     if cmd == "hetero":
+        from .equilibrium import solve_heterogeneous
+
         _emit_result(args, solve_heterogeneous(args.groups, args.cost, args.rho))
         return 0
     if cmd == "market":
+        from .applications import TwoSidedSpec, mixed_population_employment, solve_two_sided
+
         spec = TwoSidedSpec(lam=args.lam, v=args.v, k=args.k, n=args.n,
                             rho_w=args.rho_w, rho_f=args.rho_f)
         # the mixed population first: it refuses a kappa outside [0, 1] before any solve
@@ -509,6 +502,8 @@ def _run(args) -> int:
         _emit(args, ["concept", "alpha_star", "beta_star", "employment"], rows, summary)
         return 0
     if cmd == "monopoly":
+        from .applications import monopoly_optimize
+
         out = monopoly_optimize(rho=args.rho, t=args.t, n=args.n, G=args.inference,
                                 price_grid_step=args.grid_step, rational=args.rational)
         rows = [[p, q] for p, q in out.demand_curve]
@@ -517,6 +512,8 @@ def _run(args) -> int:
                ("profit_star", out.profit_star)])
         return 0
     if cmd == "bank":
+        from .applications import CreditSpec, solve_bank_cosesi
+
         spec = CreditSpec(omega=args.omega, rho=args.rho, n=args.n, cost=args.cost,
                           G=args.inference, gaussian_omega=args.gaussian_omega)
         out = solve_bank_cosesi(spec)
@@ -525,11 +522,15 @@ def _run(args) -> int:
               [("theta_star", out.theta_star), ("p_star", out.p_star)])
         return 0
     if cmd == "var":
+        from .applications import var_two_borrowers
+
         loss = var_two_borrowers(args.p, args.tau, args.alpha)
         _emit(args, ["p", "tau", "alpha", "var"], [[args.p, args.tau, args.alpha, loss]],
               [("var", loss)])
         return 0
     if cmd == "tax":
+        from .applications import tax_policy_check
+
         out = tax_policy_check(args.cost, args.inference, args.n, args.rho, args.tax)
         _emit(args, ["theta_tau", "theta_zero", "welfare", "check_value", "recommend_tax"],
               [[out.theta_tau, out.theta_zero, out.welfare, out.check_value, out.recommend_tax]],
@@ -537,12 +538,17 @@ def _run(args) -> int:
                ("recommend_tax", out.recommend_tax)])
         return 0
     if cmd == "supply-shock":
+        from .applications import two_part_supply
+
         out = two_part_supply(args.cost, args.inference, args.eps)
         _emit(args, ["theta1", "theta2", "condition_ok"],
               [[out.theta1, out.theta2, out.condition_ok]],
               [("theta1", out.theta1), ("theta2", out.theta2), ("condition_ok", out.condition_ok)])
         return 0
     if cmd == "dynamics":
+        from .dynamics import simulate_dynamics
+        from .model import MarkovShock
+
         traj = simulate_dynamics(args.cost, args.inference, args.n,
                                  MarkovShock(args.p_xi, args.q_xi), args.gamma,
                                  args.theta0, args.rho0, args.T)
@@ -551,6 +557,11 @@ def _run(args) -> int:
               [("theta_final", traj.final_theta()), ("rho_final", float(traj.rho[-1]))])
         return 0
     if cmd == "simulate":
+        import numpy as np
+
+        from .model import RhoMixture, action_count_pmf
+        from .sampling import SeedableRng, pairwise_correlation, sample_correlated
+
         if not isinstance(args.dgp, RhoMixture):
             raise ConfigError("simulate currently draws from rho-mixture laws (rho:<value>)")
         if args.draws < 2:  # one draw has no sample correlation
@@ -565,12 +576,18 @@ def _run(args) -> int:
               [("draws", args.draws), ("pairwise_correlation", corr)])
         return 0
     if cmd == "info":
+        from .model import action_count_pmf
+        from .sampling import informativeness
+
         pmf = action_count_pmf(args.dgp, args.n, args.theta)
         psi = informativeness(args.n, pmf, args.theta)
         _emit(args, ["n", "theta", "informativeness"], [[args.n, args.theta, psi]],
               [("informativeness", psi)])
         return 0
     if cmd == "mc":
+        from .dynamics import mc_population_equilibrium
+        from .sampling import SeedableRng
+
         out = mc_population_equilibrium(args.cost, args.inference, args.n, args.dgp,
                                         num_agents=args.agents, rng=SeedableRng(args.seed))
         _emit(args, ["theta_hat", "stderr", "sweeps"],
@@ -578,6 +595,8 @@ def _run(args) -> int:
               [("theta_hat", out.theta_hat), ("stderr", out.stderr)])
         return 0
     if cmd == "repro":
+        from .repro import format_table, run_repro
+
         rows = run_repro()
         _emit(args, ["name", "expected", "computed", "abs_err", "tol", "status", "note"],
               [[r.name, r.expected, r.computed, r.err, r.tol, r.status, r.note] for r in rows], [])
@@ -599,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
+    except _solver_errors() as exc:  # evaluated only when an error reaches it
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
 

@@ -502,6 +502,13 @@ def solve_bayesian_cosesi(
     )
 
 
+def _check_weights(weights: list[float]) -> None:
+    """Refuse weights that are not nonnegative with a finite sum of one; each
+    test is written so that a NaN or an infinity fails it."""
+    if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
+        raise BadWeights(f"weights must be nonnegative and sum to 1, got {weights}")
+
+
 def solve_heterogeneous(
     specs: Sequence[tuple[float, InferenceProcedure, int]],
     c: CostFunction,
@@ -512,9 +519,7 @@ def solve_heterogeneous(
     ``specs`` holds (weight, G, n) triples; weights must be nonnegative and
     sum to one.  Solves 1 - theta = sum_j w_j Psi_{n_j}(theta, rho; C^j).
     """
-    weights = [w for w, _, _ in specs]
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
-        raise BadWeights(f"weights must be nonnegative and sum to 1, got {weights}")
+    _check_weights([w for w, _, _ in specs])
     groups = [(w, expected_costs(G, n, c)) for w, G, n in specs]
     theta, residual = _root(lambda t: sum(w * costs.psi(t, rho) for w, costs in groups))
     return EquilibriumResult(

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import shlex
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cosesi import applications, cli, sampling
+from cosesi import applications, cli, equilibrium, model, repro, sampling
 from cosesi.cli import build_parser, main
 
 from conftest import subprocess_env
@@ -390,8 +391,9 @@ class TestCommands:
         (["market", "--kappa", "2"], 1, "kappa must be in [0,1], got 2.0"),
     ])
     def test_parameter_outside_its_region_is_refused_before_solving(self, args, code, message, capsys, monkeypatch):
-        for module, name in [(cli, "solve_cosesi"), (cli, "solve_with_dgp"), (cli, "solve_assortative"),
-                             (cli, "action_count_pmf"), (cli, "solve_two_sided"),
+        # cli imports each solver from its home module when the command runs
+        for module, name in [(equilibrium, "solve_cosesi"), (equilibrium, "solve_with_dgp"),
+                             (equilibrium, "solve_assortative"), (model, "action_count_pmf"),
                              (applications, "solve_two_sided"), (sampling.SeedableRng, "generator")]:
             monkeypatch.setattr(module, name, _not_solved)
         got, out, err = run_cli(args, capsys)
@@ -553,7 +555,7 @@ class TestConfigAndDeterminism:
         def boom():
             raise AssertionError("the suite ran before --out was checked")
 
-        monkeypatch.setattr(cli, "run_repro", boom)
+        monkeypatch.setattr(repro, "run_repro", boom)
         path = str(tmp_path / where) if where else str(tmp_path)
         code, out, err = run_cli(["repro", "--out", path], capsys)
         assert (code, out) == (2, "")
@@ -658,3 +660,52 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert "0.5" in proc.stdout
+
+
+class TestPerCommandImports:
+    """Each subcommand imports only its own modules; main still reports the
+    typed error of every module as a solver error."""
+
+    def test_loaded_modules(self):
+        script = (
+            "import sys\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('cosesi'))\n"
+            "import cosesi; print(loaded())\n"
+            "import cosesi.cli; print(loaded())\n"
+            "cosesi.cli.main(['ne', '--cost', 'pow:3']); print(loaded())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "['cosesi']",
+            "['cosesi', 'cosesi.cli']",
+            "theta_star=0.682327803828",
+            "['cosesi', 'cosesi.cli', 'cosesi.equilibrium', 'cosesi.model', 'cosesi.numerics']",
+        ]
+
+    @pytest.mark.parametrize("home, solver, error, argv", [
+        ("equilibrium", "solve_ne", "numerics.NumericsError", ["ne"]),
+        ("equilibrium", "solve_cosesi", "model.ModelError", ["cosesi"]),
+        ("applications", "var_two_borrowers", "applications.ApplicationError", ["var"]),
+        ("dynamics", "simulate_dynamics", "dynamics.DynamicsError", ["dynamics", "--T", "3"]),
+        ("sampling", "informativeness", "sampling.SamplingError", ["info"]),
+    ])
+    def test_typed_solver_error_exits_1(self, home, solver, error, argv, capsys, monkeypatch):
+        module, name = error.split(".")
+        cls = getattr(importlib.import_module(f"cosesi.{module}"), name)
+
+        def fail(*args, **kwargs):
+            raise cls("patched failure")
+
+        monkeypatch.setattr(importlib.import_module(f"cosesi.{home}"), solver, fail)
+        assert run_cli(argv, capsys) == (1, "", "solver error: patched failure\n")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_group_weight_is_a_config_error(self, weight, capsys, monkeypatch):
+        monkeypatch.setattr(equilibrium, "expected_costs", _not_solved)
+        groups = f"{weight}:mle:2,0.5:mle:3"
+        code, out, err = run_cli(["hetero", f"--groups={groups}", "--cost", "pow:4"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"config error: bad --groups value {groups!r}: weights must be nonnegative "
+                       f"and sum to 1, got [{float(weight)}, 0.5]\n")

@@ -376,9 +376,10 @@ class TestThresholdSweep:
     @example(c=linear_cost(), G=MLE(), n=2, dgp=RhoMixture(0.3), num_agents=10_001, seed=1)
     @example(c=affine_cost(0.5, 0.0), G=MLE(), n=3, dgp=CMB(0.5), num_agents=10_001, seed=2)
     def test_rising_grid_is_the_choice_search_bitwise(self, c, G, n, dgp, num_agents, seed):
-        # a rising cost can still give a dipping Beta-estimation grid at n near
-        # 30 (by up to 5e-3, the quadrature defect of ROADMAP item 4): there the
-        # decisions keep their law but not choice's coupling to the uniforms
+        # only a non-decreasing grid keeps choice's coupling to the uniforms
+        # (elsewhere the decisions keep just their law); of 1 752 costs from
+        # _RISING_COSTS, range corners included, none gives a dipping
+        # Beta-estimation grid at n = 1 to 30, so the assumption is a guard
         assume(np.all(np.diff(cost_grid(G, n, c)) >= 0.0))
         rng = SeedableRng(seed)
         want = _outcome(lambda: _choice_oracle(c, G, n, dgp, num_agents, rng))

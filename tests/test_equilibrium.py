@@ -476,6 +476,12 @@ class TestHeterogeneous:
         with pytest.raises(BadWeights):
             solve_heterogeneous([(0.6, mle, 2), (0.6, mle, 3)], pow4, 0.0)
 
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_is_refused_before_any_grid(self, w, mle, pow4, monkeypatch):
+        monkeypatch.setattr(equilibrium, "expected_costs", mock.Mock(side_effect=AssertionError("grid built")))
+        with pytest.raises(BadWeights, match="nonnegative and sum to 1"):
+            solve_heterogeneous([(w, mle, 2), (0.5, mle, 3)], pow4, 0.0)
+
     @pytest.mark.parametrize("n", [2, 200_000])
     def test_single_group_equals_cosesi_exactly(self, mle, pow3, n):
         # both solvers read the costs through expected_costs, so the limit
