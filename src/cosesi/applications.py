@@ -246,20 +246,19 @@ def monopoly_rational_demand(p: float, t: float = 6.0) -> float:
     limit.  This scalar solve serves the golden-section refinement of
     :func:`monopoly_optimize`; its demand curve solves every grid price at
     once (``_rational_demand_curve``) with the same roots bit for bit."""
-    return solve_decreasing(lambda theta: math.exp(-t * theta) - theta - p)
+    return solve_decreasing(lambda theta: float(np.exp(-t * theta)) - theta - p)
 
 
 def _rational_demand_curve(t: float) -> tuple[Callable[[float], float], Callable[[np.ndarray], list[float]]]:
     """:func:`monopoly_rational_demand` and its rows form, as :func:`_demand_curve`
     returns them: one ``solve_decreasing_rows`` call on exp(-t theta) - theta - p
-    for all the prices.  exp goes through ``math.exp`` per entry, since numpy's
-    exp differs from it in the last bit, so entry i is the scalar demand at
-    ``prices[i]`` bit for bit."""
+    for all the prices.  Both take numpy's exp, which gives the same bits on a
+    float and in an array, so entry i is the scalar demand at ``prices[i]``
+    bit for bit."""
 
     def demand_rows(prices: np.ndarray) -> list[float]:
         def res(thetas: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            decay = np.fromiter(map(math.exp, (-t * thetas).tolist()), float, len(thetas))
-            return decay - thetas - prices[rows]
+            return np.exp(-t * thetas) - thetas - prices[rows]
 
         return solve_decreasing_rows(res, len(prices)).tolist()
 

@@ -197,8 +197,8 @@ class ExpectedCosts:
         return weighted_bernstein(self.n, theta, rho, self.values)
 
     def map(self, f: Callable[[float], float]) -> ExpectedCosts:
-        """``f`` applied to every grid value, or composed with the limit cost
-        (its endpoint images taken from ``ends``); ``ends`` are kept either way."""
+        """``f``, a caller's float function, called on every grid value, or composed
+        with the limit cost (endpoint images from ``ends``); ``ends`` are kept either way."""
         values = self.values
         if callable(values):
             f0, f1 = self.ends
@@ -216,7 +216,7 @@ class ExpectedCosts:
         """Entry i is ``psi(thetas[i], rho)``, or with ``f`` (elementwise on
         arrays) ``map(lambda v: f(v, params[i])).psi(thetas[i], rho)``, bit for
         bit.  The grid is read in blocks of at most ``_SCAN_CELLS`` cells, so
-        memory is flat in n; the limit calls the cost once per theta."""
+        memory is flat in n; the limit calls the caller's float cost once per theta."""
         values = self.values
         if callable(values):
             cost = lambda xs: np.array([values(x) for x in xs.tolist()])

@@ -137,7 +137,8 @@ def _classify_shape(ys: np.ndarray) -> frozenset[str]:
 
 def _evaluate(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """``fn`` at every entry of ``xs``: one call on the array, broadcasting a
-    scalar result; a callable that takes only floats is called per point."""
+    scalar result; a caller's callable that takes only floats is called per
+    point, as nothing else can evaluate it."""
     try:
         out = np.asarray(fn(xs), dtype=float)
     except (TypeError, ValueError):
@@ -612,7 +613,8 @@ def bayes_posterior(
 def _binom_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(log C(n, y), y, n - y) over y = 0..n as float arrays: the terms of
     every Binomial(n, .) log-pmf, kept in one entry per n."""
-    # lgamma(n - y + 1) is lgamma(y + 1) reversed: one pass, no list of n + 1 floats
+    # lgamma(n - y + 1) is lgamma(y + 1) reversed: one pass, no list of n + 1 floats;
+    # math.lgamma per entry, as numpy has no lgamma, and once per n, as it is cached
     lg = np.fromiter((math.lgamma(k + 1.0) for k in range(n + 1)), float, n + 1)
     y = np.arange(n + 1, dtype=float)
     return math.lgamma(n + 1) - lg - lg[::-1], y, n - y
@@ -624,10 +626,11 @@ def binom_pmf(n: int, theta: float) -> np.ndarray:
     The scalar Bernstein kernel that :func:`bernstein` and
     :func:`weighted_bernstein` sum, kept beside the row kernel ``_binom_rows``
     because it is the hot path of every one-theta solve step: 3 320 calls in
-    a unique-workload pass, 3 880 in a market pass.  One call costs 3.7 us
-    at n = 20 and 6.5 us at n = 200, theta 0.37; it took 4.9 and 10 us in the
-    same run when it recomputed ``y`` and ``n - y`` and zero-filled its output
-    (best of 15, Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs).
+    a unique-workload pass, 3 880 in a market pass.  One call costs 2.8 to
+    3.5 us at n = 20 and 3.2 to 3.5 us at n = 200, theta 0.37, some 0.15 us
+    more than by ``math``'s log and log1p, whose bits the row kernel's numpy
+    loops do not give (best of 15 in five runs, Python 3.11, numpy 2.4,
+    Intel Xeon, 2 vCPUs, one pinned thread).
     """
     if n < 0:
         raise UnsupportedN(f"n must be >= 0, got {n}")
@@ -636,7 +639,7 @@ def binom_pmf(n: int, theta: float) -> np.ndarray:
         out[0 if theta <= 0.0 else n] = 1.0
         return out
     logc, y, u = _binom_terms(n)
-    logp = logc + y * math.log(theta) + u * math.log1p(-theta)
+    logp = logc + y * np.log(theta) + u * np.log1p(-theta)
     return np.exp(logp, out=logp)
 
 
@@ -856,11 +859,17 @@ def additive_binomial_rho_bounds(n: int, theta: float) -> tuple[float, float]:
         raise UnsupportedN("additive binomial needs n >= 2")
     if not 0.0 < theta < 1.0:
         raise InadmissibleCorrelation("additive binomial needs theta in (0,1)")
-    odds = min(theta / (1.0 - theta), (1.0 - theta) / theta)
-    lo = -2.0 / (n * (n - 1)) * odds
-    x = (n - 1) * theta
-    y = math.ceil(x)
-    hi = 2.0 * theta * (1.0 - theta) / (x * (1.0 - theta) + (y - x) * (x - (y - 1)))
+    lo, hi = _rho_bound_rows(n, np.array([theta], dtype=float))
+    return lo.item(), hi.item()
+
+
+def _rho_bound_rows(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`additive_binomial_rho_bounds` at every theta, without its n and theta checks."""
+    with np.errstate(all="ignore"):  # 1 / tiny theta is inf, 0 / 0 is NaN
+        lo = -2.0 / max(n * (n - 1), 1) * np.minimum(thetas / (1.0 - thetas), (1.0 - thetas) / thetas)
+        x = (n - 1) * thetas
+        y = np.ceil(x)
+        hi = 2.0 * thetas * (1.0 - thetas) / (x * (1.0 - thetas) + (y - x) * (x - (y - 1.0)))
     return lo, hi
 
 
@@ -948,13 +957,10 @@ def _edge_rows(n: int, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_columns(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log theta, log(1 - theta)) as columns, by ``math``: numpy's log and
-    log1p differ from it in the last bit, and by ``math`` the mixture rows are
-    cell for cell :func:`binom_pmf`, the scalar Bernstein kernel."""
-    ts = thetas.tolist()
-    lt = np.fromiter(map(math.log, ts), float, len(ts))
-    l1 = np.fromiter(map(math.log1p, (-thetas).tolist()), float, len(ts))
-    return lt[:, None], l1[:, None]
+    """(log theta, log(1 - theta)) as columns, by numpy's log and log1p, which
+    :func:`binom_pmf` takes on its one theta: they give the same bits on a
+    float and in an array, so the rows are cell for cell the scalar kernel."""
+    return np.log(thetas)[:, None], np.log1p(-thetas)[:, None]
 
 
 def _binom_rows(n: int, thetas: np.ndarray) -> np.ndarray:
@@ -995,17 +1001,20 @@ def _additive_binomial_rows(dgp: AdditiveBinomial, n: int, thetas: np.ndarray) -
     -y u to the sum; each is multiplied into b_y as a monomial with
     nonnegative powers, so no term is divided by theta or 1 - theta and none
     overflows or cancels near 0 or 1.  Raises at the first theta outside
-    :func:`additive_binomial_rho_bounds`."""
-    for t in thetas.tolist():
+    :func:`additive_binomial_rho_bounds`, tested on the whole array at once;
+    that function, called on the theta, gives the error or the bounds."""
+    lo, hi = _rho_bound_rows(n, thetas)
+    ok = (n >= 2) & (thetas > 0.0) & (thetas < 1.0) & (lo <= dgp.rho) & (dgp.rho <= hi)
+    if not ok.all():
+        t = thetas[int(np.argmin(ok))].item()
         lo, hi = additive_binomial_rho_bounds(n, t)
-        if not lo <= dgp.rho <= hi:
-            raise InadmissibleCorrelation(
-                f"rho={dgp.rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={t}"
-            )
+        raise InadmissibleCorrelation(
+            f"rho={dgp.rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={t}"
+        )
     logc, y, u = _binom_terms(n)
     lt, l1 = _log_columns(thetas)
     monomial = lambda a, b: np.exp(logc + a * lt + b * l1)  # C(n, y) theta**a (1-theta)**b
-    binom = _binom_rows(n, thetas)
+    binom = monomial(y, u)  # every theta is inside (0, 1): the row of _binom_rows
     ones = y * (y - 1.0) / 2.0 * monomial(np.maximum(y - 1.0, 0.0), u + 1.0)
     zeros = u * (u - 1.0) / 2.0 * monomial(y + 1.0, np.maximum(u - 1.0, 0.0))
     return np.clip(binom + dgp.rho * (ones + zeros - y * u * binom), 0.0, None)

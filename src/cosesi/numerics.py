@@ -133,7 +133,8 @@ def norm_cdf(x: float) -> float:
 
 def norm_cdf_array(x: np.ndarray) -> np.ndarray:
     """:func:`norm_cdf` at every entry of ``x``, bit for bit: the quotient
-    taken by numpy, ``math.erfc`` per entry (numpy has no erfc)."""
+    taken by numpy, ``math.erfc`` per entry: numpy has no erfc, and the grid
+    path may not import scipy's."""
     z = (-x / _SQRT2).ravel().tolist()
     return 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(np.shape(x))
 
@@ -286,10 +287,11 @@ def solve_decreasing_rows(
 
     A step costs some 20 numpy calls whatever the number of rows, so
     :func:`solve_decreasing` stays the solve of a single residual: one
-    monopoly demand at n = 2 takes 0.16 ms there and 1.2 ms here as one row,
-    while 1 001 rows take 11 ms here.  The 1 001 prices of a rational demand
-    curve take 5.0 to 6.6 ms here against 12 to 17 ms one price at a time
-    (Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs, one pinned thread).
+    monopoly demand at n = 2 takes 0.12 to 0.19 ms there and 1.2 to 1.9 ms
+    here as one row, while 1 001 rows take 6.6 to 9.5 ms here.  The 1 001
+    prices of a rational demand curve take 2.3 to 2.4 ms here against 16 to
+    18 ms one price at a time (Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs,
+    one pinned thread).
     """
     out = np.empty(m)
     f_lo, f_hi = f(np.zeros(m), np.arange(m)), f(np.ones(m), np.arange(m))

@@ -155,14 +155,14 @@ def _first_repeat(thetas, rhos, window):
 
 # (first repeat (t, P), cost, G, n, p, q, gamma, theta0, rho0): a fixed point
 # from step 17, a 2-cycle from step 42 (also under Beta and in the limit), a
-# 3-cycle from step 203 and an 8-cycle, the longest the window finds, from step 38
+# 3-cycle from step 147 and an 8-cycle, the longest the window finds, from step 38
 _CYCLES = {
     "period 1": ((17, 1), "pow:4", MLE(), 2, 0.4, 0.5, 0.5, 0.5, 0.5),
     "period 2": ((42, 2), "pow:4", MLE(), 2, 0.4, 1.0, 0.5, 0.5, 0.5),
     "period 2, Beta": ((42, 2), "pow:2", BetaEstimation(), 5, 0.4, 1.0, 0.5, 0.5, 0.5),
     "period 2, limit": ((42, 2), "pow:2", MLE(), LARGE_N + 1, 0.4, 1.0, 0.5, 0.5, 0.5),
-    "period 3": ((203, 3), "pow:2", MLE(), 34, 0.0315805699092685, 0.1304110409081467,
-                 0.8200981885886643, 0.3386576800363872, 0.03812395402702928),
+    "period 3": ((147, 3), "pow:2", MLE(), 7, 0.4231819942696411, 0.9174817732993081,
+                 0.8559122943833432, 0.22096916376486697, 0.166583176525819),
     "period 8": ((38, 8), "sshape", MLE(), 39, 0.303066331782163, 0.9855397512621293,
                  0.7947879067898228, 0.5594132210327717, 0.35398845788636424),
 }
@@ -233,13 +233,13 @@ class TestCycleShortcut:
         assert traj.theta.tobytes() == thetas.tobytes() and traj.rho.tobytes() == rhos.tobytes()
 
     def test_a_path_without_a_repeat_runs_every_step(self, monkeypatch):
-        # T shorter than the first repeat (step 203): every step is computed
+        # T shorter than the first repeat (step 147): every step is computed
         _, spec, G, n, p, q, gamma, theta0, rho0 = _CYCLES["period 3"]
         calls = []
         psi = ExpectedCosts.psi
         monkeypatch.setattr(ExpectedCosts, "psi", lambda self, th, rh: calls.append(th) or psi(self, th, rh))
-        simulate_dynamics(parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, 202)
-        assert len(calls) == 202
+        simulate_dynamics(parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, 146)
+        assert len(calls) == 146
 
     def test_same_bits(self):
         assert dynamics._same_bits(0.25, 0.25)

@@ -628,7 +628,7 @@ def _plain_binom_pmf(n, theta):
         return out
     lg = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
     y = np.arange(n + 1, dtype=float)
-    return np.exp(math.lgamma(n + 1) - lg - lg[::-1] + y * math.log(theta) + (n - y) * math.log1p(-theta))
+    return np.exp(math.lgamma(n + 1) - lg - lg[::-1] + y * np.log(theta) + (n - y) * np.log1p(-theta))
 
 
 _EXTREME_THETAS = [5e-324, 1e-300, 1 - 1e-16]
@@ -678,6 +678,30 @@ class TestBinomialKernelBits:
     def test_row_kernel_is_the_plain_exp(self, n, thetas):
         want = b"".join(_plain_binom_pmf(n, t).tobytes() for t in thetas)
         assert model._binom_rows(n, np.array(thetas)).tobytes() == want
+
+
+_UFUNC_THETAS = np.concatenate([np.linspace(0.0, 1.0, 10_001)[1:-1],
+                                np.random.default_rng(0).uniform(0.0, 1.0, 10_001), _EXTREME_THETAS])
+
+
+class TestUfuncBits:
+    """The premise of kernel parity: numpy's log, log1p and exp give the same
+    bits on a Python float (the scalar kernels), a one-element array and a
+    long array, whose loop takes the vector path (the row kernels).  numpy
+    picks that loop by CPU feature at run time, so this can fail on one
+    machine and pass on another; every scalar-row parity test rests on it."""
+
+    @pytest.mark.parametrize("ufunc, args", [
+        (np.log, _UFUNC_THETAS),
+        (np.log1p, -_UFUNC_THETAS),
+        # the rational demand's exp(-t theta), and the binomial log-pmfs down to underflow
+        (np.exp, np.concatenate([-t * _UFUNC_THETAS for t in (0.5, 6.0, 40.0)]
+                                + [np.random.default_rng(1).uniform(-800.0, 0.0, 10_001)])),
+    ], ids=["log", "log1p", "exp"])
+    def test_same_bits_on_a_float_and_in_an_array(self, ufunc, args):
+        whole = ufunc(args)
+        assert whole.tobytes() == np.array([ufunc(a) for a in args.tolist()]).tobytes()
+        assert whole.tobytes() == np.concatenate([ufunc(args[i:i + 1]) for i in range(len(args))]).tobytes()
 
 
 class TestRowDots:
@@ -920,6 +944,38 @@ class TestAdditiveBinomialBounds:
     def test_subnormal_theta_row_is_finite(self):
         # rho = 0.05 is inside [-0.0, 0.5] here
         assert np.isfinite(count_pmf_grid(AdditiveBinomial(0.05), 3, [5e-324])).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        thetas=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EXTREME_THETAS + [0.0, 1.0])),
+                        min_size=1, max_size=20),
+        rho=st.floats(-1.0, 1.0),
+    )
+    @example(n=3, thetas=[0.3, 0.0, 0.5], rho=0.05)
+    @example(n=1, thetas=[0.5], rho=0.0)
+    def test_array_bounds_are_the_scalar_bounds(self, n, thetas, rho):
+        # besides the drawn rho, each scalar bound of each theta and the floats
+        # one ulp beside it, where an array bound one ulp off flips the test
+        rhos = [rho] + [math.nextafter(b, step * math.inf) if step else b
+                        for t in thetas if n >= 2 and 0.0 < t < 1.0
+                        for b in additive_binomial_rho_bounds(n, t) for step in (-1, 0, 1)]
+        for rho in rhos:
+            want = None
+            try:  # the per-theta loop that the array pass replaced
+                for t in thetas:
+                    lo, hi = additive_binomial_rho_bounds(n, t)
+                    if not lo <= rho <= hi:
+                        raise InadmissibleCorrelation(
+                            f"rho={rho} outside admissible [{lo:.6g}, {hi:.6g}] for n={n}, theta={t}")
+            except ModelError as exc:
+                want = (type(exc), str(exc))
+            try:
+                count_pmf_grid(AdditiveBinomial(rho), n, thetas)
+                got = None
+            except ModelError as exc:
+                got = (type(exc), str(exc))
+            assert got == want, rho
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_upper_bound_is_the_nearest_count_definition(self, n):
