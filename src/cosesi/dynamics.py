@@ -71,12 +71,11 @@ def stationary_rho(chain: MarkovShock) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time path (t, theta_t, rho_t) plus realized shocks when simulated."""
+    """Time path (t, theta_t, rho_t)."""
 
     t: np.ndarray
     theta: np.ndarray
     rho: np.ndarray
-    xi: np.ndarray | None = None
 
     def final_theta(self) -> float:
         return float(self.theta[-1])
@@ -107,8 +106,6 @@ def simulate_dynamics(
     theta0: float,
     rho0: float,
     T: int,
-    realize_shocks: bool = False,
-    rng: SeedableRng | None = None,
 ) -> Trajectory:
     """Deterministic theta-recursion with the chain's state-1 probability.
 
@@ -124,10 +121,6 @@ def simulate_dynamics(
     memory beside the path is constant in T; -0.0 does not match 0.0 and NaN
     matches nothing.  A cycle longer than the window is not found and the
     recursion runs to T, as it did before.
-
-    ``realize_shocks`` additionally samples a shock path for display, in a
-    loop of its own with the same draws; it does not feed back into the
-    theta recursion.
     """
     if not 0.0 < gamma <= 1.0:
         raise DynamicsError(f"replacement rate gamma must be in (0,1], got {gamma}")
@@ -151,15 +144,7 @@ def simulate_dynamics(
             for x in (thetas, rhos):
                 x[t + 1:] = np.resize(x[t - period + 1:t + 1], T - t)
             break
-    xi_path = None
-    if realize_shocks:
-        gen = (rng or SeedableRng(0)).generator()
-        xi_path = np.empty(T + 1, dtype=np.int8)
-        xi_path[0] = gen.random() < rho0
-        for t in range(1, T + 1):
-            stay = 1.0 - chain.q_xi if xi_path[t - 1] else chain.p_xi
-            xi_path[t] = gen.random() < stay
-    return Trajectory(np.arange(T + 1), thetas, rhos, xi_path)
+    return Trajectory(np.arange(T + 1), thetas, rhos)
 
 
 @dataclass(frozen=True)

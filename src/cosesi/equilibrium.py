@@ -68,6 +68,7 @@ from .model import (
     SignalDGP,
     UnsupportedN,
     _check_mixture_rho,
+    _check_n,
     bernstein_residual,
     count_pmf_grid,
     row_dots,
@@ -150,14 +151,6 @@ class SweepTable:
 
     def thetas(self) -> list[float]:
         return [r[1] for r in self.rows]
-
-
-def _check_n(n: float) -> int:
-    """n as an int; refuses a sample size that is not a positive integer (inf
-    included), so an integral float such as 4.0 solves as 4."""
-    if not (n >= 1 and float(n).is_integer()):
-        raise UnsupportedN(f"n must be a positive integer, got {n:g}")
-    return int(n)
 
 
 def cost_grid(G: InferenceProcedure, n: int, cost: Callable[[float], float]) -> np.ndarray:

@@ -6,8 +6,8 @@ whose sum y may be correlated, and best-respond to the expected cost
 C_{n,z} = int c dG_{n,z} under an inference procedure G that treats the
 signals as independent.  This module supplies:
 
-* cost functions with shape metadata and derivatives, evaluated elementwise
-  on float arrays,
+* cost functions with derivatives, evaluated elementwise on float arrays
+  and checked to stay in [0, 1],
 * the inference procedures (MLE, Beta estimation, Bayes with Beta prior),
   each of whose ``expected_cells`` takes a whole cost grid in one array
   evaluation: at the sample means, or at the nodes of the fixed-node Gauss
@@ -28,7 +28,7 @@ signals as independent.  This module supplies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -95,6 +95,14 @@ class UnsupportedN(ModelError, ValueError):
     """Sample size outside the supported range for the chosen DGP."""
 
 
+def _check_n(n: float) -> int:
+    """n as an int; refuses a sample size that is not a positive integer (inf
+    included), so an integral float such as 4.0 solves as 4."""
+    if not (n >= 1 and float(n).is_integer()):
+        raise UnsupportedN(f"n must be a positive integer, got {n:g}")
+    return int(n)
+
+
 class PolarizedInteriorSample(ModelError, ValueError):
     """Polarized Bayesian update requested for an interior sample y not in {0, n}."""
 
@@ -107,32 +115,7 @@ class InteriorRhoUnsupported(ModelError, ValueError):
 # Cost functions
 # ---------------------------------------------------------------------------
 
-_SHAPE_GRID = 1001  # 1e-3 grid used to classify/validate shapes
-
-
-def _classify_shape(ys: np.ndarray) -> frozenset[str]:
-    tags: set[str] = set()
-    d1 = np.diff(ys)
-    d2 = np.diff(ys, 2)
-    tol = 1e-12
-    if np.all(d1 >= -tol):
-        tags.add("increasing")
-    if np.all(d1 <= tol):
-        tags.add("decreasing")
-    if np.all(np.abs(d2) <= 1e-9):
-        tags.add("linear")
-        tags.update({"convex", "concave"})
-    elif np.all(d2 >= -1e-12):
-        tags.add("convex")
-    elif np.all(d2 <= 1e-12):
-        tags.add("concave")
-    else:
-        # single sign switch of the second difference, convex then concave
-        signs = np.sign(d2[np.abs(d2) > 1e-12])
-        flips = np.nonzero(np.diff(signs) != 0)[0]
-        if len(flips) == 1 and signs[0] > 0 and "increasing" in tags:
-            tags.add("s_shaped")
-    return frozenset(tags)
+_SHAPE_GRID = 1001  # 1e-3 grid on which a cost is checked to stay in [0, 1]
 
 
 def _evaluate(fn: Callable, xs: np.ndarray) -> np.ndarray:
@@ -148,7 +131,8 @@ def _evaluate(fn: Callable, xs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostFunction:
-    """Continuous cost c: [0,1] -> [0,1] with derivative and shape metadata.
+    """Continuous cost c: [0,1] -> [0,1] with its derivative; a cost that
+    leaves [0, 1] on a 1e-3 grid raises ``ModelError``.
 
     ``fn`` is called on float arrays (the sample means of a cost grid, the
     nodes of a Beta rule) and should act elementwise, as every builtin cost
@@ -159,13 +143,10 @@ class CostFunction:
 
     fn: Callable[[float], float]
     deriv: Callable[[float], float] | None = None
-    shape_tags: frozenset[str] = field(default_factory=frozenset)
     name: str = "custom"
 
     def __post_init__(self) -> None:
         ys = _evaluate(self.fn, np.linspace(0.0, 1.0, _SHAPE_GRID))
-        if not self.shape_tags:
-            object.__setattr__(self, "shape_tags", _classify_shape(ys))
         if not (ys.min() >= -1e-12 and ys.max() <= 1.0 + 1e-12):  # nan fails too
             raise ModelError(f"cost '{self.name}' leaves [0,1] on the unit interval")
 
@@ -184,13 +165,9 @@ def power_cost(d: float) -> CostFunction:
     """c(theta) = theta**d for d > 0."""
     if not d > 0:
         raise ModelError(f"power cost needs d > 0, got {d}")
-    tags = {"increasing", "convex"} if d >= 1.0 else {"increasing", "concave"}
-    if d == 1.0:
-        tags.update({"linear", "concave", "convex"})
     return CostFunction(
         fn=lambda t: t**d,
         deriv=lambda t: d * t ** (d - 1.0) if t > 0.0 or d >= 1.0 else math.inf,
-        shape_tags=frozenset(tags),
         name=f"pow:{d:g}",
     )
 
@@ -200,7 +177,6 @@ def linear_cost() -> CostFunction:
     return CostFunction(
         fn=lambda t: t,
         deriv=lambda t: 1.0,
-        shape_tags=frozenset({"increasing", "linear", "convex", "concave"}),
         name="linear",
     )
 
@@ -214,7 +190,6 @@ def exp_decay_cost(t_rate: float) -> CostFunction:
     return CostFunction(
         fn=lambda t: np.exp(-t_rate * t),
         deriv=lambda t: -t_rate * math.exp(-t_rate * t),
-        shape_tags=frozenset({"decreasing", "convex"}),
         name=f"exp:{t_rate:g}",
     )
 
@@ -250,7 +225,6 @@ def s_shaped_cost(
     return CostFunction(
         fn=fn,
         deriv=deriv,
-        shape_tags=frozenset({"increasing", "s_shaped"}),
         name=f"sshape:{lo:g},{hi:g},{steepness:g},{midpoint:g}",
     )
 
@@ -900,17 +874,13 @@ def count_pmf_grid(dgp: SignalDGP, n: int, thetas: Sequence[float]) -> np.ndarra
 
     Each law is written once, on an array of thetas; :func:`action_count_pmf`
     is its row at one theta, and the root scans evaluate it in blocks.  Raises
-    ``UnsupportedN`` for n below 1 or not an integer, ``ModelError`` at the
-    first theta outside [0, 1] (nan included) and for an unknown law, and the
-    law's own errors: a Bahadur shape it does not support, and the first theta
-    where AdditiveBinomial leaves its admissible set (theta = 0 and 1
-    included) or a Bahadur cell is negative.
+    ``UnsupportedN`` for an n that is not a positive integer, ``ModelError``
+    at the first theta outside [0, 1] (nan included) and for an unknown law,
+    and the law's own errors: a Bahadur shape it does not support, and the
+    first theta where AdditiveBinomial leaves its admissible set (theta = 0
+    and 1 included) or a Bahadur cell is negative.
     """
-    if n < 1:
-        raise UnsupportedN(f"n must be >= 1, got {n}")
-    if not float(n).is_integer():
-        raise UnsupportedN(f"n must be an integer, got {n}")
-    n = int(n)
+    n = _check_n(n)
     thetas = _unit_thetas(thetas)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
         return mixture_pmf_grid(n, thetas, dgp.rho)

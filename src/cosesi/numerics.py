@@ -6,11 +6,12 @@ solvers share: the clamped solve of a decreasing residual, its array form
 that solves many residuals in lockstep,
 the scan-plus-refine root enumeration over all grid cells or a chosen set
 of them, and the isolation of a Bernstein polynomial's roots that picks
-those cells.  The four root routines share one
-default, ``SOLVE_TOL`` (|f| <= 1e-12 within 300 steps), and no solver in the
-package passes a tolerance of its own.  The array form takes each row
-through the scalar solve's steps elementwise, so a row whose residual values
-are the scalar residual's, bit for bit, gets the scalar root bit for bit.
+those cells.  The four root routines take no tolerance: each reads the
+module's ``SOLVE_TOL`` (|f| <= 1e-12 within 300 steps) when it is called, so
+a test that needs another budget patches it there.  The array form takes
+each row through the scalar solve's steps elementwise, so a row whose
+residual values are the scalar residual's, bit for bit, gets the scalar
+root bit for bit.
 A scan takes one residual on arrays: it evaluates every node in one call,
 and the refinement calls it on one theta at a time, so a residual whose
 entries do not depend on the other thetas in the call (each row of a count
@@ -43,7 +44,6 @@ __all__ = [
     "MaxIterExceeded",
     "norm_cdf",
     "norm_cdf_array",
-    "norm_pdf",
     "norm_quantile",
     "owen_t",
     "integrate",
@@ -58,7 +58,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class NumericsError(Exception):
@@ -139,11 +138,6 @@ def norm_cdf_array(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(np.shape(x))
 
 
-def norm_pdf(x: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
 def norm_quantile(p: float) -> float:
     """Inverse of :func:`norm_cdf` on (0, 1), by the standard library's
     ``NormalDist.inv_cdf`` (Wichura's AS 241, relative error near 1e-16).
@@ -220,15 +214,13 @@ def owen_t(h: float, a: float) -> float:
     return integrate(integrand, 0.0, a, Tolerance(abs_tol=1e-13)) / (2.0 * math.pi)
 
 
-def solve_bracketed(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: Tolerance = SOLVE_TOL,
-) -> float:
+def solve_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
     """Root of ``f`` inside ``bracket`` by bisection with secant acceleration.
 
-    Stops when |f(x)| <= abs_tol or the interval width falls below abs_tol.
+    Stops when |f(x)| <= ``SOLVE_TOL.abs_tol`` or the interval width falls
+    below it.
     """
+    tol = SOLVE_TOL
     lo, hi = bracket.lo, bracket.hi
     f_lo, f_hi = bracket.f_lo, bracket.f_hi
     for _ in range(tol.max_iter):
@@ -254,7 +246,6 @@ def solve_decreasing(
     f: Callable[[float], float],
     lo: float = 0.0,
     hi: float = 1.0,
-    tol: Tolerance = SOLVE_TOL,
 ) -> float:
     """Root of a decreasing residual on [lo, hi], clamped to the interval.
 
@@ -266,13 +257,12 @@ def solve_decreasing(
         return lo
     if f_hi >= 0.0:
         return hi
-    return solve_bracketed(f, Bracket(lo, hi, f_lo, f_hi), tol)
+    return solve_bracketed(f, Bracket(lo, hi, f_lo, f_hi))
 
 
 def solve_decreasing_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     m: int,
-    tol: Tolerance = SOLVE_TOL,
 ) -> np.ndarray:
     """:func:`solve_decreasing` on [0, 1] of m decreasing residuals in lockstep, as an array.
 
@@ -283,7 +273,7 @@ def solve_decreasing_rows(
     rules, and leaves the solve when it stops.  Every row's iterates are
     therefore the scalar solver's, bit for bit, as long as ``f`` gives row i
     the value of the scalar residual i.  Raises :class:`MaxIterExceeded` when
-    a row is still unsolved after ``tol.max_iter`` steps.
+    a row is still unsolved after ``SOLVE_TOL.max_iter`` steps.
 
     A step costs some 20 numpy calls whatever the number of rows, so
     :func:`solve_decreasing` stays the solve of a single residual: one
@@ -293,6 +283,7 @@ def solve_decreasing_rows(
     18 ms one price at a time (Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs,
     one pinned thread).
     """
+    tol = SOLVE_TOL
     out = np.empty(m)
     f_lo, f_hi = f(np.zeros(m), np.arange(m)), f(np.ones(m), np.arange(m))
     low, high = f_lo <= 0.0, f_hi >= 0.0
@@ -373,7 +364,6 @@ def find_sign_changes(
 def find_roots(
     f: Callable[[np.ndarray], np.ndarray],
     grid_step: float = 1e-4,
-    tol: Tolerance = SOLVE_TOL,
     cells: np.ndarray | None = None,
 ) -> list[float]:
     """Every root found on a :func:`find_sign_changes` scan of ``f`` (over
@@ -386,7 +376,7 @@ def find_roots(
     scan = find_sign_changes(f, grid_step, cells)
     at = lambda x: float(f(np.array([x]))[0])
     roots = list(scan.node_roots)
-    roots += [solve_bracketed(at, b, tol) for b in scan.brackets]
+    roots += [solve_bracketed(at, b) for b in scan.brackets]
     return sorted(roots)
 
 

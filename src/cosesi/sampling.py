@@ -2,10 +2,10 @@
 
 Monte Carlo generators for correlated Bernoulli signals under two laws of
 ``model``, the compound lottery ``RhoMixture`` and popularity-weighted
-``Sequential`` (whose constructors check the parameters; theta goes through
-the count laws' check, before any draw), exact Bahadur joints for up to
-three signals (a row of ``model._bahadur_joint_rows``, the kernel of the
-Bahadur count law), the balance-equation test for when a sum of dependent
+``Sequential`` (whose constructors check the parameters; n and theta go
+through the count laws' checks, before any draw), exact Bahadur joints for
+up to three signals (a row of ``model._bahadur_joint_rows``, the kernel of
+the Bahadur count law), the balance-equation test for when a sum of dependent
 Bernoullis is binomial, the informativeness index based on total-variation
 distance, and the large-sample action-probability formulas for algorithmic
 sampling.
@@ -32,6 +32,7 @@ from .model import (
     Sequential,
     UnsupportedN,
     _bahadur_joint_rows,
+    _check_n,
     _unit_thetas,
     binom_pmf,
     joint_count_probs,
@@ -132,9 +133,10 @@ def sample_correlated(
 
     With probability rho all n bits duplicate a single Bernoulli(theta) draw;
     otherwise the bits are iid Bernoulli(theta).  Returns a (size, n) 0/1
-    array; a size below 1 raises :class:`SamplingError`.  theta and rho are
-    checked before anything is drawn.
+    array; a size below 1 raises :class:`SamplingError`.  n, theta and rho
+    are checked before anything is drawn.
     """
+    n = _check_n(n)
     _unit_thetas([theta])
     RhoMixture(rho)  # the law's constructor checks rho
     if size < 1:
@@ -162,8 +164,9 @@ def sequential_sample(
     the law ``Sequential(lambdas)``, so a scalar or a short list is padded by
     ``Sequential.weights``.  Simulation is well defined for any lambda in
     [0, 1); only the normal-approximation formula restricts lambda further.
-    theta and the weights are checked before anything is drawn.
+    n, theta and the weights are checked before anything is drawn.
     """
+    n = _check_n(n)
     _unit_thetas([theta])
     lams = Sequential((lambdas,) if np.isscalar(lambdas) else tuple(lambdas)).weights(n)
     gen = rng.generator()

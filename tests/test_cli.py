@@ -389,6 +389,7 @@ class TestCommands:
         (["assortative", "--rho-fn", "power:-1", "--n", "3"], 2, "power rho needs a finite k >= 0, got -1.0"),
         (["simulate", "--theta", "1.5", "--n", "3", "--draws", "1000"], 1, "theta must be in [0,1], got 1.5"),
         (["market", "--kappa", "2"], 1, "kappa must be in [0,1], got 2.0"),
+        (["simulate", "--n", "0", "--draws", "1000"], 1, "n must be a positive integer, got 0"),
     ])
     def test_parameter_outside_its_region_is_refused_before_solving(self, args, code, message, capsys, monkeypatch):
         # cli imports each solver from its home module when the command runs

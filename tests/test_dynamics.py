@@ -103,14 +103,6 @@ class TestSimulateDynamics:
         tail = gaps[5:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
-    def test_realized_shock_path(self, mle, pow2, rng):
-        traj = simulate_dynamics(
-            pow2, mle, 2, MarkovShockChain(0.3, 0.3), 0.1, 0.5, 0.5, 40,
-            realize_shocks=True, rng=rng,
-        )
-        assert traj.xi is not None
-        assert set(np.unique(traj.xi)) <= {0, 1}
-
     def test_rho_stays_a_probability(self, mle, pow2):
         # unclamped, p + (1-p-q) rho rounds to -5.6e-17 at p = 0.3, q = 1, rho = 1
         traj = simulate_dynamics(pow2, mle, 2, MarkovShockChain(0.3, 1.0), 0.1, 0.5, 1.0, 5)
@@ -121,28 +113,19 @@ class TestSimulateDynamics:
             simulate_dynamics(pow2, mle, 2, MarkovShockChain(0.2, 0.8), 0.0, 0.5, 0.5, 10)
 
 
-def _full_recursion(c, G, n, chain, gamma, theta0, rho0, T, realize_shocks=False, rng=None):
-    """Every step of the recursion to T, with the shocks drawn in the same
-    loop: the output that ``simulate_dynamics`` must give bit for bit."""
+def _full_recursion(c, G, n, chain, gamma, theta0, rho0, T):
+    """Every step of the recursion to T: the output that ``simulate_dynamics``
+    must give bit for bit."""
     costs = expected_costs(G, n, c)
     thetas = np.empty(T + 1)
     rhos = np.empty(T + 1)
     thetas[0], rhos[0] = theta0, rho0
-    xi_path = None
-    gen = None
-    if realize_shocks:
-        gen = (rng or SeedableRng(0)).generator()
-        xi_path = np.empty(T + 1, dtype=np.int8)
-        xi_path[0] = gen.random() < rho0
     for t in range(1, T + 1):
         th, rh = float(thetas[t - 1]), float(rhos[t - 1])
         psi = costs.psi(th, rh)
         thetas[t] = (1.0 - gamma) * th + gamma * (1.0 - psi)
         rhos[t] = chain.step_probability(rh)
-        if xi_path is not None:
-            stay = 1.0 - chain.q_xi if xi_path[t - 1] else chain.p_xi
-            xi_path[t] = gen.random() < stay
-    return thetas, rhos, xi_path
+    return thetas, rhos
 
 
 def _first_repeat(thetas, rhos, window):
@@ -190,40 +173,29 @@ class TestCycleShortcut:
         theta0=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0])),
         rho0=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 0.0, 1.0])),
         T=st.integers(1, 300),
-        shocks=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
     )
-    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 0.5), gamma=0.5, theta0=0.5, rho0=0.5, T=1,
-             shocks=True, seed=0)
-    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 0.5), gamma=0.5, theta0=0.5, rho0=0.5, T=16,
-             shocks=False, seed=0)
-    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=300,
-             shocks=True, seed=1)
-    @example(spec="pow:2", law=("beta", 5), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=300,
-             shocks=False, seed=0)
-    @example(spec="pow:2", law=("limit", 0), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=43,
-             shocks=True, seed=2)
-    @example(spec="linear", law=("mle", 3), pq=(1.0, 1.0), gamma=1.0, theta0=-0.0, rho0=-0.0, T=20,
-             shocks=False, seed=0)
-    def test_is_the_full_recursion_bit_for_bit(self, spec, law, pq, gamma, theta0, rho0, T, shocks, seed):
+    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 0.5), gamma=0.5, theta0=0.5, rho0=0.5, T=1)
+    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 0.5), gamma=0.5, theta0=0.5, rho0=0.5, T=16)
+    @example(spec="pow:4", law=("mle", 2), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=300)
+    @example(spec="pow:2", law=("beta", 5), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=300)
+    @example(spec="pow:2", law=("limit", 0), pq=(0.4, 1.0), gamma=0.5, theta0=0.5, rho0=0.5, T=43)
+    @example(spec="linear", law=("mle", 3), pq=(1.0, 1.0), gamma=1.0, theta0=-0.0, rho0=-0.0, T=20)
+    def test_is_the_full_recursion_bit_for_bit(self, spec, law, pq, gamma, theta0, rho0, T):
         p, q = pq
         assume(p + q > 0.0)
         G, n = _inference(law)
         args = (parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, T)
-        traj = simulate_dynamics(*args, realize_shocks=shocks, rng=SeedableRng(seed))
-        thetas, rhos, xi = _full_recursion(*args, realize_shocks=shocks, rng=SeedableRng(seed))
+        traj = simulate_dynamics(*args)
+        thetas, rhos = _full_recursion(*args)
         assert traj.theta.tobytes() == thetas.tobytes()
         assert traj.rho.tobytes() == rhos.tobytes()
         assert traj.t.tolist() == list(range(T + 1))
-        assert (traj.xi is None) == (not shocks)
-        if shocks:
-            assert traj.xi.tobytes() == xi.tobytes()
 
     @pytest.mark.parametrize("case", list(_CYCLES))
     def test_psi_stops_at_the_first_repeat(self, case, monkeypatch):
         repeat, spec, G, n, p, q, gamma, theta0, rho0 = _CYCLES[case]
         args = (parse_cost(spec), G, n, MarkovShockChain(p, q), gamma, theta0, rho0, 400)
-        thetas, rhos, _ = _full_recursion(*args)
+        thetas, rhos = _full_recursion(*args)
         assert _first_repeat(thetas, rhos, dynamics._CYCLE_WINDOW) == repeat
         calls = []
         psi = ExpectedCosts.psi

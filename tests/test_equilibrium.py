@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cosesi import equilibrium
+from cosesi import equilibrium, numerics
 from cosesi.model import (
     CMB,
     IID,
@@ -64,6 +64,7 @@ from cosesi.numerics import (
     scan_cells,
     solve_bracketed,
     solve_decreasing,
+    solve_decreasing_rows,
 )
 
 from conftest import (
@@ -119,7 +120,7 @@ class TestSolveNE:
         assert got.concept == "NE" and got.params == {"cost": c.name}
         # reference: the hand-written NE residual 1 - theta - c(theta)
         res = lambda t: 1.0 - t - c(t)
-        theta = solve_decreasing(res, tol=Tolerance(abs_tol=1e-12, max_iter=300))
+        theta = solve_decreasing(res)
         assert (got.theta, got.residual) == (theta, abs(res(theta)))
 
 
@@ -422,7 +423,7 @@ class TestBayesianCosesi:
         ("linear", (5.0, 0.6), 1, 0.0),
         ("sshape", (1.3, 1.3), 120, 1.0),
     ])
-    def test_rho_one_is_the_closed_form(self, spec, prior, n, zeta):
+    def test_rho_one_is_the_closed_form(self, spec, prior, n, zeta, monkeypatch):
         c = parse_cost(spec)
         got = solve_bayesian_cosesi(c, prior, n, 1.0, zeta)
         closed = cosesi_rho1_closed(c, BayesBeta(*prior, 1.0, zeta), n)
@@ -440,7 +441,8 @@ class TestBayesianCosesi:
             )
             return 1.0 - t - mixed
 
-        iterative = solve_decreasing(res, tol=Tolerance(abs_tol=1e-15, max_iter=300))
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-15, max_iter=300))
+        iterative = solve_decreasing(res)
         assert abs(got.theta - iterative) <= 1e-12
 
     @pytest.mark.parametrize("rho", [0.0, 1.0])
@@ -540,6 +542,24 @@ class TestExpectedCosts:
         assert math.isinf(expected_costs(beta_est, math.inf, pow3).n)
 
 
+class TestResidualEvaluationCounts:
+    """The residual evaluations of a solve do not depend on the machine, so
+    they are pinned: a change of the root step shows its count change here."""
+
+    @pytest.mark.parametrize("spec, G, n, rho, evals", [
+        ("pow:3", MLE(), 10, 0.3, 31),
+        ("pow:0.5", BetaEstimation(), 10, 0.0, 25),
+        ("pow:1.7", MLE(), 200, 0.8, 36),
+    ])
+    def test_scalar_and_one_row_solves_take_the_pinned_count(self, spec, G, n, rho, evals):
+        costs = expected_costs(G, n, parse_cost(spec))
+        scalar, rows = [], []
+        theta = solve_decreasing(lambda t: scalar.append(t) or 1.0 - t - costs.psi(t, rho))
+        got = solve_decreasing_rows(lambda ts, r: rows.append(ts) or 1.0 - ts - costs.psi_rows(ts, rho), 1)
+        assert (len(scalar), len(rows)) == (evals, evals)  # the two ends included
+        assert got.tolist() == [theta]
+
+
 class TestGeneralCMB:
     def test_nu_one_reproduces_sesi(self, mle, pow2):
         got = solve_general_cmb(pow2, mle, 4, 1.0)
@@ -566,7 +586,7 @@ class TestGeneralCMB:
 
 
 class TestGeneralDGPSolver:
-    def test_balance_holding_joint_reproduces_sesi(self, mle, pow3):
+    def test_balance_holding_joint_reproduces_sesi(self, mle, pow3, monkeypatch):
         # A theta-indexed family of dependent signals whose count stays
         # binomial (the balance equations hold at every theta): the general
         # equilibrium must coincide with the SESI to 1e-9.
@@ -598,7 +618,8 @@ class TestGeneralDGPSolver:
         def res(t):
             return 1 - t - float(joint_for(t).count_pmf().probs @ grid)
 
-        root = solve_bracketed(res, Bracket(0.05, 0.9, res(0.05), res(0.9)), Tolerance(1e-12))
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(1e-12))
+        root = solve_bracketed(res, Bracket(0.05, 0.9, res(0.05), res(0.9)))
         assert root == pytest.approx(solve_cosesi(pow3, mle, 3, 0.0).theta, abs=1e-9)
 
     def test_bahadur_family_infeasible_near_boundary(self, mle, pow3):
@@ -645,8 +666,7 @@ class TestGeneralDGPSolver:
         # reference: the scan of the pmf-weighted residual that the kernel replaced
         grid = cost_grid(MLE(), n, c)
         ref = find_roots(
-            lambda xs: 1.0 - xs - count_pmf_grid(law, n, xs) @ grid,
-            1e-4, Tolerance(abs_tol=1e-12, max_iter=300),
+            lambda xs: 1.0 - xs - count_pmf_grid(law, n, xs) @ grid, 1e-4
         )
         got = solve_with_dgp(c, MLE(), n, law).roots
         assert len(got) == len(ref)

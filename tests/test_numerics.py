@@ -5,6 +5,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from cosesi import numerics
 from cosesi.numerics import (
     Bracket,
     DomainError,
@@ -17,7 +18,6 @@ from cosesi.numerics import (
     integrate,
     isolate_roots,
     norm_cdf,
-    norm_pdf,
     norm_quantile,
     owen_t,
     solve_bracketed,
@@ -120,9 +120,8 @@ class TestIntegrate:
 
     def test_gaussian_density_substitution(self):
         # int_0^1 phi(Phi^-1(u)) du = int phi(x)^2 dx = 1/(2 sqrt(pi))
-        val = integrate(
-            lambda u: norm_pdf(norm_quantile(u)), 1e-14, 1.0 - 1e-14, Tolerance(1e-11)
-        )
+        phi = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        val = integrate(lambda u: phi(norm_quantile(u)), 1e-14, 1.0 - 1e-14, Tolerance(1e-11))
         assert val == pytest.approx(0.28209479177387814, abs=1e-8)
 
     def test_empty_interval(self):
@@ -153,10 +152,10 @@ class TestSolveBracketed:
         with pytest.raises(NoSignChange):
             Bracket(0, 1, 1.0, 2.0)
 
-    def test_random_monotone_polynomials(self):
+    def test_random_monotone_polynomials(self, monkeypatch):
         # |f(root)| <= tol for 100 random increasing polynomials with a root
         rs = np.random.default_rng(42)
-        tol = Tolerance(abs_tol=1e-10)
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-10))
         for _ in range(100):
             coeffs = rs.uniform(0.1, 2.0, size=4)  # increasing on [0,1]
             shift = rs.uniform(0.05, 0.95) * coeffs.sum()
@@ -164,13 +163,14 @@ class TestSolveBracketed:
             def f(t, c=coeffs, s=shift):
                 return c[0] * t + c[1] * t**2 + c[2] * t**3 + c[3] * t**5 - s
 
-            root = solve_bracketed(f, Bracket(0.0, 1.0, f(0.0), f(1.0)), tol)
+            root = solve_bracketed(f, Bracket(0.0, 1.0, f(0.0), f(1.0)))
             assert abs(f(root)) <= 1e-8
 
-    def test_max_iter(self):
+    def test_max_iter(self, monkeypatch):
         f = lambda t: t**3 + t - 1  # irrational root, secant cannot hit it exactly
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-30, max_iter=3))
         with pytest.raises(MaxIterExceeded):
-            solve_bracketed(f, Bracket(0, 1, f(0), f(1)), Tolerance(abs_tol=1e-30, max_iter=3))
+            solve_bracketed(f, Bracket(0, 1, f(0), f(1)))
 
 
 class TestFindSignChanges:
@@ -329,11 +329,11 @@ class TestSolveDecreasing:
     def test_clamps_at_hi(self):
         assert solve_decreasing(lambda t: 2.0 - t) == 1.0
 
-    def test_solves_on_sub_interval(self):
+    def test_solves_on_sub_interval(self, monkeypatch):
         f = lambda t: 0.6 - t**2
-        tol = Tolerance(abs_tol=1e-13)
-        root = solve_decreasing(f, 0.5, 0.9, tol)
-        assert root == solve_bracketed(f, Bracket(0.5, 0.9, f(0.5), f(0.9)), tol)
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-13))
+        root = solve_decreasing(f, 0.5, 0.9)
+        assert root == solve_bracketed(f, Bracket(0.5, 0.9, f(0.5), f(0.9)))
         assert root == pytest.approx(math.sqrt(0.6), abs=1e-12)
         # the clamps use the sub-interval's endpoints, not 0 and 1
         assert solve_decreasing(f, 0.8, 0.9) == 0.8
@@ -360,14 +360,15 @@ class TestSolveDecreasingRows:
         # a row leaves the solve when it stops
         assert all(set(b.tolist()) <= set(a.tolist()) for a, b in zip(seen[1:], seen[2:]))
 
-    def test_budget_exhaustion_raises_as_the_scalar_solve(self):
-        tol = Tolerance(abs_tol=1e-30, max_iter=3)
+    def test_budget_exhaustion_raises_as_the_scalar_solve(self, monkeypatch):
         s = np.array([-0.2, 1.0, 3.0])  # clamped at 0, solving, clamped at 1
         f = lambda ts, rows: s[rows] - ts - ts * ts * ts
-        with pytest.raises(MaxIterExceeded):
-            solve_decreasing(lambda t: 1.0 - t - t * t * t, tol=tol)
-        with pytest.raises(MaxIterExceeded):
-            solve_decreasing_rows(f, 3, tol=tol)
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-30, max_iter=3))
+            with pytest.raises(MaxIterExceeded):
+                solve_decreasing(lambda t: 1.0 - t - t * t * t)
+            with pytest.raises(MaxIterExceeded):
+                solve_decreasing_rows(f, 3)
         assert solve_decreasing_rows(f, 3).tolist() == [solve_decreasing(lambda t, v=v: v - t - t * t * t)
                                                         for v in s.tolist()]
 
@@ -380,9 +381,10 @@ class TestSolveDecreasingRows:
 
 
 class TestFindRoots:
-    def test_node_root_sorted_among_refined_roots(self):
+    def test_node_root_sorted_among_refined_roots(self, monkeypatch):
         f = lambda t: (t - 0.2123) * (t - 0.5) * (t - 0.7789)
-        roots = find_roots(f, 1e-3, Tolerance(abs_tol=1e-13))
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-13))
+        roots = find_roots(f, 1e-3)
         assert len(roots) == 3
         assert roots[1] == 0.5  # exact node root, found by the scan itself
         assert roots[0] == pytest.approx(0.2123, abs=1e-12)

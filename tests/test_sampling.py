@@ -11,7 +11,7 @@ from cosesi.model import (
     action_count_pmf,
     binom_pmf,
 )
-from cosesi.model import InadmissibleCorrelation, ModelError
+from cosesi.model import InadmissibleCorrelation, ModelError, UnsupportedN
 from cosesi.sampling import (
     LambdaOutOfRange,
     SamplingError,
@@ -45,6 +45,17 @@ def test_theta_outside_unit_interval_refused_before_drawing(theta, draw):
     # the draws used to run, and returned all ones at theta = 1.5
     with pytest.raises(ModelError, match=rf"^theta must be in \[0,1\], got {theta}$"):
         draw(theta, _NoDraws(0))
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("draw", [
+    lambda n, rng: sample_correlated(n, 0.5, 0.5, rng, size=10),
+    lambda n, rng: sequential_sample(n, 0.5, 0.3, rng, size=10),
+])
+def test_sample_size_refused_before_drawing(n, draw):
+    # n = 0 used to give an empty draw or an IndexError, -1 and 2.5 numpy's errors
+    with pytest.raises(UnsupportedN, match=f"^n must be a positive integer, got {n:g}$"):
+        draw(n, _NoDraws(0))
 
 
 class TestSeedableRng:
