@@ -48,7 +48,6 @@ import numpy as np
 from .numerics import (
     SOLVE_TOL,
     RootInterval,
-    Tolerance,
     find_roots,
     integrate,
     isolate_roots,
@@ -454,17 +453,16 @@ def solve_assortative(
     """Assortative CoSESI with type-dependent signal correlation rho(eta).
 
     Solves 1 - theta = B_n(theta; C_n) + B_n(theta; L) - BB_n(theta; L) where
-    L(z) = int_{C_{n,z}}^1 rho(eta) d eta.  The n + 1 quadratures are done
-    once per call, not per bisection step.
+    L(z) = int_{C_{n,z}}^1 rho(eta) d eta, taken at every grid cell by one
+    :func:`numerics.integrate` call (in the large-n limit, one per residual).
     """
-    quad_tol = Tolerance(abs_tol=1e-13)
-
-    def lam_of(cval: float) -> float:
-        hi = min(1.0, max(cval, 0.0))
-        return integrate(rho_fn, hi, 1.0, quad_tol)
-
+    lam_of = lambda cval: integrate(rho_fn, np.clip(cval, 0.0, 1.0), 1.0)
     costs = expected_costs(G, n, c)
-    lam = costs.map(lam_of)
+    if callable(costs.values):
+        lam = costs.map(lam_of)
+    else:
+        cells = lam_of(costs.values)
+        lam = ExpectedCosts(costs.n, cells, (float(cells[0]), float(cells[-1])))
     theta, residual = _root(lambda t: costs.psi(t, 0.0) + lam.psi(t, 0.0) - lam.psi(t, 1.0))
     return EquilibriumResult(
         theta, "AssortativeCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n}

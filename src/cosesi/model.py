@@ -34,6 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .numerics import _BLOCK, _BODY_NODES, _PANEL_GRADING, _PANEL_NODES, _PANEL_SHARE, _evaluate, _gauss_jacobi
+
 __all__ = [
     "ModelError",
     "InvalidSampleMean",
@@ -116,17 +118,6 @@ class InteriorRhoUnsupported(ModelError, ValueError):
 # ---------------------------------------------------------------------------
 
 _SHAPE_GRID = 1001  # 1e-3 grid on which a cost is checked to stay in [0, 1]
-
-
-def _evaluate(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """``fn`` at every entry of ``xs``: one call on the array, broadcasting a
-    scalar result; a caller's callable that takes only floats is called per
-    point, as nothing else can evaluate it."""
-    try:
-        out = np.asarray(fn(xs), dtype=float)
-    except (TypeError, ValueError):
-        return np.array([fn(x) for x in xs.ravel().tolist()], dtype=float).reshape(xs.shape)
-    return out if out.shape == xs.shape else np.full(xs.shape, out)
 
 
 @dataclass(frozen=True)
@@ -259,64 +250,9 @@ def parse_cost(spec: str) -> CostFunction:
 # Beta expectations (shared by Beta estimation and Bayesian posteriors)
 # ---------------------------------------------------------------------------
 
-_BETA_NODES = 128  # nodes of the body rule; 64 leave 4e-10 on sshape:0.05,0.95,50,0.5 at Beta(2, 3)
-_PANEL_NODES = 64  # nodes of an end panel
 _PANEL_SHAPE = 4.0  # a shape below this gets an end panel at its end
-_PANEL_GRADING = 16  # x = c u^16 on an end panel
-_PANEL_SHARE = 1.0 / 16.0  # an end panel's share of the window
-_BETA_BLOCK = 32  # cells per node array, so that memory does not grow with n
 _FALLOFF = 40.0  # a window ends where the log-density is this far below its peak
 _NEWTON_STEPS = 3  # from the safe start inwards; two already meet the tested errors
-_RULE_NEWTON_STEPS = 4  # on the zeros of P_m; three leave 2e-12 at power -0.99
-
-
-@lru_cache(maxsize=1024)
-def _gauss_jacobi(m: int, power: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m-node Gauss rule on [0, 1] for the weight t^power, power > -1: the
-    nodes t, the same nodes as 1 - t, and the weights, which sum to
-    1 / (power + 1).  power = 0 is Gauss-Legendre.
-
-    On [-1, 1] the weight is (1 + x)^power and the nodes are the zeros of the
-    Jacobi polynomial P_m^(0, power): Newton steps on its three-term
-    recurrence from the Gatteschi-Pittaluga estimates (Hale and Townsend,
-    SIAM J. Sci. Comput. 35, 2013).  The weights are the Christoffel numbers
-    1 / sum_k p_k(x)^2 of the orthonormal polynomials, whose recurrence is
-    the Jacobi matrix of Golub and Welsch (Math. Comp. 23, 1969).  Their
-    eigenvalue route, ``np.linalg.eigh``, gives the same rule (a test
-    compares them) but pages in LAPACK: 2 MB of peak memory, and with BLAS
-    threads unpinned its first call in a process can take 200 ms.
-    """
-    n = np.arange(2.0, m + 1)
-    c = 2.0 * n + power
-    den = 2.0 * n * (n + power) * (c - 2.0)
-    # 2n (n + power)(c - 2) P_n = (c - 1)(c (c - 2) x - power^2) P_{n-1} - 2 (n - 1)(n + power - 1) c P_{n-2}
-    steps = list(zip(((c - 1.0) * c * (c - 2.0) / den).tolist(), (-(c - 1.0) * power * power / den).tolist(),
-                     (2.0 * (n - 1.0) * (n + power - 1.0) * c / den).tolist()))
-    rho = m + (power + 1.0) / 2.0
-    phi = (np.arange(1, m + 1) - 0.25) * np.pi / rho
-    half = np.tan(phi / 2.0)
-    x = np.cos(phi + (0.25 / half - (0.25 - power * power) * half) / (4.0 * rho * rho))
-    cm = 2.0 * m + power
-    for _ in range(_RULE_NEWTON_STEPS):
-        p0, p1 = np.ones(m), 1.0 + (power + 2.0) * (x - 1.0) / 2.0
-        for a, b, d in steps:
-            p0, p1 = p1, (a * x + b) * p1 - d * p0
-        dp = m * ((-power - cm * x) * p1 + 2.0 * (m + power) * p0) / (cm * (1.0 - x) * (1.0 + x))
-        x = x - p1 / dp
-    k = np.arange(1.0, m)
-    s = 2.0 * k + power
-    diag = np.concatenate([[power / (power + 2.0)], power * power / (s * (s + 2.0))])
-    off = 2.0 * k * (k + power) / (s * np.sqrt(s * s - 1.0))
-    p0, p1, norm, b0 = np.zeros(m), np.ones(m), np.ones(m), 0.0
-    for a, b1 in zip(diag.tolist(), off.tolist()):
-        p0, p1, b0 = p1, ((x - a) * p1 - b0 * p0) / b1, b1
-        norm += p1 * p1
-    # each Christoffel number stands alone: a sum to normalise by would carry the
-    # error of the largest, at the node nearest 0, into every other weight
-    rule = ((1.0 + x[::-1]) / 2.0, (1.0 - x[::-1]) / 2.0, 1.0 / (norm[::-1] * (power + 1.0)))
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
 
 
 def _panel_powers(shapes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,11 +328,11 @@ def beta_expectation(fn: Callable[[float], float], a, b):
     share = (hi - lo) * _PANEL_SHARE
     lo, hi = lo + panel[0] * share, hi - panel[1] * share  # the body
     width = hi - lo
-    body_t, body_u, body_w = _gauss_jacobi(_BETA_NODES, 0.0)
+    body_t, body_u, body_w = _gauss_jacobi(_BODY_NODES, 0.0)
     powers, rests = _panel_powers(shapes)
     out = np.empty(a.size)
-    for i in range(0, a.size, _BETA_BLOCK):
-        cells = np.arange(i, min(i + _BETA_BLOCK, a.size))
+    for i in range(0, a.size, _BLOCK):
+        cells = np.arange(i, min(i + _BLOCK, a.size))
         x = lo[cells, None] + width[cells, None] * body_t  # x and 1 - x, each exact where it is small
         y = (1.0 - hi[cells])[:, None] + width[cells, None] * body_u
         log_h = (a[cells] - 1.0)[:, None] * np.log(x) + (b[cells] - 1.0)[:, None] * np.log(y)
@@ -1037,13 +973,17 @@ def _bahadur_joint_rows(
     pairs = n * (n - 1) // 2
     if len(r2) != pairs:
         raise ModelError(f"need {pairs} pairwise correlations for n={n}")
-    t = _unit_thetas(thetas)[:, None, None]
+    t = _unit_thetas(thetas)[:, None]
     sign, a, b = _bahadur_monomials(n)
     coef = np.array([1.0, *r2, *([r3] if n == 3 else [])])[:, None] * sign
-    terms = coef * t**a * (1.0 - t) ** b
-    joint = terms.sum(axis=1)
-    rows = np.flatnonzero(joint.min(axis=1) < 0.0)  # the rounding is weighed only where needed
-    rows = rows[(joint[rows] < -_BAHADUR_ROUNDING * np.abs(terms[rows]).sum(axis=1)).any(axis=1)]
+    # summed term by term into (m, 2**n) arrays from the first term, as numpy sums the (m, terms, 2**n) array
+    terms = (k * t**p * (1.0 - t) ** q for k, p, q in zip(coef, a, b))
+    joint = next(terms)
+    scale = np.abs(joint)
+    for term in terms:
+        joint += term
+        scale += np.abs(term)
+    rows = np.flatnonzero((joint < -_BAHADUR_ROUNDING * scale).any(axis=1))
     if len(rows):
         raise InadmissibleCorrelation(
             f"correlation parameters produce a negative cell ({joint[rows[0]].min():.3e})"

@@ -297,11 +297,8 @@ def chi_square_gof(
 
     Adjacent bins are merged until every expected count reaches
     ``min_expected`` (mass concentrates on {0, n} when rho is near one).
-    Returns (statistic, p-value, degrees of freedom).  scipy is imported
-    here, not at module level, so ``import cosesi`` does not pay for it.
+    Returns (statistic, p-value, degrees of freedom).
     """
-    from scipy.special import chdtrc
-
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(probs, dtype=float)
     total = counts.sum()
@@ -329,7 +326,22 @@ def chi_square_gof(
         return 0.0, 1.0, 0
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
-    return stat, float(chdtrc(dof, stat)), dof
+    return stat, _chi_square_tail(stat, dof), dof
+
+
+def _chi_square_tail(x: float, k: int) -> float:
+    """P(X > x) for X ~ chi-square with an integer k >= 1 degrees of freedom,
+    in closed form (Abramowitz & Stegun 26.4.4-5): exp(-x/2) times the
+    Poisson sum of (x/2)^p / p! over p = 0..k/2 - 1 for even k; for odd k
+    the sum runs over p = 1/2..k/2 - 1 with Gamma(p + 1) and adds
+    erfc(sqrt(x/2)).  Each term is taken from its logarithm, so none
+    overflows, and the terms are summed exactly rounded (``math.fsum``)."""
+    if x <= 0.0:
+        return 1.0
+    half = 0.5 * x
+    powers = (k % 2 / 2 + np.arange(k // 2)).tolist()
+    terms = [math.exp(p * math.log(half) - half - math.lgamma(p + 1.0)) for p in powers]
+    return math.fsum(terms + ([math.erfc(math.sqrt(half))] if k % 2 else []))
 
 
 def pairwise_correlation(bits: np.ndarray) -> float:

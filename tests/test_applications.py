@@ -39,7 +39,7 @@ from cosesi.applications import (
     var_two_borrowers,
     vasicek_cdf,
 )
-from cosesi.numerics import integrate, norm_cdf, Tolerance
+from cosesi.numerics import integrate, norm_cdf
 from cosesi.sampling import SeedableRng
 
 from conftest import TAX_THETA0
@@ -585,7 +585,7 @@ class TestTaxPolicy:
         pmf = action_count_pmf(RhoMixture(rho), 2, out.theta_tau).probs
         grid = np.minimum([pow2(y / 2) + tau for y in range(3)], 1.0)
         want = sum(
-            w * integrate(lambda e: e - pow2(out.theta_tau), a, 1.0, Tolerance(1e-12))
+            w * integrate(lambda e: e - pow2(out.theta_tau), a, 1.0)
             for w, a in zip(pmf, grid)
         )
         assert out.welfare == pytest.approx(want, abs=1e-9)

@@ -166,6 +166,15 @@ class TestCommands:
         assert code == 0
         assert "theta_star=0.5" in out
 
+    @pytest.mark.parametrize("k", ["0.001", "0.05", "0.1", "0.15", "0.16"])
+    def test_assortative_power_rho_with_a_zero_cost_cell(self, k, capsys):
+        # the cell C = 0 puts the cusp of eta^k at the end of its tail integral
+        code, out, err = run_cli(
+            ["assortative", "--cost", "pow:2", "--n", "10", "--rho-fn", f"power:{k}"], capsys
+        )
+        assert code == 0, err
+        assert out.startswith("theta_star=0.49")
+
     def test_bayes(self, capsys):
         code, out, _ = run_cli(
             ["bayes", "--cost", "pow:2", "--alpha", "1", "--beta", "1", "--n", "2",
@@ -652,6 +661,22 @@ def test_kernel_paths_match_golden(name, capsys, tmp_path, monkeypatch):
     if "--out" in argv:
         written = tmp_path / argv[argv.index("--out") + 1]
         assert written.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_readme_commands_run_without_scipy(tmp_path):
+    # numpy is the one run-time dependency: every README command exits 0 with
+    # scipy made unimportable before the package loads
+    script = (
+        "import shlex, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from cosesi.cli import main\n"
+        "for command in sys.argv[1:]:\n"
+        "    if main(shlex.split(command)[1:]) != 0:\n"
+        "        sys.exit(f'exit != 0: {command}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *README_COMMANDS], cwd=tmp_path,
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_installed_entry_point():

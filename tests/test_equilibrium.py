@@ -364,6 +364,30 @@ class TestAssortative:
         got = solve_assortative(linear_cost(), mle, 10**6, lambda eta: eta).theta
         assert got == pytest.approx(ASSORT_LIMIT, abs=1e-3)
 
+    @pytest.mark.parametrize("k", [0.0, 0.001, 0.05, 0.1, 0.15, 0.16, 1.0, 7.0])
+    @pytest.mark.parametrize("spec, G, n", [
+        ("pow:2", MLE(), 10), ("pow:3", BetaEstimation(), 6), ("exp:2", BayesBeta(0.93, 1.25, 0.0), 20),
+    ])
+    def test_power_rho_is_the_closed_form_tail(self, monkeypatch, spec, G, n, k):
+        # L(c) = (1 - c^(k+1)) / (k+1); a cell at c = 0 puts the cusp of eta^k at an end
+        monkeypatch.setattr(numerics, "SOLVE_TOL", Tolerance(abs_tol=1e-15, max_iter=300))
+        c = parse_cost(spec)
+        grid = cost_grid(G, n, c)
+        lam = (1.0 - np.clip(grid, 0.0, 1.0) ** (k + 1.0)) / (k + 1.0)
+        psi = lambda t: sum(weighted_bernstein(n, t, rho, v) for rho, v in ((0.0, grid), (0.0, lam), (1.0, -lam)))
+        want = solve_decreasing(lambda t: 1.0 - t - psi(t))
+        assert abs(solve_assortative(c, G, n, lambda eta: eta**k).theta - want) <= 1e-13
+
+    def test_tail_integrals_memory_is_flat_in_n(self, mle, pow3):
+        # the 256 nodes of all 100 001 cells would be 205 MB as one array; blocks of 32 cells keep it small
+        tracemalloc.start()
+        try:
+            solve_assortative(pow3, mle, 100_000, lambda eta: eta**0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
 
 class TestBayesianCosesi:
     def test_rho_zero_is_bayes_sesi_for_any_zeta(self, pow2):

@@ -917,6 +917,39 @@ class TestCountPmfGrid:
                                    rtol=1e-15, atol=0.0)
         assert np.isfinite(bahadur_joint(3, t, 0.0, 0.25).probs).all()
 
+    @pytest.mark.parametrize("n, r2", [(1, ()), (2, (0.3,)), (3, (0.02, 0.01, 0.03))])
+    @pytest.mark.parametrize("r3", [0.0, 0.02])
+    def test_bahadur_cells_are_the_summed_term_array(self, n, r2, r3):
+        # the term-by-term sums give the bits of summing the (m, terms, 2**n) array
+        # of every monomial, on the admissible nodes of a scan
+        r3 = r3 if n == 3 else 0.0
+        thetas = np.arange(10_001) / 10_000
+        sign, a, b = model._bahadur_monomials(n)
+        t = thetas[:, None, None]
+        terms = np.array([1.0, *r2, *([r3] if n == 3 else [])])[:, None] * sign * t**a * (1.0 - t) ** b
+        joint = terms.sum(axis=1)
+        ok = ~(joint < -model._BAHADUR_ROUNDING * np.abs(terms).sum(axis=1)).any(axis=1)
+        assert ok.sum() > 9_000
+        want = np.clip(joint[ok], 0.0, None)
+        got = model._bahadur_joint_rows(n, thetas[ok], r2, r3)
+        assert got.tolist() == want.tolist()
+
+    def test_bahadur_rounding_test_weighs_the_summed_magnitudes(self):
+        # r = -1/2 makes the cell (1, 1) negative below theta = 1/3, zero at it up to rounding
+        thetas = 1.0 / 3.0 + np.arange(-40, 41) * 2.0**-54
+        sign, a, b = model._bahadur_monomials(2)
+        t = thetas[:, None, None]
+        terms = np.array([1.0, -0.5])[:, None] * sign * t**a * (1.0 - t) ** b
+        negative = (terms.sum(axis=1) < -model._BAHADUR_ROUNDING * np.abs(terms).sum(axis=1)).any(axis=1)
+        assert negative.any() and not negative.all()
+        for theta, want in zip(thetas.tolist(), negative.tolist()):
+            try:
+                model._bahadur_joint_rows(2, [theta], (-0.5,), 0.0)
+            except InadmissibleCorrelation:
+                assert want
+            else:
+                assert not want
+
     @pytest.mark.parametrize("probs", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0]])
     def test_pmf_rejects_non_finite_entries(self, probs):
         with pytest.raises(ModelError, match="^non-finite pmf entry in"):

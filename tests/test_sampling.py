@@ -16,6 +16,7 @@ from cosesi.sampling import (
     LambdaOutOfRange,
     SamplingError,
     SeedableRng,
+    _chi_square_tail,
     asymptotic_action_prob,
     bahadur_joint,
     balance_check,
@@ -121,7 +122,16 @@ class TestSampleCorrelated:
         probs = [0.12, 0.25, 0.3, 0.2, 0.1, 0.03]
         stat, pvalue, dof = chi_square_gof(counts, probs)
         assert dof == 5
-        assert pvalue == float(chi2.sf(stat, dof))
+        assert pvalue == pytest.approx(float(chi2.sf(stat, dof)), rel=1e-12, abs=0.0)
+
+    def test_chi_square_tail_matches_chdtrc(self):
+        # the closed-form tail of an integer k against scipy's incomplete gamma
+        from scipy.special import chdtrc
+
+        for k in range(1, 201):
+            xs = np.linspace(0.0, 3.0 * k + 50.0, 61)
+            got = np.array([_chi_square_tail(x, k) for x in xs.tolist()])
+            np.testing.assert_allclose(got, chdtrc(k, xs), rtol=1e-12, atol=0.0)
 
     def test_package_import_leaves_scipy_stats_unloaded(self):
         code = "import sys, cosesi, cosesi.cli; print('scipy.stats' in sys.modules)"
