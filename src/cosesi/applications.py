@@ -20,7 +20,9 @@ solved by ``equilibrium._cosesi_root``; the bank's roots by
 ``psi_rows`` pass, with each theta's Vasicek tail as the map of its row.
 The monopoly demand curves solve all their prices at once, in lockstep, by
 ``numerics.solve_decreasing_rows`` (through ``equilibrium._cosesi_roots`` for
-naive consumers), with the scalar demand's roots bit for bit.  Two equations
+naive consumers).  A scalar demand runs the same root loop on one row, on
+residual values with the same bits, so the curve holds the scalar demand's
+roots bit for bit.  Two equations
 keep a solve of their own (the docstrings say why): the two-sided market and
 the supply shock.
 """
@@ -253,8 +255,8 @@ def _rational_demand_curve(t: float) -> tuple[Callable[[float], float], Callable
     """:func:`monopoly_rational_demand` and its rows form, as :func:`_demand_curve`
     returns them: one ``solve_decreasing_rows`` call on exp(-t theta) - theta - p
     for all the prices.  Both take numpy's exp, which gives the same bits on a
-    float and in an array, so entry i is the scalar demand at ``prices[i]``
-    bit for bit."""
+    float and in an array, and both run the one root loop of ``numerics``, so
+    entry i is the scalar demand at ``prices[i]`` bit for bit."""
 
     def demand_rows(prices: np.ndarray) -> list[float]:
         def res(thetas: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -280,7 +282,7 @@ def monopoly_optimize(
     (``numerics.solve_decreasing_rows``, by ``equilibrium._cosesi_roots`` for
     naive consumers), and each entry is bit for bit the scalar demand at its
     price, ``monopoly_demand`` or ``monopoly_rational_demand``, which the
-    refinement calls.
+    refinement calls: both run the one root loop of ``numerics``.
     """
     if not 0.0 < price_grid_step <= 1e-3:
         raise ApplicationError(f"price grid step must be in (0, 1e-3], got {price_grid_step:g}")
@@ -423,7 +425,7 @@ def solve_bank_cosesi(spec: CreditSpec) -> BankOutcome:
     singularity).  The borrower default rate is p* = Phi(omega * theta*).
     One residual on arrays of thetas (:func:`_bank_residual`) serves the
     1e-3 scan and the refinement at one theta.  ``equilibrium._roots`` takes
-    a residual within ``SOLVE_TOL`` of 0 at every node of a 0.1 grid for a
+    a residual within 1e-12 of 0 at every node of a 0.1 grid for a
     continuum of equilibria, re-raised here as :class:`ApplicationError`.
     """
     try:

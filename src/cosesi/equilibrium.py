@@ -46,7 +46,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import (
-    SOLVE_TOL,
     RootInterval,
     find_roots,
     integrate,
@@ -100,6 +99,7 @@ __all__ = [
 ]
 
 LARGE_N = 100_000  # above this, MLE Bernstein sums switch to the limit C(theta)
+_CONTINUUM_TOL = 1e-12  # a residual within this of 0 at every node of a 0.1 grid vanishes on [0, 1]
 
 
 class BadWeights(ValueError):
@@ -318,8 +318,8 @@ def _roots(
     rounding on all of [0, 1], and :class:`ContinuumOfEquilibria` is raised
     instead of a list of rounding roots.  Without coefficients the same error
     is raised, after the scan (so a law's own error still comes from the
-    scan), when the residual is within ``SOLVE_TOL`` of 0 at every node of a
-    0.1 grid.
+    scan), when the residual is within ``_CONTINUUM_TOL`` (1e-12) of 0 at
+    every node of a 0.1 grid.
     The certificate reads ``certified k`` when every kept interval has
     exactly one sign variation, with its coefficients beyond their bounds,
     and holds exactly one of the roots found, and the k roots are all that
@@ -339,7 +339,7 @@ def _roots(
             scanned[math.floor(iv.lo * n_cells) : math.ceil(iv.hi * n_cells)] = True
         cells = np.flatnonzero(scanned)
     found = find_roots(res, grid_step, cells=cells)
-    if kept is None and (np.abs(res(np.arange(11) / 10)) <= SOLVE_TOL.abs_tol).all():
+    if kept is None and (np.abs(res(np.arange(11) / 10)) <= _CONTINUUM_TOL).all():
         raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
     roots: list[float] = []
     for r in found:

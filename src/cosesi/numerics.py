@@ -3,17 +3,17 @@
 Normal CDF (also entrywise on arrays) and quantile, Owen's T function,
 every quadrature rule of the package (the cached Gauss-Jacobi rules on
 [0, 1], which ``model.beta_expectation`` composes, and ``integrate``'s one
-graded Gauss rule), bracketed root finding, and the root helpers the solvers
-share: the clamped solve of a decreasing residual, its array form that
-solves many residuals in lockstep,
-the scan-plus-refine root enumeration over all grid cells or a chosen set
-of them, and the isolation of a Bernstein polynomial's roots that picks
-those cells.  The four root routines take no tolerance: each reads the
-module's ``SOLVE_TOL`` (|f| <= 1e-12 within 300 steps) when it is called, so
-a test that needs another budget patches it there.  The array form takes
-each row through the scalar solve's steps elementwise, so a row whose
-residual values are the scalar residual's, bit for bit, gets the scalar
-root bit for bit.
+graded Gauss rule), and root finding.  One bracketed root loop, of
+Anderson-Bjorck steps on arrays of brackets in lockstep, refines every root
+of the package (``solve_decreasing_rows`` states it); ``solve_bracketed`` is
+its one-row call.  Around it sit the clamped solves of decreasing
+residuals, the scan-plus-refine root enumeration, and the isolation of a
+Bernstein polynomial's roots that picks the cells to scan.  The root
+routines take no tolerance: each reads the module's ``SOLVE_TOL`` (|f| <=
+1e-13 within 300 steps) when it is called, so a test that needs another
+budget patches it there.  A scalar solve is one row of the loop, so a row
+whose residual values are the scalar residual's, bit for bit, gets the
+scalar root bit for bit.
 A scan takes one residual on arrays: it evaluates every node in one call,
 and the refinement calls it on one theta at a time, so a residual whose
 entries do not depend on the other thetas in the call (each row of a count
@@ -91,7 +91,7 @@ class Tolerance:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
-SOLVE_TOL = Tolerance(abs_tol=1e-12, max_iter=300)
+SOLVE_TOL = Tolerance(abs_tol=1e-13, max_iter=300)
 
 
 @dataclass(frozen=True)
@@ -279,31 +279,14 @@ def owen_t(h: float, a: float) -> float:
 
 
 def solve_bracketed(f: Callable[[float], float], bracket: Bracket) -> float:
-    """Root of ``f`` inside ``bracket`` by bisection with secant acceleration.
-
-    Stops when |f(x)| <= ``SOLVE_TOL.abs_tol`` or the interval width falls
-    below it.
+    """Root of ``f`` inside ``bracket`` (either orientation): the one-row call
+    of the root loop of :func:`solve_decreasing_rows`, with its Anderson-Bjorck
+    steps and its stop rules, and ``f`` called on one float per step.
     """
-    tol = SOLVE_TOL
-    lo, hi = bracket.lo, bracket.hi
-    f_lo, f_hi = bracket.f_lo, bracket.f_hi
-    for _ in range(tol.max_iter):
-        width = hi - lo
-        if width <= tol.abs_tol:
-            return lo if abs(f_lo) < abs(f_hi) else hi
-        # secant candidate, kept strictly interior; fall back to the midpoint
-        x = hi - f_hi * width / (f_hi - f_lo)
-        margin = 0.01 * width
-        if not lo + margin < x < hi - margin:
-            x = 0.5 * (lo + hi)
-        fx = f(x)
-        if abs(fx) <= tol.abs_tol:
-            return x
-        if (fx < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
-    raise MaxIterExceeded(f"no root to tolerance {tol.abs_tol} in {tol.max_iter} iterations")
+    out = np.empty(1)
+    ends = (np.array([v]) for v in (bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi))
+    _refine(lambda xs, rows: np.array([f(xs.item())]), np.zeros(1, dtype=int), *ends, out)
+    return float(out[0])
 
 
 def solve_decreasing(
@@ -314,7 +297,8 @@ def solve_decreasing(
     """Root of a decreasing residual on [lo, hi], clamped to the interval.
 
     Returns ``lo`` when f(lo) <= 0 and ``hi`` when f(hi) >= 0; otherwise
-    refines the sign change with :func:`solve_bracketed`.
+    refines the sign change with :func:`solve_bracketed`, so a row of
+    :func:`solve_decreasing_rows` with this residual gets this root.
     """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo <= 0.0:
@@ -331,54 +315,63 @@ def solve_decreasing_rows(
     """:func:`solve_decreasing` on [0, 1] of m decreasing residuals in lockstep, as an array.
 
     ``f(thetas, rows)`` returns residual ``rows[i]`` at ``thetas[i]``, where
-    ``rows`` are the indices of the residuals still being solved.  Each row
-    takes the clamped-end test and the secant-or-midpoint steps of
-    :func:`solve_bracketed`, elementwise, with the same margins and stopping
-    rules, and leaves the solve when it stops.  Every row's iterates are
-    therefore the scalar solver's, bit for bit, as long as ``f`` gives row i
-    the value of the scalar residual i.  Raises :class:`MaxIterExceeded` when
-    a row is still unsolved after ``SOLVE_TOL.max_iter`` steps.
+    ``rows`` are the indices of the residuals still being solved.  A row is
+    0 where its residual is <= 0 at 0, else 1 where it is >= 0 at 1, else
+    refined from [0, 1] by the package's one root loop until it stops:
 
-    A step costs some 20 numpy calls whatever the number of rows, so
-    :func:`solve_decreasing` stays the solve of a single residual: one
-    monopoly demand at n = 2 takes 0.12 to 0.19 ms there and 1.2 to 1.9 ms
-    here as one row, while 1 001 rows take 6.6 to 9.5 ms here.  The 1 001
-    prices of a rational demand curve take 2.3 to 2.4 ms here against 16 to
-    18 ms one price at a time (Python 3.11, numpy 2.4, Intel Xeon, 2 vCPUs,
-    one pinned thread).
+    * the step is regula falsi on the bracket [a, b], b the latest iterate.
+      When f(x) has the sign of f(b), a is kept again, and the residual the
+      steps read at a is scaled by m = 1 - f(x)/f(b), or by 1/2 when m <= 0,
+      so that a kept end cannot stall the step (Anderson & Bjorck, BIT 13,
+      1973); else b becomes the kept end.  x becomes b;
+    * a row stops at the iterate where |f| <= ``SOLVE_TOL.abs_tol``, or, once
+      the bracket is no wider than that, at the end of smaller unscaled |f|;
+    * :class:`MaxIterExceeded` is raised when a row is still unsolved after
+      ``SOLVE_TOL.max_iter`` steps.
+
+    A unique-root solve of the package takes 6 to 8 evaluations, the ends
+    included.  A step costs some 20 numpy calls whatever the number of
+    rows, so the rows of one residual family are cheapest solved at once.
     """
-    tol = SOLVE_TOL
-    out = np.empty(m)
-    f_lo, f_hi = f(np.zeros(m), np.arange(m)), f(np.ones(m), np.arange(m))
+    every = np.arange(m)
+    f_lo, f_hi = f(np.zeros(m), every), f(np.ones(m), every)
     low, high = f_lo <= 0.0, f_hi >= 0.0
-    out[low], out[~low & high] = 0.0, 1.0
-    rows = np.flatnonzero(~low & ~high)
+    out = np.where(low, 0.0, 1.0)  # the clamped rows; the others are refined in place
+    rows = np.flatnonzero(~(low | high))
     bad = rows[~((f_lo[rows] > 0.0) & (f_hi[rows] < 0.0))]
     if len(bad):  # a nan end: the scalar solve's error
         Bracket(0.0, 1.0, float(f_lo[bad[0]]), float(f_hi[bad[0]]))
-    a, b = np.zeros(len(rows)), np.ones(len(rows))
-    f_a, f_b = f_lo[rows], f_hi[rows]
+    _refine(f, rows, np.zeros(len(rows)), np.ones(len(rows)), f_lo[rows], f_hi[rows], out)
+    return out
+
+
+def _refine(f, rows, a, b, f_a, f_b, out) -> None:
+    """The root loop of :func:`solve_decreasing_rows` on the brackets [a, b]
+    of ``rows`` (either orientation, residuals f_a, f_b of strictly opposite
+    signs): ``out[rows[i]]`` gets row i's root."""
+    tol = SOLVE_TOL
+    g_a = f_a  # f(a) as the steps read it, scaled while a is kept
     for _ in range(tol.max_iter):
-        width = b - a
-        done = width <= tol.abs_tol
-        out[rows[done]] = np.where(np.abs(f_a[done]) < np.abs(f_b[done]), a[done], b[done])
-        rows, a, b, f_a, f_b, width = (v[~done] for v in (rows, a, b, f_a, f_b, width))
+        d = b - a
+        narrow = np.abs(d) <= tol.abs_tol
+        if np.count_nonzero(narrow):
+            out[rows[narrow]] = np.where(np.abs(f_a) < np.abs(f_b), a, b)[narrow]
+            rows, a, b, d, f_a, g_a, f_b = (v[~narrow] for v in (rows, a, b, d, f_a, g_a, f_b))
         if not len(rows):
-            return out
-        # secant candidate, kept strictly interior; fall back to the midpoint
-        x = b - f_b * width / (f_b - f_a)
-        margin = 0.01 * width
-        mid = ~((a + margin < x) & (x < b - margin))
-        x[mid] = 0.5 * (a[mid] + b[mid])
+            return
+        x = b - f_b * d / (f_b - g_a)
         fx = f(x, rows)
-        done = np.abs(fx) <= tol.abs_tol
-        out[rows[done]] = x[done]
-        rows, a, b, f_a, f_b, x, fx = (v[~done] for v in (rows, a, b, f_a, f_b, x, fx))
-        if not len(rows):
-            return out
-        left = (fx < 0.0) == (f_a < 0.0)
-        a, f_a = np.where(left, x, a), np.where(left, fx, f_a)
-        b, f_b = np.where(left, b, x), np.where(left, f_b, fx)
+        hit = np.abs(fx) <= tol.abs_tol
+        if np.count_nonzero(hit):
+            out[rows[hit]] = x[hit]
+            rows, a, b, f_a, g_a, f_b, x, fx = (v[~hit] for v in (rows, a, b, f_a, g_a, f_b, x, fx))
+            if not len(rows):
+                return
+        r = fx / f_b
+        moved = r < 0.0  # x and b bracket the root: b becomes the kept end
+        g_a = np.where(moved, f_b, g_a * np.where(r < 1.0, 1.0 - r, 0.5))
+        a, f_a = np.where(moved, b, a), np.where(moved, f_b, f_a)
+        b, f_b = x, fx
     raise MaxIterExceeded(f"no root to tolerance {tol.abs_tol} in {tol.max_iter} iterations")
 
 

@@ -409,6 +409,13 @@ class TestBankEquilibrium:
         assert out.theta_star == pytest.approx(0.5 * (lo + hi), abs=1e-4)
         assert out.p_star == pytest.approx(norm_cdf(omega * out.theta_star), abs=1e-12)
 
+    def test_flat_middle_root_is_one_half(self):
+        # the residual is flat at the symmetric middle root, so a |f| stop far
+        # from the root would move it well past the solver's tolerance
+        out = solve_bank_cosesi(CreditSpec(-0.017, 0.251, 3, linear_cost(), gaussian_omega=True))
+        assert len(out.roots) == 3
+        assert abs(out.roots[1] - 0.5) <= 1e-13
+
     def test_rho_validation(self):
         with pytest.raises(ApplicationError):
             CreditSpec(omega=0.0, rho=0.0, n=2, cost=linear_cost())
