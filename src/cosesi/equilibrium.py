@@ -18,12 +18,13 @@ mapped costs, if asked), in blocks of grid cells or one limit call per
 theta.  :func:`_takes_limit` is the one place that picks between grid and
 limit: MLE requests with n above ``LARGE_N`` and infinite n (hence NE) use
 the limit B_n(theta; C_n) -> c(theta).
-Every equation here and in ``applications`` is solved, at the default
+The rho-mixture equations are solved, at the default
 ``numerics.SOLVE_TOL``, by :func:`_cosesi_root` (the unique root for
 increasing costs: a closed form at rho = 1, else the clamped solve
-:func:`_root`) or by :func:`_roots` (scan, refine, merge roots within 1e-6).
-:func:`_cosesi_roots` is :func:`_cosesi_root` on many mapped cost rows at
-once, one lockstep solve on ``psi_rows`` with the same roots bit for bit.
+:func:`_root`), by :func:`_roots` (scan, refine, merge roots within 1e-6),
+or, for many mapped cost rows at once, by :func:`_cosesi_roots`: one
+lockstep solve on ``psi_rows``, each row's root :func:`_cosesi_root`'s
+bit for bit.  It is the one path of the monopoly demand.
 The scans of :func:`_roots` take one residual on arrays of thetas:
 ``psi_rows`` under a rho-mixture law, else ``model.count_pmf_grid`` rows
 met with the cost grid by ``model.row_dots``, in blocks.  Each row's value

@@ -535,8 +535,8 @@ def binom_pmf(n: int, theta: float) -> np.ndarray:
 
     The scalar Bernstein kernel that :func:`bernstein` and
     :func:`weighted_bernstein` sum, kept beside the row kernel ``_binom_rows``
-    because it is the hot path of every one-theta solve step: 3 320 calls in
-    a unique-workload pass, 3 880 in a market pass.  One call costs 2.8 to
+    because it is the hot path of every one-theta solve step: 919 calls in a
+    unique-workload pass, 914 in a market pass (seed 1).  One call costs 2.8 to
     3.5 us at n = 20 and 3.2 to 3.5 us at n = 200, theta 0.37, some 0.15 us
     more than by ``math``'s log and log1p, whose bits the row kernel's numpy
     loops do not give (best of 15 in five runs, Python 3.11, numpy 2.4,

@@ -12,7 +12,9 @@ from cosesi.model import (
     CostFunction,
     InadmissibleCorrelation,
     MLE,
+    ModelError,
     RhoMixture,
+    UnsupportedN,
     action_count_pmf,
     exp_decay_cost,
     affine_cost,
@@ -217,6 +219,9 @@ _DEMAND_LAWS = st.one_of(
 
 
 class TestMonopolyDemandRows:
+    """A lockstep row does not read the others: a demand curve's entry at a
+    price is the one-price demand there, bit for bit."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         rho=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
@@ -224,14 +229,14 @@ class TestMonopolyDemandRows:
         law=_DEMAND_LAWS,
         prices=st.lists(st.floats(0.0, 1.0), max_size=20),
     )
-    def test_rows_are_the_scalar_demand_bit_for_bit(self, rho, t, law, prices):
+    def test_rows_are_the_one_price_demand_bit_for_bit(self, rho, t, law, prices):
         n, G = law
         prices = np.array([0.0, 1.0, *prices])  # the clamped ends among them
-        demand, demand_rows = applications._demand_curve(rho, t, n, G)
-        assert demand_rows(prices) == [demand(p) for p in prices.tolist()]
+        got = applications._demand_curve(rho, t, n, G)(prices).tolist()
+        assert got == [monopoly_demand(p, rho, t, n, G) for p in prices.tolist()]
 
     @pytest.mark.parametrize("rho, n, rational", [(0.35, 3, False), (1.0, 4, False), (0.0, 2, True)])
-    def test_demand_curve_is_the_scalar_demand(self, rho, n, rational):
+    def test_demand_curve_is_the_one_price_demand(self, rho, n, rational):
         out = monopoly_optimize(rho, 6.0, n, rational=rational)
         prices = np.arange(0.0, 1.0005, 1e-3).tolist()
         if rational:
@@ -246,18 +251,17 @@ class TestMonopolyDemandRows:
         prices=st.lists(st.floats(0.0, 1.0), max_size=20),
     )
     @example(t=4.6561, prices=[0.449])
-    def test_rational_rows_are_the_scalar_demand_bit_for_bit(self, t, prices):
+    def test_rational_rows_are_the_one_price_demand_bit_for_bit(self, t, prices):
         prices = np.array([0.0, 1.0, *prices])  # the clamped ends among them
-        demand, demand_rows = applications._rational_demand_curve(t)
-        want = [monopoly_rational_demand(p, t) for p in prices.tolist()]
-        assert demand_rows(prices) == want == [demand(p) for p in prices.tolist()]
+        got = applications._rational_demand_curve(t)(prices).tolist()
+        assert got == [monopoly_rational_demand(p, t) for p in prices.tolist()]
 
     @pytest.mark.parametrize("t", [0.5, 3.0, 6.8663, 12.0])
-    def test_rational_curve_is_the_scalar_demand(self, t):
+    def test_rational_curve_is_the_one_price_demand(self, t):
         out = monopoly_optimize(0.0, t, rational=True)
         assert out.demand_curve == tuple((p, monopoly_rational_demand(p, t)) for p, _ in out.demand_curve)
 
-    def test_naive_curve_at_n_200_is_the_scalar_demand(self):
+    def test_naive_curve_at_n_200_is_the_one_price_demand(self):
         # 10 000 cost cells hold 49 prices at n = 200: the 1 001 prices span 21 blocks
         out = monopoly_optimize(0.4, 6.0, 200)
         sampled = out.demand_curve[::37] + out.demand_curve[-1:]
@@ -265,9 +269,81 @@ class TestMonopolyDemandRows:
 
     def test_blocks_do_not_change_the_demand(self):
         # 10 000 cost cells hold 9 prices at n = 1000: 40 prices make five blocks
-        demand, demand_rows = applications._demand_curve(0.3, 6.0, 1000, MLE())
+        demand = applications._demand_curve(0.3, 6.0, 1000, MLE())
         prices = np.linspace(0.0, 1.0, 40)
-        assert demand_rows(prices) == [demand(p) for p in prices.tolist()]
+        assert demand(prices).tolist() == [demand(np.array([p]))[0] for p in prices.tolist()]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a solve this path must not make")
+
+
+class TestMonopolyPriceSearch:
+    """The price search reads demand only through the lockstep curves."""
+
+    @pytest.mark.parametrize("rho, n, rational", [
+        *((rho, n, False) for rho in (0.0, 0.3, 1.0) for n in (2, 50)),
+        (0.0, 2, True),
+    ])
+    def test_search_makes_no_scalar_solve(self, rho, n, rational, monkeypatch):
+        monkeypatch.setattr(applications, "_cosesi_root", _never)
+        monkeypatch.setattr(applications, "solve_decreasing", _never)
+        out = monopoly_optimize(rho, 6.0, n, rational=rational)
+        assert 0.0 < out.price_star < 1.0
+
+    def test_full_correlation_price_is_the_closed_form(self):
+        # demand (1 - p)/(2 - p) peaks at p = 2 - sqrt(2), with profit 3 - 2 sqrt(2)
+        out = monopoly_optimize(1.0, 6.0, 2)
+        assert abs(out.price_star - (2.0 - math.sqrt(2.0))) <= 1e-8
+        assert abs(out.profit_star - (3.0 - 2.0 * math.sqrt(2.0))) <= 1e-15
+
+    @pytest.mark.parametrize("rho, n", [(0.0, 2), (0.3, 50), (1.0, 2), (0.5, 1000)])
+    def test_quantity_is_the_demand_at_the_price(self, rho, n):
+        out = monopoly_optimize(rho, 6.0, n)
+        assert out.quantity_star == monopoly_demand(out.price_star, rho, 6.0, n)
+        assert out.profit_star == out.price_star * out.quantity_star
+
+    @pytest.mark.parametrize("t", [0.5, 6.0])
+    def test_rational_quantity_is_the_demand_at_the_price(self, t):
+        out = monopoly_optimize(0.0, t, rational=True)
+        assert out.quantity_star == monopoly_rational_demand(out.price_star, t)
+
+    @pytest.mark.parametrize("rho, n", [(0.0, 2), (0.7, 10), (1.0, 4)])
+    def test_price_is_the_best_of_a_finer_grid_to_its_stop_width(self, rho, n):
+        # 201 prices 1e-9 apart around p*: none beats it by more than the
+        # 1e-14 unevenness the demand's root tolerance leaves in profit
+        out = monopoly_optimize(rho, 6.0, n)
+        prices = out.price_star + np.linspace(-1e-7, 1e-7, 201)
+        profits = prices * applications._demand_curve(rho, 6.0, n, MLE())(prices)
+        assert profits.max() - out.profit_star <= 1e-14
+        assert out.profit_star >= max(p * q for p, q in out.demand_curve)
+
+    @pytest.mark.parametrize("p", [2.0, -0.5, math.nan])
+    def test_one_price_demands_refuse_a_price_outside_0_1(self, p, monkeypatch):
+        monkeypatch.setattr(applications, "solve_decreasing_rows", _never)
+        monkeypatch.setattr(applications, "_cosesi_roots", _never)
+        with pytest.raises(ApplicationError, match="price must be in \\[0,1\\]"):
+            monopoly_rational_demand(p)
+        with pytest.raises(ApplicationError, match="price must be in \\[0,1\\]"):
+            monopoly_demand(p, 0.3)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"t": -1.0}, ModelError, "exp_decay rate must be >= 0, got -1.0"),
+        ({"t": math.nan}, ModelError, "exp_decay rate must be >= 0, got nan"),
+        ({"t": math.inf}, ModelError, "exp_decay rate must be finite, got inf"),
+        ({"rho": 5.0}, InadmissibleCorrelation, "rho must be in [0,1], got 5.0"),
+        ({"rho": math.nan}, InadmissibleCorrelation, "rho must be in [0,1], got nan"),
+        ({"n": -5}, UnsupportedN, "n must be a positive integer, got -5"),
+        ({"n": 2.5}, UnsupportedN, "n must be a positive integer, got 2.5"),
+    ])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_inputs_are_checked_alike_before_any_solve(self, kwargs, error, message, rational, monkeypatch):
+        monkeypatch.setattr(applications, "solve_decreasing_rows", _never)
+        monkeypatch.setattr(applications, "_cosesi_roots", _never)
+        args = {"rho": 0.3, "t": 6.0, "n": 2, **kwargs}
+        with pytest.raises(error) as info:
+            monopoly_optimize(**args, rational=rational)
+        assert str(info.value) == message
 
 
 class TestVasicek:

@@ -366,10 +366,27 @@ class TestCommands:
     @pytest.mark.parametrize("t, message", [
         ("nan", "exp_decay rate must be >= 0, got nan"),
         ("inf", "exp_decay rate must be finite, got inf"),
+        ("-1", "exp_decay rate must be >= 0, got -1.0"),
     ])
-    def test_non_finite_encounter_rate_exits_1(self, t, message, capsys, monkeypatch):
+    @pytest.mark.parametrize("rational", [[], ["--rational"]])
+    def test_non_finite_encounter_rate_exits_1(self, t, message, rational, capsys, monkeypatch):
         monkeypatch.setattr(applications, "expected_costs", _not_solved)
-        code, out, err = run_cli(["monopoly", "--t", t], capsys)
+        monkeypatch.setattr(applications, "solve_decreasing_rows", _not_solved)
+        code, out, err = run_cli(["monopoly", "--t", t, *rational], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"solver error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--rho", "5"], "rho must be in [0,1], got 5.0"),
+        (["--n", "-5"], "n must be a positive integer, got -5"),
+    ])
+    @pytest.mark.parametrize("rational", [[], ["--rational"]])
+    def test_monopoly_rho_or_n_outside_its_region_exits_1(self, args, message, rational, capsys, monkeypatch):
+        # the rational demand reads t alone, but its rho and n are checked as the naive demand's
+        monkeypatch.setattr(applications, "solve_decreasing_rows", _not_solved)
+        monkeypatch.setattr(applications, "_cosesi_roots", _not_solved)
+        code, out, err = run_cli(["monopoly", *args, *rational], capsys)
         assert code == 1
         assert out == ""
         assert err == f"solver error: {message}\n"
@@ -638,7 +655,8 @@ def test_help_example_exits_0(cmd, flag, value, capsys):
 # rho-mixture count-law scan run through the shared kernel and its large-n
 # limit; their output was recorded before that routing.  The rational
 # monopoly solves its own equation; its demand rows were re-recorded when the
-# solver tolerance became the shared 1e-12.
+# root loop became the Anderson-Bjorck lockstep, and its price and quantity
+# when the price search became a lockstep grid search.
 KERNEL_COMMANDS = {
     "limit-ne": "ne --cost exp:2 --out ne.csv",
     "limit-market-rational": "market --lam 0.3 --rational --out market.csv",

@@ -814,6 +814,33 @@ class TestPsiRows:
         assert len(calls) == 7
 
 
+
+class TestCosesiRoots:
+    """``_cosesi_roots`` is the one-row root ``_cosesi_root`` of each mapped
+    cost row, bit for bit: both run the one root loop of ``numerics`` on
+    residual values with the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.one_of(_SCAN_COSTS, st.floats(0.0, 10.0).map(exp_decay_cost)),
+        law=st.one_of(
+            st.tuples(st.sampled_from([MLE(), BetaEstimation()]), st.integers(1, 40)),
+            st.tuples(st.just(MLE()), st.sampled_from([LARGE_N + 1, math.inf])),
+        ),
+        rho=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        f=_ROW_MAPS,
+        params=st.lists(st.floats(0.0, 1.0), max_size=12),
+    )
+    def test_every_entry_is_the_one_row_root(self, c, law, rho, f, params):
+        G, n = law
+        costs = expected_costs(G, n, c)
+        params = np.array([0.0, 1.0, *params])
+        if rho == 1.0:  # mapped ends 1 and 0 make every theta a root, and the closed form 0/0
+            params = params[(f(costs.ends[0], params) < 1.0) | (f(costs.ends[1], params) > 0.0)]
+        got = equilibrium._cosesi_roots(costs, rho, f, params)
+        want = [equilibrium._cosesi_root(costs.map(lambda v: f(v, q)), rho)[0] for q in params.tolist()]
+        assert got.tolist() == want
+
 class TestArrayScan:
     """The count-law scans evaluate their nodes in blocks of rows, each row the
     scalar residual's value bit for bit, so the results are those of the scan
