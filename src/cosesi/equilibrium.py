@@ -34,8 +34,13 @@ law's residual has Bernstein coefficients (``model.bernstein_residual``),
 the scan takes only the grid cells that ``numerics.isolate_roots`` cannot
 rule out, and the end cells; a dropped cell is proved free of sign changes
 of the scanned residual, so the roots are those of the scan of every cell,
-bit for bit.  A residual that vanishes on all of [0, 1] raises
-:class:`ContinuumOfEquilibria` instead of a list of rounding roots.
+bit for bit.  Where the law rises in theta in the usual stochastic order
+and the cost grid is non-decreasing, the residual is strictly decreasing:
+:func:`_monotone_roots` searches the one cell where its signs change and
+scans that cell alone, again the roots of the scan of every cell.  A
+residual that vanishes on all of [0, 1] raises
+:class:`ContinuumOfEquilibria` instead of a list of rounding roots, as do
+the rho = 1 closed form's scalar solves where C_{n,0} = 1 and C_{n,1} = 0.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .model import (
     MLE,
     MarkovShock,
     RhoMixture,
+    Sequential,
     SignalDGP,
     UnsupportedN,
     _check_mixture_rho,
@@ -276,7 +282,7 @@ def solve_cosesi(
 def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
     """The root of 1 - theta = costs.psi(theta, rho) and its |residual|."""
     if rho == 1.0:
-        return _rho1_root(*costs.ends)
+        return _rho1_scalar_root(*costs.ends)
     return _root(lambda t: costs.psi(t, rho))
 
 
@@ -304,11 +310,12 @@ def _roots(
     res: Callable[[np.ndarray], np.ndarray],
     grid_step: float,
     poly: Callable[[], tuple[np.ndarray, np.ndarray] | None] = lambda: None,
-) -> tuple[tuple[float, ...], float, str]:
+) -> tuple[tuple[float, ...], float, str, str]:
     """Every root of ``res``, a residual on arrays of thetas (see
     ``numerics.find_roots``), on a ``grid_step`` scan of [0, 1], refined, with
     roots closer than 1e-6 merged, the largest |residual| over them (inf if
-    none) and the root-count certificate.
+    none), the root-count certificate and the method: ``bernstein_isolate``
+    or ``scan``.
 
     ``poly``, called once the grid step is checked, gives the residual's
     Bernstein coefficients and their bounds (``model.bernstein_residual``),
@@ -347,7 +354,39 @@ def _roots(
         if not roots or r - roots[-1] > 1e-6:
             roots.append(r)
     residual = float(np.abs(res(np.array(roots))).max()) if roots else math.inf
-    return tuple(roots), residual, _certificate(kept, found, len(roots))
+    method = "scan" if kept is None else "bernstein_isolate"
+    return tuple(roots), residual, _certificate(kept, found, len(roots)), method
+
+
+def _monotone_roots(res: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[tuple[float, ...], float, str, str]:
+    """:func:`_roots` of a strictly decreasing residual on the 1e-4 grid, without coefficients.
+
+    Its signs on the grid nodes change at most once, so a k-ary search over
+    node indices finds the one cell where they do: each round calls ``res``
+    once, on at most ``min(100, _SCAN_CELLS // (n + 1))`` (at least 1)
+    nodes spread over the span left.  ``numerics.find_roots`` then scans that
+    one cell (the first where ``res`` is <= 0 at its right end, or an end
+    cell), so the roots and residual are those of the scan of every cell, bit
+    for bit, and the certificate is ``certified k``, k in {0, 1}.  A value
+    that is not finite sends the solve to that scan, which raises at the first
+    such node."""
+    n_cells = scan_cells(1e-4)
+    width = max(1, min(100, _SCAN_CELLS // (n + 1)))
+    lo, hi = -1, n_cells + 1  # res > 0 at node lo and <= 0 at node hi; nodes -1 and n_cells + 1 lie outside
+    while hi - lo > 1:
+        k = min(hi - lo - 1, width)
+        # Python ints: an int64 array product and floor division would page in
+        # numpy loops that no other solve uses, some 0.1 MB of peak RSS per process
+        nodes = [lo + i * (hi - lo) // (k + 1) for i in range(1, k + 1)]
+        fs = res(np.array(nodes) / n_cells)
+        if not np.isfinite(fs).all():
+            return _roots(res, 1e-4)
+        above = int(np.count_nonzero(fs > 0.0))
+        lo = nodes[above - 1] if above else lo
+        hi = nodes[above] if above < k else hi
+    found = find_roots(res, 1e-4, cells=np.array([min(max(hi - 1, 0), n_cells - 1)]))
+    residual = float(np.abs(res(np.array(found))).max()) if found else math.inf
+    return tuple(found), residual, f"certified {len(found)}", "monotone"
 
 
 def _split_depth(m: int, n_cells: int) -> int:
@@ -384,11 +423,26 @@ def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
     return theta, abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0))
 
 
+def _rho1_scalar_root(c0: float, c1: float) -> tuple[float, float]:
+    """:func:`_rho1_root` of one pair of end costs; at C_{n,0} = 1 and C_{n,1} = 0,
+    where 1 - theta = theta C_{n,1} + (1 - theta) C_{n,0} holds at every theta,
+    raises :class:`ContinuumOfEquilibria`."""
+    if c0 == 1.0 and c1 == 0.0:
+        raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
+    return _rho1_root(c0, c1)
+
+
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> EquilibriumResult:
     """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1}),
-    from these two cells alone (c(0) and c(1) at infinite n)."""
-    ends = (c(0.0), c(1.0)) if _takes_limit(G, n) else (G.expected_value(n, 0.0, c), G.expected_value(n, 1.0, c))
-    theta, residual = _rho1_root(*ends)
+    from these two cells alone (c(0) and c(1) at infinite n), built in one
+    ``G.expected_cells`` call.  Raises :class:`ContinuumOfEquilibria` where
+    C_{n,0} = 1 and C_{n,1} = 0: every theta solves."""
+    if _takes_limit(G, n):
+        ends = (c(0.0), c(1.0))
+    else:
+        m = _check_n(n)
+        ends = G.expected_cells(m, np.array([0, m]), c).tolist()
+    theta, residual = _rho1_scalar_root(*ends)
     return EquilibriumResult(theta, "CoSESI", residual, {"cost": c.name, "G": G.kind, "n": n})
 
 
@@ -401,8 +455,8 @@ def enumerate_cosesi(
     least one and at most three roots, exactly one when rho = 1 unless c(0) = 0
     and c(1) = 1.  At finite n the ``grid_step`` scan takes only the cells
     that the residual's Bernstein coefficients cannot rule out, and
-    ``params["certificate"]`` states the root count (see :func:`_roots`);
-    where the residual vanishes identically (rho = 1 with c(0) = 0 and
+    ``params["certificate"]`` states the root count and ``params["method"]``
+    the route (see :func:`_roots`); where the residual vanishes identically (rho = 1 with c(0) = 0 and
     c(1) = 1, or a linear cost at any rho) it raises
     :class:`ContinuumOfEquilibria`.  The large-n limit scans every cell,
     and raises the same error where the residual vanishes on a 0.1 grid.
@@ -414,10 +468,9 @@ def enumerate_cosesi(
             return None
         return bernstein_residual(RhoMixture(rho), costs.n, costs.values, benefit=True)
 
-    roots, residual, certificate = _roots(lambda xs: xs - costs.psi_rows(xs, rho), grid_step, poly)
-    return EquilibriumResult(
-        roots, "CoSESI", residual, {"cost": c.name, "n": n, "rho": rho, "certificate": certificate}
-    )
+    roots, residual, certificate, method = _roots(lambda xs: xs - costs.psi_rows(xs, rho), grid_step, poly)
+    params = {"cost": c.name, "n": n, "rho": rho, "certificate": certificate, "method": method}
+    return EquilibriumResult(roots, "CoSESI", residual, params)
 
 
 @dataclass(frozen=True)
@@ -523,18 +576,29 @@ def solve_with_dgp(
     c: CostFunction, G: InferenceProcedure, n: int, dgp: SignalDGP
 ) -> EquilibriumResult:
     """General CoSESI for an arbitrary action-count law: roots of
-    1 - theta = sum_y mu(y | theta) C_{n, y/n} located by scan plus bisection.
+    1 - theta = sum_y mu(y | theta) C_{n, y/n}, each a sign change (or an
+    exact zero) of the residual on a 1e-4 grid, refined in its cell.
 
-    One residual serves the scan of a 1e-4 grid and the refinement at one
-    theta.  Its right side is ``ExpectedCosts.psi_rows`` under a
-    rho-mixture law (iid, rho-mixture and Markov shock), otherwise the
-    ``model.count_pmf_grid`` rows met with the cost grid by
-    ``model.row_dots``; both take blocks of at most 10 000 cells.  The
-    scan takes only the cells that the residual's Bernstein coefficients
-    cannot rule out (every cell under Bahadur and additive-binomial laws),
-    and ``params["certificate"]`` states the root count (see :func:`_roots`);
-    a residual that vanishes identically raises :class:`ContinuumOfEquilibria`.
-    An integral float n solves as that integer."""
+    One residual serves the grid and the refinement at one theta.  Its right
+    side is ``ExpectedCosts.psi_rows`` under a rho-mixture law (iid,
+    rho-mixture and Markov shock), otherwise the ``model.count_pmf_grid``
+    rows met with the cost grid by ``model.row_dots``; both take blocks of
+    at most 10 000 cells.  ``params["method"]`` names the route:
+
+    * ``monotone`` under the iid, rho-mixture, Markov-shock, CMB (nu = +-inf
+      included) and sequential laws, when the cost grid is non-decreasing:
+      mu(. | theta) rises in theta in the usual stochastic order, so the
+      residual is strictly decreasing and has at most one root, found by
+      :func:`_monotone_roots` in one cell;
+    * ``bernstein_isolate`` under those laws on any other grid: the scan
+      takes only the cells that the residual's Bernstein coefficients cannot
+      rule out (see :func:`_roots`);
+    * ``scan`` under Bahadur and additive-binomial laws: every cell.
+
+    Every route gives the roots and residual of the scan of every cell, bit
+    for bit; ``params["certificate"]`` states the root count, and a residual
+    that vanishes identically raises :class:`ContinuumOfEquilibria`.  An
+    integral float n solves as that integer."""
     n = _check_n(n)
     grid = cost_grid(G, n, c)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
@@ -542,15 +606,13 @@ def solve_with_dgp(
         rhs = lambda xs: costs.psi_rows(xs, dgp.rho)
     else:
         rhs = _in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
-    roots, residual, certificate = _roots(
-        lambda xs: 1.0 - xs - rhs(xs), 1e-4, lambda: bernstein_residual(dgp, n, grid)
-    )
-    return EquilibriumResult(
-        roots,
-        "GeneralCoSESI",
-        residual,
-        {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp), "certificate": certificate},
-    )
+    res = lambda xs: 1.0 - xs - rhs(xs)
+    if isinstance(dgp, (IID, RhoMixture, MarkovShock, CMB, Sequential)) and np.all(np.diff(grid) >= 0.0):
+        roots, residual, certificate, method = _monotone_roots(res, n)
+    else:
+        roots, residual, certificate, method = _roots(res, 1e-4, lambda: bernstein_residual(dgp, n, grid))
+    params = {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp), "certificate": certificate, "method": method}
+    return EquilibriumResult(roots, "GeneralCoSESI", residual, params)
 
 
 def solve_general_cmb(
@@ -558,16 +620,17 @@ def solve_general_cmb(
 ) -> EquilibriumResult:
     """General CoSESI under the Conway-Maxwell-Binomial count law.
 
-    Uniqueness is not guaranteed away from nu = 1, so all roots that
-    :func:`solve_with_dgp` finds on a 1e-4 grid, in the cells that the
-    Bernstein coefficients leave, are reported.  nu = 1 reproduces the SESI;
-    nu = -inf is the extreme positive-dependence case.  Kept only because
-    the benchmark in ``perfbench/`` still calls it; everything else calls
+    The law rises in theta in the usual stochastic order at every nu (monotone
+    likelihood ratio), so on a non-decreasing cost grid the root is unique
+    and :func:`solve_with_dgp` certifies it; on any other grid every root it
+    finds on a 1e-4 grid is reported.  nu = 1 reproduces the SESI; nu = -inf
+    is the extreme positive-dependence case.  Kept only because the benchmark
+    in ``perfbench/`` still calls it; everything else calls
     ``solve_with_dgp(c, G, n, CMB(nu))``.
     """
     result = solve_with_dgp(c, G, n, CMB(nu))
-    n, certificate = result.params["n"], result.params["certificate"]
-    params = {"cost": c.name, "G": G.kind, "n": n, "nu": nu, "certificate": certificate}
+    n, certificate, method = (result.params[k] for k in ("n", "certificate", "method"))
+    params = {"cost": c.name, "G": G.kind, "n": n, "nu": nu, "certificate": certificate, "method": method}
     return EquilibriumResult(result.theta_star, "GeneralCMB", result.residual, params)
 
 

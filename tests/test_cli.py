@@ -334,6 +334,9 @@ class TestCommands:
         (["enumerate", "--cost", "pow:3", "--n", "5", "--rho", "1"], "continuum of equilibria"),
         (["enumerate", "--cost", "linear", "--n", "12", "--rho", "0"], "continuum of equilibria"),
         (["enumerate", "--cost", "linear", "--n", "200000", "--rho", "0.3"], "continuum of equilibria"),
+        (["cosesi", "--cost", "affine:1,-1", "--n", "3", "--rho", "1"], "continuum of equilibria"),
+        (["cosesi", "--cost", "affine:1,-1", "--n", "3", "--rho", "1", "--inference", "beta"],
+         "continuum of equilibria"),
     ])
     def test_rejected_law_or_continuum_exits_1(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)

@@ -240,6 +240,27 @@ class TestClosedFormRhoOne:
         assert got.theta == solve_cosesi(c, MLE(), 10**6, 1.0).theta
         assert got.residual <= 1e-15
 
+    @pytest.mark.parametrize("G", [MLE(), BetaEstimation(), BayesBeta(1.5, 2.7, 1.0, 0.3),
+                                   BayesBeta(1.5, 2.7, 0.0, 1.0), BayesBeta(0.7, 0.9, 1.0, 1.0)])
+    def test_ends_are_the_one_cell_values(self, G):
+        # both end cells come from one expected_cells call, == the two one-cell values
+        for spec in ("pow:2.6", "exp:4.5", "linear", "sshape", "pow:0.3", "affine:0.2,0.5"):
+            c = parse_cost(spec)
+            for n in (1, 2, 3, 10, 57, 200):
+                c0, c1 = G.expected_value(n, 0.0, c), G.expected_value(n, 1.0, c)
+                theta = (1.0 - c0) / (1.0 - c0 + c1)
+                got = cosesi_rho1_closed(c, G, n)
+                assert (got.theta, got.residual) == (theta, abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0)))
+
+    @pytest.mark.parametrize("G", [MLE(), BetaEstimation()])
+    def test_continuum_raises(self, G):
+        # C_{n,0} = 1 and C_{n,1} = 0: 1 - theta = theta C_{n,1} + (1 - theta) C_{n,0} at every theta
+        c = affine_cost(1.0, -1.0)
+        for solve in (lambda: solve_cosesi(c, G, 3, 1.0), lambda: cosesi_rho1_closed(c, G, 3),
+                      lambda: sweep("rho", [0.5, 1.0], c, G, n=3)):
+            with pytest.raises(ContinuumOfEquilibria, match="^a continuum of equilibria: every theta in"):
+                solve()
+
     def test_direct_substitution(self, mle, pow2):
         # C_{2,0} = 0 and C_{2,1} = 1 give (1-0)/(1-0+1) = 1/2
         assert cosesi_rho1_closed(pow2, mle, 2).theta == pytest.approx(0.5, abs=1e-14)
@@ -913,13 +934,20 @@ class TestArrayScan:
         assert peak < 4_000_000
 
 
-def _array_residual(dgp, n, grid, benefit=False):
+def _array_residual(dgp, n, grid, benefit=False, rows=None):
     """The array residual that ``solve_with_dgp`` (or, with ``benefit``,
-    ``enumerate_cosesi``) scans, in the same blocks of count-law rows."""
+    ``enumerate_cosesi``) scans, in the same blocks of count-law rows, or in
+    blocks of ``rows`` thetas whatever n: a row's value does not depend on
+    its block, and a full scan at n = 10 000 in blocks of one row takes
+    seconds per law."""
     if isinstance(dgp, (IID, RhoMixture, MarkovShock)):
-        rhs = equilibrium._in_blocks(n, lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid))
+        row = lambda xs: weighted_bernstein_rows(n, xs, dgp.rho, grid)
     else:
-        rhs = equilibrium._in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
+        row = lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid)
+    if rows is None:
+        rhs = equilibrium._in_blocks(n, row)
+    else:
+        rhs = lambda xs: np.concatenate([row(xs[i : i + rows]) for i in range(0, len(xs), rows)])
     return (lambda xs: xs - rhs(xs)) if benefit else (lambda xs: 1.0 - xs - rhs(xs))
 
 
@@ -990,13 +1018,27 @@ class TestIsolatedScan:
         assert got.params["certificate"] == ">= 2 found"
 
     def test_scan_takes_few_cells(self, monkeypatch):
+        # a decreasing cost: its grid is not monotone, so the law takes the isolation route
         seen = []
         scan = equilibrium.find_roots
         monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: seen.append(k["cells"]) or scan(*a, **k))
-        got = solve_with_dgp(power_cost(3.0), MLE(), 10, CMB(2.0))
+        got = solve_with_dgp(affine_cost(0.9, -0.5), MLE(), 10, CMB(2.0))
         assert got.params["certificate"] == "certified 1"
+        assert got.params["method"] == "bernstein_isolate"
         (cells,) = seen
         assert {0, 9_999} <= set(cells.tolist()) and len(cells) < 500
+
+    def test_monotone_route_scans_one_cell(self, monkeypatch):
+        seen = []
+        scan = equilibrium.find_roots
+        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: seen.append(k["cells"]) or scan(*a, **k))
+        monkeypatch.setattr(equilibrium, "bernstein_residual", _no_coefficients)
+        monkeypatch.setattr(equilibrium, "isolate_roots", _no_coefficients)
+        got = solve_with_dgp(power_cost(3.0), MLE(), 10, CMB(2.0))
+        assert got.params["certificate"] == "certified 1"
+        assert got.params["method"] == "monotone"
+        (cells,) = seen
+        assert len(cells) == 1
 
     def test_general_cmb_carries_the_certificate(self):
         got = solve_general_cmb(power_cost(3.0), MLE(), 10, 2.0)
@@ -1015,6 +1057,103 @@ class TestIsolatedScan:
 
 def _no_coefficients(*args, **kwargs):
     raise AssertionError("the coefficients are built after every argument check")
+
+
+def _counted_rows(monkeypatch):
+    """The number of thetas of each count-law call that ``solve_with_dgp`` makes."""
+    rows = []
+    pmf, mixture = equilibrium.count_pmf_grid, equilibrium.weighted_bernstein_rows
+    monkeypatch.setattr(equilibrium, "count_pmf_grid", lambda dgp, n, xs: rows.append(len(xs)) or pmf(dgp, n, xs))
+    monkeypatch.setattr(equilibrium, "weighted_bernstein_rows",
+                        lambda n, xs, rho, grid: rows.append(len(xs)) or mixture(n, xs, rho, grid))
+    return rows
+
+
+class TestMonotoneRoute:
+    """Under a law that rises in theta in the usual stochastic order, on a
+    non-decreasing cost grid, ``solve_with_dgp`` searches the one cell where
+    the strictly decreasing residual changes sign, scans it alone, and
+    states ``certified k``; its roots and residual are the full scan's, bit
+    for bit."""
+
+    @pytest.mark.parametrize("spec, want", [
+        ("affine:1,0", (0.0,)),  # a node root at 0
+        ("affine:0,0", (1.0,)),  # a node root at 1
+        ("affine:0.5,0", None),
+        ("pow:3", None),
+        ("sshape", None),
+    ])
+    @pytest.mark.parametrize("dgp", [IID(), RhoMixture(0.3), MarkovShock(0.2, 0.6), CMB(2.0), CMB(-math.inf),
+                                     CMB(math.inf), Sequential((0.5, 0.2))])
+    def test_root_placement_is_the_full_scan(self, spec, want, dgp, monkeypatch):
+        monkeypatch.setattr(equilibrium, "bernstein_residual", _no_coefficients)
+        c, n = parse_cost(spec), 6
+        got = solve_with_dgp(c, MLE(), n, dgp)
+        assert (got.theta_star, got.residual) == _full_scan(_array_residual(dgp, n, cost_grid(MLE(), n, c)), 1e-4)
+        assert got.params["method"] == "monotone"
+        assert got.params["certificate"] == "certified 1"
+        if want is not None:
+            assert got.theta_star == want
+
+    @pytest.mark.parametrize("level", [1.2, -0.2])
+    def test_no_root_is_certified_0(self, level):
+        # grids outside [0, 1], which no cost gives: the residual keeps one sign
+        grid = np.full(7, level)
+        res = _array_residual(RhoMixture(0.3), 6, grid)
+        assert equilibrium._monotone_roots(res, 6) == ((), math.inf, "certified 0", "monotone")
+        assert _full_scan(res, 1e-4) == ((), math.inf)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    @pytest.mark.parametrize("dgp", [RhoMixture(0.3), IID(), CMB(2.0), CMB(math.inf), CMB(-math.inf)])
+    def test_large_n_is_the_full_scan(self, n, dgp):
+        c = power_cost(3.0)
+        got = solve_with_dgp(c, MLE(), n, dgp)
+        assert (got.theta_star, got.residual) == _full_scan(_array_residual(dgp, n, cost_grid(MLE(), n, c), rows=64), 1e-4)
+        assert got.params["certificate"] == "certified 1"
+
+    def test_rho_mixture_law_is_the_rho_mixture_solve(self):
+        # cosesi --dgp rho:0.3 --n 10000 against cosesi --rho 0.3 --n 10000
+        c = parse_cost("pow:4")
+        got = solve_with_dgp(c, MLE(), 10_000, RhoMixture(0.3))
+        assert abs(got.theta - solve_cosesi(c, MLE(), 10_000, 0.3).theta) <= 1e-13
+
+    @pytest.mark.parametrize("dgp, n", [(CMB(-math.inf), 50), (CMB(2.0), 10_000)])
+    def test_certified_where_the_coefficients_could_not(self, dgp, n):
+        got = solve_with_dgp(power_cost(3.0), MLE(), n, dgp)
+        assert got.params["certificate"] == "certified 1"
+
+    @pytest.mark.parametrize("n, want", [
+        (3, [100, 98, 2, 1, 1, 1, 1]),
+        (30, [100, 98, 2, 1, 1, 1, 1]),
+        (10_000, [1] * 19),
+    ])
+    def test_residual_calls_and_rows(self, n, want, monkeypatch):
+        # the search: k-ary rounds of at most min(100, 10 000 // (n + 1)) thetas
+        # (one at n = 10 000: 14 rounds); then the cell's two nodes (one call per
+        # row at n = 10 000), the refinement's steps and the reported residual
+        rows = _counted_rows(monkeypatch)
+        solve_with_dgp(power_cost(3.0), MLE(), n, CMB(2.0))
+        assert rows == want
+
+    @pytest.mark.parametrize("nu, n", [(1e308, 5), (1e300, 4), (-1e300, 4)])
+    def test_extreme_nu_is_the_full_scan(self, nu, n):
+        # at nu = 1e308 the law's log-weights overflow to nan, and the search hands
+        # the solve to the full scan, which names the first nan node; at |nu| = 1e300
+        # the coefficients' bounds swallow them all, and the isolation route raised
+        # ContinuumOfEquilibria
+        c = power_cost(3.0)
+        solve = lambda: (lambda r: (r.theta_star, r.residual))(solve_with_dgp(c, MLE(), n, CMB(nu)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(solve)
+            assert got == _outcome(lambda: _full_scan(_array_residual(CMB(nu), n, cost_grid(MLE(), n, c)), 1e-4))
+        assert (got[0] is DomainError) == (nu == 1e308)
+
+    def test_route_follows_the_law_and_the_grid(self):
+        got = solve_with_dgp(linear_cost(), MLE(), 6, RhoMixture(0.3))
+        assert got.params["method"] == "monotone"
+        got = solve_with_dgp(affine_cost(0.9, -0.5), MLE(), 6, RhoMixture(0.3))
+        assert got.params["method"] == "bernstein_isolate"
+        assert solve_with_dgp(power_cost(3.0), MLE(), 2, BahadurJoint((0.3,))).params["method"] == "scan"
 
 
 class TestIsolatedScanErrors:
