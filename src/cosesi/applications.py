@@ -272,7 +272,8 @@ def monopoly_optimize(
     The demand at the ``price_grid_step`` grid of [0, 1] is the outcome's
     demand curve.  The best price of a grid (ties go to the first) and its
     two neighbours, clamped to [0, 1], bracket the next grid of 21 equally
-    spaced prices, until that bracket is no wider than 1e-7.  p* is the best
+    spaced prices, whose ends keep the demand already solved there, until
+    that bracket is no wider than 1e-7.  p* is the best
     price of the last grid (1e-8 apart at the default step) and q* its
     demand, so profit* = p* q*.  Where p*q is unimodal, p* is within 1e-8 of
     its maximizer (2.4e-9 from 2 - sqrt(2) at rho = 1, t = 6, n = 2); on a
@@ -296,11 +297,11 @@ def monopoly_optimize(
     curve = tuple(zip(prices.tolist(), quantities.tolist()))
     while True:
         best = int(np.argmax(prices * quantities))
-        lo, hi = prices[max(0, best - 1)], prices[min(len(prices) - 1, best + 1)]
-        if hi - lo <= _REFINE_WIDTH:
+        lo, hi = max(0, best - 1), min(len(prices) - 1, best + 1)
+        if prices[hi] - prices[lo] <= _REFINE_WIDTH:
             break
-        prices = np.linspace(lo, hi, _REFINE_PRICES)
-        quantities = demand(prices)
+        prices = np.linspace(prices[lo], prices[hi], _REFINE_PRICES)
+        quantities = np.concatenate(([quantities[lo]], demand(prices[1:-1]), [quantities[hi]]))
     p_star, q_star = float(prices[best]), float(quantities[best])
     return MonopolyOutcome(
         p_star,

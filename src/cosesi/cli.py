@@ -335,7 +335,8 @@ def _info_flags(p: argparse.ArgumentParser) -> None:
 def _mc_flags(p: argparse.ArgumentParser) -> None:
     _common(p, rho=False, seed=True)
     p.add_argument("--dgp", default="rho:0")
-    p.add_argument("--agents", type=int, default=100000)
+    p.add_argument("--agents", type=int, default=100000,
+                   help="an integer in [10000, 2**53]; the work does not grow with it")
 
 
 # name -> (help, ArgumentParser keyword arguments, function that adds the

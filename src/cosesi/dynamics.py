@@ -6,10 +6,10 @@ sampling correlation rho_t toward its stationary ``rho``.  The population
 oracle simulates a large stratified population of agents drawing action
 counts from any ``model.SignalDGP``, estimating, and best-responding; it
 validates every analytic equilibrium independently of the Bernstein
-machinery.  It draws each agent's decision by threshold, one uniform against
-the count law's cdf at the agent's cost cut-off: for a non-decreasing cost
-grid these are ``Generator.choice``'s draws bit for bit, and otherwise the
-decisions have the same law.  Neither defines or validates a law of its own.
+machinery.  The agents that accept the same counts act independently with
+one probability, so each such block's takers are one Binomial(|block|, cdf_k)
+draw: the law of one draw per agent, in O(n) work and memory per sweep.
+Neither defines or validates a law of its own.
 """
 
 from __future__ import annotations
@@ -155,6 +155,13 @@ class McEquilibrium:
     sweep_means: np.ndarray
 
 
+def _takers(gen: np.random.Generator, sizes: np.ndarray, probs: np.ndarray) -> int:
+    """Takers of one sweep: block k + 1 of ``sizes`` accepts the k + 1 first
+    counts of ``probs`` (block 0 none), one Binomial(sizes[k + 1], cdf[k]) draw."""
+    cdf = np.concatenate(([0.0], probs.cumsum()))
+    return int(gen.binomial(sizes, cdf / cdf[-1]).sum())
+
+
 def mc_population_equilibrium(
     c: CostFunction,
     G: InferenceProcedure,
@@ -165,54 +172,44 @@ def mc_population_equilibrium(
 ) -> McEquilibrium:
     """Agent-population fixed point, the independent Monte Carlo oracle.
 
-    ``num_agents`` (an integer >= 10 000; an integral float is taken as its
-    int) stratified types eta_i = (i - 1/2)/N (deterministic grid, one less
-    Monte Carlo error source).  Per sweep each agent draws an action count Y
-    from ``dgp`` at the current share estimate and acts iff its type covers
-    the expected cost at the realized sample mean, grid[Y] <= eta_i; the
-    share is updated with damping.  Drawing the count directly is equivalent
+    ``num_agents`` (an integer in [10 000, 2**53]; an integral float is taken
+    as its int) stratified types eta_i = (i - 1/2)/N (deterministic grid, one
+    less Monte Carlo error source).  Per sweep each agent draws an action
+    count Y from ``dgp`` at the current share estimate and acts iff its type
+    covers the expected cost at the realized sample mean, grid[Y] <= eta_i;
+    the share is updated with damping.  Drawing the count directly is equivalent
     in law to drawing the full signal vector since the estimate depends on
     the sample only through its mean.
 
-    The count is drawn by threshold: with the counts ordered by cost, agent i
-    accepts the k cheapest and draws one uniform u_i, and acts iff u_i is
-    below the pmf's cdf at k.  Agents accepting the same counts form one
-    block of the sorted types, so a sweep is one uniform and one comparison
-    per agent.  For a non-decreasing grid the ordering is the identity and
-    this is ``Generator.choice(n + 1, p=pmf)`` draw for draw, so the outputs
-    equal the per-agent count search bitwise; otherwise the coupling of u_i
-    to Y differs but each agent still acts independently with probability
-    P(grid[Y] <= eta_i), so the law is the same.
+    With the counts ordered by cost, the types that accept the k + 1
+    cheapest form one block of the sorted types, whose agents act
+    independently with probability cdf_k, the pmf's cdf at k: its takers are
+    one Binomial(|block|, cdf_k) draw (:func:`_takers`).  That is the law of
+    N per-agent draws, in O(n) work and memory whatever N is: no per-agent
+    array is built.
 
     Returns the mean of the last ``_RECORD_SWEEPS`` share values with the
     lag-1-autocorrelation-adjusted standard error.
     """
-    if not (float(num_agents).is_integer() and num_agents >= 10_000):
-        raise DynamicsError(
-            f"population oracle needs an integer number of agents >= 10000, got {num_agents}"
-        )
+    if not (float(num_agents).is_integer() and 10_000 <= num_agents <= 2**53):
+        raise DynamicsError("population oracle needs an integer number of agents in "
+                            f"[10000, 2**53], got {num_agents}")
     num_agents = int(num_agents)
     gen = (rng or SeedableRng(0)).generator()
-    eta = (np.arange(num_agents) + 0.5) / num_agents
     grid = cost_grid(G, n, c)
     order = np.argsort(grid, kind="stable")
-    # types from cuts[k] on have eta_i >= grid[order][k]: they accept the k + 1
-    # cheapest counts, up to the next cut; the types below cuts[0] accept none
-    cuts = np.append(np.searchsorted(eta, grid[order], side="left"), num_agents)
-    blocks = [(k, int(lo), int(hi))
-              for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])) if hi > lo]
-    draws = np.empty(num_agents)
-    theta_hat = 0.5
+    # ceil(v N - 1/2) types lie below v; those from cut k on have eta_i >=
+    # grid[order][k] and accept the k + 1 cheapest counts, up to the next cut,
+    # and the types below the first cut accept none.  Up to 2**53 agents N is
+    # exact, and the rounding of v N can misplace only a type within about an
+    # ulp of v, a tie at float resolution
+    cuts = np.clip(np.ceil(grid[order] * num_agents - 0.5), 0, num_agents).astype(np.int64)
+    sizes = np.diff(cuts, prepend=0, append=num_agents)
+    theta_hat = prev = 0.5
     converged_at = None
     recorded: list[float] = []
-    prev = theta_hat
     for sweep_idx in range(1, _MAX_SWEEPS + 1):
-        # Generator.choice's own cdf and uniforms, in cost order
-        cdf = action_count_pmf(dgp, n, theta_hat).probs[order].cumsum()
-        cdf /= cdf[-1]
-        u = gen.random(out=draws)
-        takers = sum(np.count_nonzero(u[lo:hi] < cdf[k]) for k, lo, hi in blocks)
-        br = takers / num_agents
+        br = _takers(gen, sizes, action_count_pmf(dgp, n, theta_hat).probs[order]) / num_agents
         theta_hat = (1.0 - _DAMPING) * theta_hat + _DAMPING * br
         if converged_at is None and abs(theta_hat - prev) < _CONV_TOL:
             converged_at = sweep_idx
@@ -221,14 +218,12 @@ def mc_population_equilibrium(
             recorded.append(theta_hat)
             if len(recorded) >= _RECORD_SWEEPS:
                 break
-    if converged_at is None or len(recorded) < _RECORD_SWEEPS:
-        raise NonConvergence(
-            f"no convergence within {_MAX_SWEEPS} sweeps (tol {_CONV_TOL})"
-        )
+    else:
+        raise NonConvergence(f"no convergence within {_MAX_SWEEPS} sweeps (tol {_CONV_TOL})")
     values = np.array(recorded)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(len(values)))
-    if len(values) > 2 and values.std() > 0.0:
+    if values.std() > 0.0:
         centered = values - mean
         phi = float(np.dot(centered[:-1], centered[1:]) / np.dot(centered, centered))
         phi = min(max(phi, 0.0), 0.9)

@@ -52,6 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import (
+    NoSignChange,
     RootInterval,
     find_roots,
     integrate,
@@ -424,19 +425,21 @@ def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
 
 
 def _rho1_scalar_root(c0: float, c1: float) -> tuple[float, float]:
-    """:func:`_rho1_root` of one pair of end costs; at C_{n,0} = 1 and C_{n,1} = 0,
-    where 1 - theta = theta C_{n,1} + (1 - theta) C_{n,0} holds at every theta,
-    raises :class:`ContinuumOfEquilibria`."""
+    """:func:`_rho1_root` of one pair of end costs.  Where 1 - C_{n,0} + C_{n,1} = 0
+    the residual is the constant 1 - C_{n,0}: every theta solves at C_{n,0} = 1
+    (:class:`ContinuumOfEquilibria`), and none otherwise (``NoSignChange``)."""
     if c0 == 1.0 and c1 == 0.0:
         raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
+    if 1.0 - c0 + c1 == 0.0:
+        raise NoSignChange(f"no equilibrium at rho = 1: the residual is the constant 1 - C_n,0 = {1.0 - c0!r}")
     return _rho1_root(c0, c1)
 
 
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> EquilibriumResult:
     """Closed form at rho = 1: theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1}),
     from these two cells alone (c(0) and c(1) at infinite n), built in one
-    ``G.expected_cells`` call.  Raises :class:`ContinuumOfEquilibria` where
-    C_{n,0} = 1 and C_{n,1} = 0: every theta solves."""
+    ``G.expected_cells`` call.  Raises :class:`ContinuumOfEquilibria` or
+    ``numerics.NoSignChange`` where every theta or none solves."""
     if _takes_limit(G, n):
         ends = (c(0.0), c(1.0))
     else:

@@ -26,6 +26,7 @@ from cosesi.equilibrium import LARGE_N, _roots, cost_grid, expected_costs, solve
 from cosesi.applications import (
     ApplicationError,
     CreditSpec,
+    MonopolyOutcome,
     NoPositiveEquilibrium,
     RhoZeroUnsupported,
     TwoSidedSpec,
@@ -278,8 +279,48 @@ def _never(*args, **kwargs):
     raise AssertionError("a solve this path must not make")
 
 
+def _resolving_search(rho, t, n, rational):
+    """The price search as it was before each grid kept its bracket's ends:
+    every refinement grid solves all 21 of its prices."""
+    demand = (applications._rational_demand_curve(t) if rational
+              else applications._demand_curve(rho, t, n, MLE()))
+    prices = np.arange(0.0, 1.0 + 1e-3 / 2, 1e-3)
+    quantities = demand(prices)
+    curve = tuple(zip(prices.tolist(), quantities.tolist()))
+    while True:
+        best = int(np.argmax(prices * quantities))
+        lo, hi = prices[max(0, best - 1)], prices[min(len(prices) - 1, best + 1)]
+        if hi - lo <= applications._REFINE_WIDTH:
+            break
+        prices = np.linspace(lo, hi, applications._REFINE_PRICES)
+        quantities = demand(prices)
+    p, q = float(prices[best]), float(quantities[best])
+    return MonopolyOutcome(p, q, p * q, curve, "NE" if rational else ("SESI" if rho == 0.0 else "CoSESI"))
+
+
 class TestMonopolyPriceSearch:
     """The price search reads demand only through the lockstep curves."""
+
+    @pytest.mark.parametrize("rho, t, n, rational", [
+        *((rho, t, n, False) for rho in (0.0, 0.3, 0.62, 1.0) for t in (3.0, 6.0, 7.2) for n in (2, 5, 50)),
+        *((0.0, t, 2, True) for t in (3.0, 6.0, 7.2)),
+    ])
+    def test_kept_ends_give_the_resolving_search(self, rho, t, n, rational):
+        assert monopoly_optimize(rho, t, n, rational=rational) == _resolving_search(rho, t, n, rational)
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_each_refinement_grid_solves_its_19_interior_prices(self, rational, monkeypatch):
+        name = "_rational_demand_curve" if rational else "_demand_curve"
+        curve, rows = getattr(applications, name), []
+
+        def spy(*args):
+            demand = curve(*args)
+            return lambda prices: rows.append(len(prices)) or demand(prices)
+
+        monkeypatch.setattr(applications, name, spy)
+        monopoly_optimize(0.3, 6.0, 5, rational=rational)
+        assert rows[0] == 1001 and len(rows) > 1
+        assert rows[1:] == [applications._REFINE_PRICES - 2] * (len(rows) - 1)
 
     @pytest.mark.parametrize("rho, n, rational", [
         *((rho, n, False) for rho in (0.0, 0.3, 1.0) for n in (2, 50)),

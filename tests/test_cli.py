@@ -337,12 +337,21 @@ class TestCommands:
         (["cosesi", "--cost", "affine:1,-1", "--n", "3", "--rho", "1"], "continuum of equilibria"),
         (["cosesi", "--cost", "affine:1,-1", "--n", "3", "--rho", "1", "--inference", "beta"],
          "continuum of equilibria"),
+        # 1 - C_{3,0} + C_{3,1} = 0 with C_{3,0} != 1: the residual is a nonzero constant
+        (["cosesi", "--cost", "affine:1.0000000000009095,-1", "--n", "3", "--rho", "1"],
+         "no equilibrium at rho = 1: the residual is the constant 1 - C_n,0 = -9.094947017729282e-13"),
     ])
     def test_rejected_law_or_continuum_exits_1(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("solver error: ") and message in err
+
+    def test_population_above_2_53_exits_1(self, capsys):
+        code, out, err = run_cli(["mc", "--cost", "pow:3", "--n", "3", "--agents", "9007199254740993"], capsys)
+        assert (code, out) == (1, "")
+        assert err == ("solver error: population oracle needs an integer number of agents in "
+                       "[10000, 2**53], got 9007199254740993\n")
 
     @pytest.mark.parametrize("eps", ["5", "-1"])
     def test_supply_shock_of_unit_size_exits_1(self, eps, capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,8 +248,18 @@ class TestPopulationOracle:
             def generator(self):
                 raise AssertionError("drew before checking num_agents")
 
-        with pytest.raises(DynamicsError, match=r"an integer number of agents >= 10000, got "):
+        with pytest.raises(DynamicsError, match=r"an integer number of agents in \[10000, 2\*\*53\], got "):
             mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.0), num_agents=num_agents, rng=NoDraws())
+
+    @pytest.mark.parametrize("num_agents", [2**53 + 1, 2.0**54, 10**17, 2**64])
+    def test_population_above_2_53_is_refused(self, mle, pow3, num_agents):
+        # above 2**53, N is not an exact float; above 2**63 the cuts overflow int64
+        with pytest.raises(DynamicsError, match=re.escape(f" in [10000, 2**53], got {num_agents}")):
+            mc_population_equilibrium(pow3, mle, 3, RhoMixture(0.5), num_agents=num_agents)
+
+    def test_population_of_2_53_runs(self, mle, pow3):
+        out = mc_population_equilibrium(pow3, mle, 3, RhoMixture(0.5), num_agents=2**53, rng=SeedableRng(1))
+        assert abs(out.theta_hat - solve_with_dgp(pow3, mle, 3, RhoMixture(0.5)).roots[0]) <= 5 * out.stderr
 
     def test_integral_float_population_is_its_int(self, mle, pow2, rng):
         want = mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.3), num_agents=20_000, rng=rng)
@@ -263,10 +275,15 @@ class TestPopulationOracle:
         assert 0.0 < out.stderr < 0.01
 
 
+def _choice_takers(gen, eta, grid, probs):
+    """Acting agents of one per-agent sweep: ``Generator.choice`` draws every
+    agent's count Y from the pmf, and agent i acts iff eta_i >= grid[Y]."""
+    return int(np.count_nonzero(eta >= grid[gen.choice(len(grid), size=len(eta), p=probs)]))
+
+
 def _choice_oracle(c, G, n, dgp, num_agents, rng):
-    """The per-agent count search the threshold sweep replaced, kept as its
-    reference: ``Generator.choice`` draws every agent's count Y from the pmf,
-    and the agent acts iff eta_i >= grid[Y]."""
+    """The per-agent count search that the block draws replaced, kept as
+    their reference."""
     gen = rng.generator()
     eta = (np.arange(num_agents) + 0.5) / num_agents
     grid = cost_grid(G, n, c)
@@ -275,8 +292,7 @@ def _choice_oracle(c, G, n, dgp, num_agents, rng):
     recorded = []
     for sweep_idx in range(1, dynamics._MAX_SWEEPS + 1):
         pmf = action_count_pmf(dgp, n, theta_hat)
-        counts = gen.choice(n + 1, size=num_agents, p=pmf.probs)
-        br = float((eta >= grid[counts]).mean())
+        br = _choice_takers(gen, eta, grid, pmf.probs) / num_agents
         theta_hat = (1.0 - dynamics._DAMPING) * theta_hat + dynamics._DAMPING * br
         if converged_at is None and abs(theta_hat - prev) < dynamics._CONV_TOL:
             converged_at = sweep_idx
@@ -303,13 +319,6 @@ def _fields(out):
     return (out.theta_hat, out.stderr, out.sweeps_used, out.sweep_means.tobytes())
 
 
-def _outcome(run):
-    try:
-        return _fields(run())
-    except NonConvergence:
-        return NonConvergence
-
-
 # costs that rise on [0, 1]
 _RISING_COSTS = st.one_of(
     st.floats(0.2, 6.0).map(power_cost),
@@ -328,11 +337,25 @@ _MC_LAWS = st.one_of(
 )
 
 
-class TestThresholdSweep:
-    """The oracle draws each agent's decision by one uniform against the
-    pmf's cdf at the agent's cost cut-off.  For a non-decreasing grid that is
-    ``Generator.choice``'s own draw, so every output equals the count search
-    bit for bit; otherwise the decisions keep their law."""
+class _Binomials:
+    """A generator whose ``binomial(n, p)`` returns round(n p) and records its
+    arguments, one call per sweep."""
+
+    def __init__(self):
+        self.calls = []
+
+    def generator(self):
+        return self
+
+    def binomial(self, n, p):
+        self.calls.append((np.array(n), np.array(p)))
+        return np.round(n * p)
+
+
+class TestBlockDraws:
+    """Each sweep draws the takers of every block of agents that accepts the
+    same counts as one binomial; each agent keeps its law,
+    P(grid[Y] <= eta_i)."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -341,22 +364,68 @@ class TestThresholdSweep:
         n=st.integers(1, 30),
         dgp=_MC_LAWS,
         num_agents=st.integers(10_000, 30_000),
-        seed=st.integers(0, 2**32 - 1),
     )
     # ties: at an odd N the type eta_5000 = 1/2 is a grid value, which it covers;
     # a flat cost gives one block holding every count
-    @example(c=linear_cost(), G=MLE(), n=2, dgp=RhoMixture(0.3), num_agents=10_001, seed=1)
-    @example(c=affine_cost(0.5, 0.0), G=MLE(), n=3, dgp=CMB(0.5), num_agents=10_001, seed=2)
-    def test_rising_grid_is_the_choice_search_bitwise(self, c, G, n, dgp, num_agents, seed):
-        # only a non-decreasing grid keeps choice's coupling to the uniforms
-        # (elsewhere the decisions keep just their law); of 1 752 costs from
-        # _RISING_COSTS, range corners included, none gives a dipping
-        # Beta-estimation grid at n = 1 to 30, so the assumption is a guard
-        assume(np.all(np.diff(cost_grid(G, n, c)) >= 0.0))
-        rng = SeedableRng(seed)
-        want = _outcome(lambda: _choice_oracle(c, G, n, dgp, num_agents, rng))
-        got = _outcome(lambda: mc_population_equilibrium(c, G, n, dgp, num_agents, rng))
-        assert got == want
+    @example(c=linear_cost(), G=MLE(), n=2, dgp=RhoMixture(0.3), num_agents=10_001)
+    @example(c=affine_cost(0.5, 0.0), G=MLE(), n=3, dgp=CMB(0.5), num_agents=10_001)
+    def test_every_sweep_has_the_per_agent_mean(self, c, G, n, dgp, num_agents):
+        draws = _Binomials()
+        try:
+            mc_population_equilibrium(c, G, n, dgp, num_agents, draws)
+        except NonConvergence:
+            pass
+        eta = (np.arange(num_agents) + 0.5) / num_agents
+        covering = (eta[:, None] >= cost_grid(G, n, c)).sum(axis=0)  # types that act at each count
+        theta = 0.5
+        for sizes, p in draws.calls:
+            assert sizes.sum() == num_agents
+            probs = action_count_pmf(dgp, n, theta).probs
+            assert np.sum(sizes * p) == pytest.approx(covering @ probs / probs.sum(), rel=1e-12)
+            takers = np.round(sizes * p).sum()
+            theta = (1.0 - dynamics._DAMPING) * theta + dynamics._DAMPING * takers / num_agents
+
+    @pytest.mark.parametrize("c, dgp", [
+        (parse_cost("pow:3"), RhoMixture(0.5)),
+        (parse_cost("exp:6"), CMB(1.5)),
+    ], ids=["pow3-rho", "exp6-cmb"])
+    def test_takers_at_a_fixed_theta_have_the_choice_searchs_mean(self, mle, c, dgp):
+        n, num_agents, sweeps = 6, 20_000, 200
+        gen = SeedableRng(20241020).generator()
+        eta = (np.arange(num_agents) + 0.5) / num_agents
+        grid = cost_grid(mle, n, c)
+        probs = action_count_pmf(dgp, n, 0.4).probs
+        order = np.argsort(grid, kind="stable")
+        sizes = np.diff(np.searchsorted(eta, grid[order]), prepend=0, append=num_agents)
+        blocks = [dynamics._takers(gen, sizes, probs[order]) for _ in range(sweeps)]
+        agents = [_choice_takers(gen, eta, grid, probs) for _ in range(sweeps)]
+        se = math.hypot(np.std(blocks, ddof=1), np.std(agents, ddof=1)) / math.sqrt(sweeps)
+        assert abs(np.mean(blocks) - np.mean(agents)) <= 5.0 * se
+
+    @pytest.mark.parametrize("c, n, dgp", [
+        (parse_cost("pow:3"), 3, RhoMixture(0.5)),
+        (parse_cost("exp:6"), 6, CMB(1.5)),
+        (linear_cost(), 2, RhoMixture(0.3)),
+    ], ids=["pow3-rho", "exp6-cmb", "linear-ties"])
+    def test_fixed_point_is_the_choice_searchs(self, mle, c, n, dgp):
+        rng = SeedableRng(7)
+        got = mc_population_equilibrium(c, mle, n, dgp, 20_001, rng)
+        want = _choice_oracle(c, mle, n, dgp, 20_001, rng)
+        assert abs(got.theta_hat - want.theta_hat) <= 5.0 * math.hypot(got.stderr, want.stderr)
+
+    def test_memory_does_not_grow_with_the_population(self, mle, pow3):
+        run = lambda num_agents: mc_population_equilibrium(
+            pow3, mle, 3, RhoMixture(0.5), num_agents=num_agents, rng=SeedableRng(3))
+        run(10**4)  # the caches of the first call are not the sweep's
+        peaks = []
+        for num_agents in (10**4, 10**12):
+            tracemalloc.start()
+            try:
+                run(num_agents)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
     @pytest.mark.parametrize("c, G, n, dgp", [
         (parse_cost("exp:6"), MLE(), 6, CMB(1.5)),
@@ -375,7 +444,7 @@ class TestThresholdSweep:
                        "when the damped map contracts slowly (slope 0.76 here); ROADMAP item 8")
     def test_slow_contraction_is_unbiased(self, mle):
         # an unbiased oracle with an honest stderr has a mean z-score within
-        # 1 of 0 over twenty seeds; this one reads -2.2
+        # 1 of 0 over twenty seeds; this one reads -1.48
         c, dgp = parse_cost("exp:6"), RhoMixture(0.5)
         root = max(solve_with_dgp(c, mle, 3, dgp).roots)
         z = []

@@ -56,6 +56,7 @@ from cosesi.equilibrium import (
 )
 from cosesi.numerics import (
     DomainError,
+    NoSignChange,
     RootInterval,
     Tolerance,
     find_roots,
@@ -259,6 +260,14 @@ class TestClosedFormRhoOne:
         for solve in (lambda: solve_cosesi(c, G, 3, 1.0), lambda: cosesi_rho1_closed(c, G, 3),
                       lambda: sweep("rho", [0.5, 1.0], c, G, n=3)):
             with pytest.raises(ContinuumOfEquilibria, match="^a continuum of equilibria: every theta in"):
+                solve()
+
+    def test_constant_residual_without_a_root_raises(self, mle):
+        # C_{3,0} = 1 + 2^-40 and C_{3,1} = 2^-40: 1 - C_{3,0} + C_{3,1} = 0, and the
+        # residual is the constant -2^-40, where the closed form divided by zero
+        c = affine_cost(1.0000000000009095, -1.0)
+        for solve in (lambda: solve_cosesi(c, mle, 3, 1.0), lambda: cosesi_rho1_closed(c, mle, 3)):
+            with pytest.raises(NoSignChange, match=r"^no equilibrium at rho = 1: .* = -9\.094947017729282e-13$"):
                 solve()
 
     def test_direct_substitution(self, mle, pow2):
