@@ -228,4 +228,5 @@ def mc_population_equilibrium(
         phi = float(np.dot(centered[:-1], centered[1:]) / np.dot(centered, centered))
         phi = min(max(phi, 0.0), 0.9)
         se *= math.sqrt((1.0 + phi) / (1.0 - phi))
-    return McEquilibrium(mean, se, converged_at + len(values), values)
+    # the converging sweep is also the first recorded one
+    return McEquilibrium(mean, se, converged_at + len(values) - 1, values)

@@ -35,12 +35,12 @@ the scan takes only the grid cells that ``numerics.isolate_roots`` cannot
 rule out, and the end cells; a dropped cell is proved free of sign changes
 of the scanned residual, so the roots are those of the scan of every cell,
 bit for bit.  Where the law rises in theta in the usual stochastic order
-and the cost grid is non-decreasing, the residual is strictly decreasing:
-:func:`_monotone_roots` searches the one cell where its signs change and
-scans that cell alone, again the roots of the scan of every cell.  A
-residual that vanishes on all of [0, 1] raises
-:class:`ContinuumOfEquilibria` instead of a list of rounding roots, as do
-the rho = 1 closed form's scalar solves where C_{n,0} = 1 and C_{n,1} = 0.
+and the cost grid is non-decreasing, the residual falls with slope at most
+-1: :func:`_monotone_roots` solves it by one row of the same clamped solve,
+scanning nothing, within 1e-13 of its one root.  A residual that vanishes
+on all of [0, 1] raises :class:`ContinuumOfEquilibria` instead of a list of
+rounding roots, as do the rho = 1 closed form's scalar solves where
+C_{n,0} = 1 and C_{n,1} = 0.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import (
+    DomainError,
     NoSignChange,
     RootInterval,
     find_roots,
@@ -322,25 +323,22 @@ def _roots(
     Bernstein coefficients and their bounds (``model.bernstein_residual``),
     or None.  With finite coefficients the scan takes only the cells that
     ``numerics.isolate_roots`` cannot rule out, and the two end cells, where
-    a count law may put a point mass at theta = 0 or 1; otherwise all cells.
-    When every coefficient lies within its bound, the residual is 0 up to
-    rounding on all of [0, 1], and :class:`ContinuumOfEquilibria` is raised
-    instead of a list of rounding roots.  Without coefficients the same error
-    is raised, after the scan (so a law's own error still comes from the
-    scan), when the residual is within ``_CONTINUUM_TOL`` (1e-12) of 0 at
-    every node of a 0.1 grid.
+    a count law may put a point mass at theta = 0 or 1; otherwise, and where
+    every coefficient lies within its bound (which rules nothing out), all
+    cells.  After a scan of all cells (so a law's own error still comes from
+    the scan), :class:`ContinuumOfEquilibria` is raised instead of a list of
+    rounding roots when the residual is within ``_CONTINUUM_TOL`` (1e-12) of
+    0 at every node of a 0.1 grid.
     The certificate reads ``certified k`` when every kept interval has
     exactly one sign variation, with its coefficients beyond their bounds,
     and holds exactly one of the roots found, and the k roots are all that
     was found, each in one interval; else ``>= k found``.
     """
     n_cells = scan_cells(grid_step)
-    bernstein = poly()
+    # with no coefficients, as with all of them within their bounds, no cell is ruled out
+    coeffs, errs = poly() or (np.zeros(1), np.zeros(1))
     cells, kept = None, None
-    if bernstein is not None and all(np.isfinite(v).all() for v in bernstein):
-        coeffs, errs = bernstein
-        if (np.abs(coeffs) <= errs).all():
-            raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
+    if np.isfinite(coeffs).all() and np.isfinite(errs).all() and (np.abs(coeffs) > errs).any():
         kept = isolate_roots(coeffs, errs, _split_depth(len(coeffs), n_cells))
         scanned = np.zeros(n_cells, dtype=bool)
         scanned[[0, -1]] = True
@@ -359,35 +357,32 @@ def _roots(
     return tuple(roots), residual, _certificate(kept, found, len(roots)), method
 
 
-def _monotone_roots(res: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[tuple[float, ...], float, str, str]:
-    """:func:`_roots` of a strictly decreasing residual on the 1e-4 grid, without coefficients.
+def _monotone_roots(res: Callable[[np.ndarray], np.ndarray]) -> tuple[tuple[float, ...], float, str, str]:
+    """The one root of a residual that falls with slope at most -1 on [0, 1],
+    with :func:`_roots`' outputs.
 
-    Its signs on the grid nodes change at most once, so a k-ary search over
-    node indices finds the one cell where they do: each round calls ``res``
-    once, on at most ``min(100, _SCAN_CELLS // (n + 1))`` (at least 1)
-    nodes spread over the span left.  ``numerics.find_roots`` then scans that
-    one cell (the first where ``res`` is <= 0 at its right end, or an end
-    cell), so the roots and residual are those of the scan of every cell, bit
-    for bit, and the certificate is ``certified k``, k in {0, 1}.  A value
-    that is not finite sends the solve to that scan, which raises at the first
-    such node."""
-    n_cells = scan_cells(1e-4)
-    width = max(1, min(100, _SCAN_CELLS // (n + 1)))
-    lo, hi = -1, n_cells + 1  # res > 0 at node lo and <= 0 at node hi; nodes -1 and n_cells + 1 lie outside
-    while hi - lo > 1:
-        k = min(hi - lo - 1, width)
-        # Python ints: an int64 array product and floor division would page in
-        # numpy loops that no other solve uses, some 0.1 MB of peak RSS per process
-        nodes = [lo + i * (hi - lo) // (k + 1) for i in range(1, k + 1)]
-        fs = res(np.array(nodes) / n_cells)
+    One row of ``numerics.solve_decreasing_rows``, the package's clamped
+    decreasing solve, on ``res``: its root is within 1e-13 of the exact one,
+    as |theta - theta*| <= |res(theta)|.  There is a root, ``certified 1``,
+    exactly when res(0) >= 0 >= res(1); else the solve clamps to an end
+    where ``res`` is not 0, and the result is ``certified 0`` with no root.
+    A value that is not finite sends the solve to the scan of every cell,
+    which raises at the first such node."""
+
+    def row(thetas: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        fs = res(thetas)
         if not np.isfinite(fs).all():
-            return _roots(res, 1e-4)
-        above = int(np.count_nonzero(fs > 0.0))
-        lo = nodes[above - 1] if above else lo
-        hi = nodes[above] if above < k else hi
-    found = find_roots(res, 1e-4, cells=np.array([min(max(hi - 1, 0), n_cells - 1)]))
-    residual = float(np.abs(res(np.array(found))).max()) if found else math.inf
-    return tuple(found), residual, f"certified {len(found)}", "monotone"
+            raise DomainError("a residual value is not finite")
+        return fs
+
+    try:
+        theta = float(solve_decreasing_rows(row, 1)[0])
+    except DomainError:
+        return _roots(res, 1e-4)
+    value = float(res(np.array([theta]))[0])
+    if (theta == 0.0 and value < 0.0) or (theta == 1.0 and value > 0.0):  # res(0) < 0 or res(1) > 0
+        return (), math.inf, "certified 0", "monotone"
+    return (theta,), abs(value), "certified 1", "monotone"
 
 
 def _split_depth(m: int, n_cells: int) -> int:
@@ -459,10 +454,10 @@ def enumerate_cosesi(
     and c(1) = 1.  At finite n the ``grid_step`` scan takes only the cells
     that the residual's Bernstein coefficients cannot rule out, and
     ``params["certificate"]`` states the root count and ``params["method"]``
-    the route (see :func:`_roots`); where the residual vanishes identically (rho = 1 with c(0) = 0 and
-    c(1) = 1, or a linear cost at any rho) it raises
-    :class:`ContinuumOfEquilibria`.  The large-n limit scans every cell,
-    and raises the same error where the residual vanishes on a 0.1 grid.
+    the route (see :func:`_roots`).  The large-n limit scans every cell.
+    Where the residual vanishes identically (rho = 1 with c(0) = 0 and
+    c(1) = 1, or a linear cost at any rho), its coefficients rule out no
+    cell, and the scan of every cell raises :class:`ContinuumOfEquilibria`.
     """
     costs = expected_costs(MLE(), n, c)
 
@@ -579,27 +574,29 @@ def solve_with_dgp(
     c: CostFunction, G: InferenceProcedure, n: int, dgp: SignalDGP
 ) -> EquilibriumResult:
     """General CoSESI for an arbitrary action-count law: roots of
-    1 - theta = sum_y mu(y | theta) C_{n, y/n}, each a sign change (or an
-    exact zero) of the residual on a 1e-4 grid, refined in its cell.
+    1 - theta = sum_y mu(y | theta) C_{n, y/n}.
 
-    One residual serves the grid and the refinement at one theta.  Its right
-    side is ``ExpectedCosts.psi_rows`` under a rho-mixture law (iid,
-    rho-mixture and Markov shock), otherwise the ``model.count_pmf_grid``
-    rows met with the cost grid by ``model.row_dots``; both take blocks of
-    at most 10 000 cells.  ``params["method"]`` names the route:
+    One residual on arrays of thetas serves every route.  Its right side is
+    ``ExpectedCosts.psi_rows`` under a rho-mixture law (iid, rho-mixture and
+    Markov shock), otherwise the ``model.count_pmf_grid`` rows met with the
+    cost grid by ``model.row_dots``; both take blocks of at most 10 000
+    cells.  ``params["method"]`` names the route:
 
     * ``monotone`` under the iid, rho-mixture, Markov-shock, CMB (nu = +-inf
       included) and sequential laws, when the cost grid is non-decreasing:
       mu(. | theta) rises in theta in the usual stochastic order, so the
-      residual is strictly decreasing and has at most one root, found by
-      :func:`_monotone_roots` in one cell;
-    * ``bernstein_isolate`` under those laws on any other grid: the scan
-      takes only the cells that the residual's Bernstein coefficients cannot
-      rule out (see :func:`_roots`);
-    * ``scan`` under Bahadur and additive-binomial laws: every cell.
+      residual falls with slope at most -1 and has at most one root, solved
+      by :func:`_monotone_roots` to within 1e-13.  Under the rho-mixture laws
+      (rho < 1, n <= ``LARGE_N``) it is :func:`solve_cosesi`'s root, bit for bit;
+    * ``bernstein_isolate`` under those laws on any other grid: each sign
+      change (or exact zero) of the residual on a 1e-4 grid, refined in its
+      cell, scanning only the cells that the residual's Bernstein
+      coefficients cannot rule out (see :func:`_roots`);
+    * ``scan`` under Bahadur and additive-binomial laws, or where every
+      coefficient lies within its bound: every cell.
 
-    Every route gives the roots and residual of the scan of every cell, bit
-    for bit; ``params["certificate"]`` states the root count, and a residual
+    The last two give the roots and residual of the scan of every cell, bit
+    for bit.  ``params["certificate"]`` states the root count, and a residual
     that vanishes identically raises :class:`ContinuumOfEquilibria`.  An
     integral float n solves as that integer."""
     n = _check_n(n)
@@ -611,7 +608,7 @@ def solve_with_dgp(
         rhs = _in_blocks(n, lambda xs: row_dots(count_pmf_grid(dgp, n, xs), grid))
     res = lambda xs: 1.0 - xs - rhs(xs)
     if isinstance(dgp, (IID, RhoMixture, MarkovShock, CMB, Sequential)) and np.all(np.diff(grid) >= 0.0):
-        roots, residual, certificate, method = _monotone_roots(res, n)
+        roots, residual, certificate, method = _monotone_roots(res)
     else:
         roots, residual, certificate, method = _roots(res, 1e-4, lambda: bernstein_residual(dgp, n, grid))
     params = {"cost": c.name, "G": G.kind, "n": n, "dgp": repr(dgp), "certificate": certificate, "method": method}

@@ -74,11 +74,12 @@ def test_limit_paths_never_reach_the_count_law(traced):
 
 def test_array_scan_keeps_its_span_and_payload(traced):
     # the scan evaluates the residual once, on all its nodes; only the
-    # refinement calls it again, at one theta at a time
+    # refinement calls it again, at one theta at a time.  A decreasing cost:
+    # on a rising one the law takes the monotone route, which scans nothing
     tracer, modules = traced
     eq = modules["cosesi.equilibrium"]
     model = modules["cosesi.model"]
-    res = eq.solve_with_dgp(model.s_shaped_cost(), model.MLE(), 6, model.CMB(2.0))
+    res = eq.solve_with_dgp(model.affine_cost(0.9, -0.5), model.MLE(), 6, model.CMB(2.0))
     metrics = tracer.layer_metrics()
     assert metrics["numerics.find_sign_changes.calls"] == 1
     spans = tracer.arrays()

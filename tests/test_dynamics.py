@@ -274,6 +274,23 @@ class TestPopulationOracle:
         out = mc_population_equilibrium(pow2, mle, 2, RhoMixture(0.5), rng=rng.split(3))
         assert 0.0 < out.stderr < 0.01
 
+    def test_sweeps_used_counts_each_sweep_once(self, mle, pow3):
+        # one binomial call per sweep; the converging sweep is also the first recorded
+        class CountedDraws:
+            def __init__(self):
+                self.gen, self.calls = SeedableRng(1).generator(), 0
+
+            def generator(self):
+                return self
+
+            def binomial(self, n, p):
+                self.calls += 1
+                return self.gen.binomial(n, p)
+
+        draws = CountedDraws()
+        out = mc_population_equilibrium(pow3, mle, 3, RhoMixture(0.5), rng=draws)
+        assert out.sweeps_used == draws.calls == 52
+
 
 def _choice_takers(gen, eta, grid, probs):
     """Acting agents of one per-agent sweep: ``Generator.choice`` draws every
@@ -311,7 +328,7 @@ def _choice_oracle(c, G, n, dgp, num_agents, rng):
         phi = float(np.dot(centered[:-1], centered[1:]) / np.dot(centered, centered))
         phi = min(max(phi, 0.0), 0.9)
         se *= np.sqrt((1.0 + phi) / (1.0 - phi))
-    return McEquilibrium(mean, se, converged_at + len(values), values)
+    return McEquilibrium(mean, se, converged_at + len(values) - 1, values)
 
 
 def _fields(out):

@@ -874,7 +874,8 @@ class TestCosesiRoots:
 class TestArrayScan:
     """The count-law scans evaluate their nodes in blocks of rows, each row the
     scalar residual's value bit for bit, so the results are those of the scan
-    that calls the scalar residual at every node."""
+    that calls the scalar residual at every node.  The monotone route solves
+    instead of scanning; its root lies within 2e-13 of the scan's."""
 
     @settings(max_examples=6, deadline=None)
     @given(c=_SCAN_COSTS, law=_SCAN_LAWS)
@@ -885,6 +886,8 @@ class TestArrayScan:
         got = _outcome(lambda: solve_with_dgp(c, MLE(), n, dgp))
         if isinstance(ref[0], type):  # AdditiveBinomial fails at theta = 0, both ways alike
             assert got == ref
+        elif got.params["method"] == "monotone":
+            _assert_near_the_scan(got, ref[0], _nodewise(res))
         else:
             assert (got.theta_star, got.residual) == ref
 
@@ -896,7 +899,10 @@ class TestArrayScan:
         c = s_shaped_cost(0.05, 0.95, 20.0, 0.5)
         res = _scalar_residual(dgp, n, cost_grid(MLE(), n, c))
         got = solve_with_dgp(c, MLE(), n, dgp)
-        assert (got.theta_star, got.residual) == _scalar_scan_roots(res, 1e-4)
+        if isinstance(dgp, BahadurJoint):
+            assert (got.theta_star, got.residual) == _scalar_scan_roots(res, 1e-4)
+        else:  # a rising cost: the monotone route
+            _assert_near_the_scan(got, _scalar_scan_roots(res, 1e-4)[0], _nodewise(res))
 
     def test_additive_binomial_fails_as_before(self, pow3):
         with pytest.raises(InadmissibleCorrelation, match=r"^additive binomial needs theta in \(0,1\)$"):
@@ -965,6 +971,18 @@ def _full_scan(res, grid_step):
     return equilibrium._roots(res, grid_step)[:2]
 
 
+def _assert_near_the_scan(got, roots, res):
+    """A monotone-route result against the roots of a scan of every cell: as
+    many roots, ``certified k`` of them, each within 2e-13 of the scan's (the
+    residual falls with slope at most -1, so both lie within 1e-13 of the
+    exact root), and the |residual| of ``res``, on arrays, there."""
+    assert got.params["method"] == "monotone"
+    assert got.params["certificate"] == f"certified {len(roots)}"
+    assert len(got.roots) == len(roots)
+    assert all(abs(a - b) <= 2e-13 for a, b in zip(got.roots, roots))
+    assert got.residual == (float(np.abs(res(np.array(got.roots))).max()) if roots else math.inf)
+
+
 # the laws that model.bernstein_residual gives coefficients for
 _ISOLATED_LAWS = st.one_of(
     st.floats(0.0, 1.0).map(RhoMixture),
@@ -979,7 +997,9 @@ _CERTIFICATE = r"^(certified \d+|>= \d+ found)$"
 class TestIsolatedScan:
     """solve_with_dgp and enumerate_cosesi scan only the cells that the
     residual's Bernstein coefficients cannot rule out, and the end cells; the
-    roots and residual are those of the scan of every cell, bit for bit."""
+    roots and residual are those of the scan of every cell, bit for bit.  On
+    a rising cost grid solve_with_dgp takes the monotone route instead, whose
+    root lies within 2e-13 of the scan's."""
 
     @settings(max_examples=25, deadline=None)
     @given(c=_SCAN_COSTS, dgp=_ISOLATED_LAWS, n=st.integers(1, 40))
@@ -989,7 +1009,11 @@ class TestIsolatedScan:
     @example(c=linear_cost(), dgp=MarkovShock(0.3, 0.6), n=12)  # the root is the split point 0.5
     def test_solve_with_dgp_is_the_full_scan(self, c, dgp, n):
         got = solve_with_dgp(c, MLE(), n, dgp)
-        assert (got.theta_star, got.residual) == _full_scan(_array_residual(dgp, n, cost_grid(MLE(), n, c)), 1e-4)
+        res = _array_residual(dgp, n, cost_grid(MLE(), n, c))
+        if got.params["method"] == "monotone":
+            _assert_near_the_scan(got, _full_scan(res, 1e-4)[0], res)
+        else:
+            assert (got.theta_star, got.residual) == _full_scan(res, 1e-4)
         assert re.match(_CERTIFICATE, got.params["certificate"])
 
     @settings(max_examples=25, deadline=None)
@@ -1037,17 +1061,13 @@ class TestIsolatedScan:
         (cells,) = seen
         assert {0, 9_999} <= set(cells.tolist()) and len(cells) < 500
 
-    def test_monotone_route_scans_one_cell(self, monkeypatch):
-        seen = []
-        scan = equilibrium.find_roots
-        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: seen.append(k["cells"]) or scan(*a, **k))
+    def test_monotone_route_scans_no_cell(self, monkeypatch):
+        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: pytest.fail("a cell was scanned"))
         monkeypatch.setattr(equilibrium, "bernstein_residual", _no_coefficients)
         monkeypatch.setattr(equilibrium, "isolate_roots", _no_coefficients)
         got = solve_with_dgp(power_cost(3.0), MLE(), 10, CMB(2.0))
         assert got.params["certificate"] == "certified 1"
         assert got.params["method"] == "monotone"
-        (cells,) = seen
-        assert len(cells) == 1
 
     def test_general_cmb_carries_the_certificate(self):
         got = solve_general_cmb(power_cost(3.0), MLE(), 10, 2.0)
@@ -1080,10 +1100,11 @@ def _counted_rows(monkeypatch):
 
 class TestMonotoneRoute:
     """Under a law that rises in theta in the usual stochastic order, on a
-    non-decreasing cost grid, ``solve_with_dgp`` searches the one cell where
-    the strictly decreasing residual changes sign, scans it alone, and
-    states ``certified k``; its roots and residual are the full scan's, bit
-    for bit."""
+    non-decreasing cost grid, ``solve_with_dgp`` solves the residual, which
+    falls with slope at most -1, by one clamped decreasing solve and states
+    ``certified k``.  Its root is within 1e-13 of the exact one, so within
+    2e-13 of the full scan's; under the rho-mixture laws it is
+    ``solve_cosesi``'s, bit for bit."""
 
     @pytest.mark.parametrize("spec, want", [
         ("affine:1,0", (0.0,)),  # a node root at 0
@@ -1094,68 +1115,88 @@ class TestMonotoneRoute:
     ])
     @pytest.mark.parametrize("dgp", [IID(), RhoMixture(0.3), MarkovShock(0.2, 0.6), CMB(2.0), CMB(-math.inf),
                                      CMB(math.inf), Sequential((0.5, 0.2))])
-    def test_root_placement_is_the_full_scan(self, spec, want, dgp, monkeypatch):
+    def test_root_placement_is_near_the_full_scan(self, spec, want, dgp, monkeypatch):
         monkeypatch.setattr(equilibrium, "bernstein_residual", _no_coefficients)
         c, n = parse_cost(spec), 6
+        res = _array_residual(dgp, n, cost_grid(MLE(), n, c))
         got = solve_with_dgp(c, MLE(), n, dgp)
-        assert (got.theta_star, got.residual) == _full_scan(_array_residual(dgp, n, cost_grid(MLE(), n, c)), 1e-4)
-        assert got.params["method"] == "monotone"
+        _assert_near_the_scan(got, _full_scan(res, 1e-4)[0], res)
         assert got.params["certificate"] == "certified 1"
+        assert got.residual <= SOLVE_TOL.abs_tol
         if want is not None:
             assert got.theta_star == want
+
+    @pytest.mark.parametrize("G", [MLE(), BetaEstimation()], ids=["mle", "beta"])
+    @pytest.mark.parametrize("d", [0.5, 1.7, 3.0, 4.0])
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 200])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    def test_rho_mixture_laws_are_the_cosesi_solve(self, G, d, n, rho):
+        # one row of the same root loop on residual values with the same bits
+        c = power_cost(d)
+        want = solve_cosesi(c, G, n, rho)
+        for law in [RhoMixture(rho), MarkovShock(rho, 1.0 - rho)] + ([IID()] if rho == 0.0 else []):
+            got = solve_with_dgp(c, G, n, law)
+            assert (got.theta_star, got.residual) == ((want.theta,), want.residual)
 
     @pytest.mark.parametrize("level", [1.2, -0.2])
     def test_no_root_is_certified_0(self, level):
         # grids outside [0, 1], which no cost gives: the residual keeps one sign
         grid = np.full(7, level)
         res = _array_residual(RhoMixture(0.3), 6, grid)
-        assert equilibrium._monotone_roots(res, 6) == ((), math.inf, "certified 0", "monotone")
+        assert equilibrium._monotone_roots(res) == ((), math.inf, "certified 0", "monotone")
         assert _full_scan(res, 1e-4) == ((), math.inf)
 
     @pytest.mark.parametrize("n", [1_000, 10_000])
     @pytest.mark.parametrize("dgp", [RhoMixture(0.3), IID(), CMB(2.0), CMB(math.inf), CMB(-math.inf)])
-    def test_large_n_is_the_full_scan(self, n, dgp):
+    def test_large_n_is_near_the_full_scan(self, n, dgp):
         c = power_cost(3.0)
         got = solve_with_dgp(c, MLE(), n, dgp)
-        assert (got.theta_star, got.residual) == _full_scan(_array_residual(dgp, n, cost_grid(MLE(), n, c), rows=64), 1e-4)
-        assert got.params["certificate"] == "certified 1"
+        res = _array_residual(dgp, n, cost_grid(MLE(), n, c), rows=64)
+        _assert_near_the_scan(got, _full_scan(res, 1e-4)[0], res)
+        assert got.residual <= SOLVE_TOL.abs_tol
 
     def test_rho_mixture_law_is_the_rho_mixture_solve(self):
         # cosesi --dgp rho:0.3 --n 10000 against cosesi --rho 0.3 --n 10000
         c = parse_cost("pow:4")
         got = solve_with_dgp(c, MLE(), 10_000, RhoMixture(0.3))
-        assert abs(got.theta - solve_cosesi(c, MLE(), 10_000, 0.3).theta) <= 1e-13
+        assert got.theta == solve_cosesi(c, MLE(), 10_000, 0.3).theta
 
     @pytest.mark.parametrize("dgp, n", [(CMB(-math.inf), 50), (CMB(2.0), 10_000)])
     def test_certified_where_the_coefficients_could_not(self, dgp, n):
         got = solve_with_dgp(power_cost(3.0), MLE(), n, dgp)
         assert got.params["certificate"] == "certified 1"
 
-    @pytest.mark.parametrize("n, want", [
-        (3, [100, 98, 2, 1, 1, 1, 1]),
-        (30, [100, 98, 2, 1, 1, 1, 1]),
-        (10_000, [1] * 19),
-    ])
-    def test_residual_calls_and_rows(self, n, want, monkeypatch):
-        # the search: k-ary rounds of at most min(100, 10 000 // (n + 1)) thetas
-        # (one at n = 10 000: 14 rounds); then the cell's two nodes (one call per
-        # row at n = 10 000), the refinement's steps and the reported residual
+    @pytest.mark.parametrize("n", [3, 30, 10_000])
+    def test_residual_calls_and_rows(self, n, monkeypatch):
+        # one theta per call: the solve's two ends and steps (6 to 8 in all for
+        # a unique-root solve), then the reported residual
         rows = _counted_rows(monkeypatch)
         solve_with_dgp(power_cost(3.0), MLE(), n, CMB(2.0))
-        assert rows == want
+        assert set(rows) == {1}
+        assert len(rows) <= 10
 
     @pytest.mark.parametrize("nu, n", [(1e308, 5), (1e300, 4), (-1e300, 4)])
     def test_extreme_nu_is_the_full_scan(self, nu, n):
-        # at nu = 1e308 the law's log-weights overflow to nan, and the search hands
-        # the solve to the full scan, which names the first nan node; at |nu| = 1e300
-        # the coefficients' bounds swallow them all, and the isolation route raised
-        # ContinuumOfEquilibria
+        # at nu = 1e308 the law's log-weights overflow to nan, and the solve hands
+        # itself to the full scan, which names the first nan node; at |nu| = 1e300
+        # the root (0.875 or 0.5) is a grid node, and both routes find it exactly
         c = power_cost(3.0)
         solve = lambda: (lambda r: (r.theta_star, r.residual))(solve_with_dgp(c, MLE(), n, CMB(nu)))
         with np.errstate(over="ignore", invalid="ignore"):
             got = _outcome(solve)
             assert got == _outcome(lambda: _full_scan(_array_residual(CMB(nu), n, cost_grid(MLE(), n, c)), 1e-4))
         assert (got[0] is DomainError) == (nu == 1e308)
+
+    @pytest.mark.parametrize("nu", [1e16, 1e30])
+    def test_bounds_that_swallow_every_coefficient_scan_every_cell(self, nu):
+        # a decreasing cost takes the isolation route; where CMB's bounds swallow
+        # every coefficient, they rule out no cell, and the 0.1-grid test alone
+        # decides a continuum: here there is none, and one root
+        c = affine_cost(0.9, -0.5)
+        got = solve_with_dgp(c, MLE(), 4, CMB(nu))
+        assert got.theta_star == (0.35,)
+        assert (got.params["certificate"], got.params["method"]) == (">= 1 found", "scan")
+        assert (got.theta_star, got.residual) == _full_scan(_array_residual(CMB(nu), 4, cost_grid(MLE(), 4, c)), 1e-4)
 
     def test_route_follows_the_law_and_the_grid(self):
         got = solve_with_dgp(linear_cost(), MLE(), 6, RhoMixture(0.3))
