@@ -264,27 +264,24 @@ def monopoly_optimize(
     t: float = 6.0,
     n: int = 2,
     G: InferenceProcedure | None = None,
-    price_grid_step: float = 1e-3,
     rational: bool = False,
 ) -> MonopolyOutcome:
     """Profit-maximizing price by a grid search on ever finer price grids.
 
-    The demand at the ``price_grid_step`` grid of [0, 1] is the outcome's
+    The demand at the 1e-3 grid of [0, 1] (1 001 prices) is the outcome's
     demand curve.  The best price of a grid (ties go to the first) and its
     two neighbours, clamped to [0, 1], bracket the next grid of 21 equally
     spaced prices, whose ends keep the demand already solved there, until
-    that bracket is no wider than 1e-7.  p* is the best
-    price of the last grid (1e-8 apart at the default step) and q* its
-    demand, so profit* = p* q*.  Where p*q is unimodal, p* is within 1e-8 of
-    its maximizer (2.4e-9 from 2 - sqrt(2) at rho = 1, t = 6, n = 2); on a
-    flat top the demand's root tolerance leaves profit uneven by some 1e-14,
-    which fixes p* only to about 1e-7.  Every grid is one lockstep solve of
-    the demand curve, and ``monopoly_demand`` or ``monopoly_rational_demand``
-    its one-price call.  rho, t and n are checked before any solve, as for
-    naive consumers also where the demand is rational and reads t alone.
+    that bracket is no wider than 1e-7.  p* is the best price of the last
+    grid (1e-8 apart) and q* its demand, so profit* = p* q*.  Where p*q is
+    unimodal, p* is within 1e-8 of its maximizer (2.4e-9 from 2 - sqrt(2) at
+    rho = 1, t = 6, n = 2); on a flat top the demand's root tolerance leaves
+    profit uneven by some 1e-14, which fixes p* only to about 1e-7.  Every
+    grid is one lockstep solve of the demand curve, and ``monopoly_demand``
+    or ``monopoly_rational_demand`` its one-price call.  rho, t and n are
+    checked before any solve, as for naive consumers also where the demand
+    is rational and reads t alone.
     """
-    if not 0.0 < price_grid_step <= 1e-3:
-        raise ApplicationError(f"price grid step must be in (0, 1e-3], got {price_grid_step:g}")
     _check_mixture_rho(rho)
     if rational:
         if n != math.inf:
@@ -292,7 +289,7 @@ def monopoly_optimize(
         demand = _rational_demand_curve(t)
     else:
         demand = _demand_curve(rho, t, n, G or MLE())
-    prices = np.arange(0.0, 1.0 + price_grid_step / 2, price_grid_step)
+    prices = np.arange(0.0, 1.0 + 5e-4, 1e-3)  # the demand curve's 1e-3 grid, where the search starts
     quantities = demand(prices)
     curve = tuple(zip(prices.tolist(), quantities.tolist()))
     while True:

@@ -231,8 +231,9 @@ def _common(p: argparse.ArgumentParser, cost=True, inference=True, n=True, rho=T
 
 
 def _cosesi_flags(p: argparse.ArgumentParser) -> None:
-    _common(p)
-    p.set_defaults(rho=None)  # so that an explicit --rho next to --dgp can be refused
+    _common(p, rho=False)  # --rho has no default, so that one given next to --dgp can be refused
+    p.add_argument("--rho", type=float, help="signal correlation in [0,1] (default 0); prints one root, "
+                   "the only CoSESI on a non-decreasing cost grid C_n (--dgp rho:R lists them all)")
     p.add_argument("--dgp", help="optional count law, e.g. cmb:2, addbin:0.05 (not with --rho)")
 
 
@@ -245,7 +246,6 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
 def _enumerate_flags(p: argparse.ArgumentParser) -> None:
     _common(p, inference=False)
     p.set_defaults(cost="sshape")
-    p.add_argument("--grid-step", type=float, default=1e-4)
 
 
 def _assortative_flags(p: argparse.ArgumentParser) -> None:
@@ -282,7 +282,6 @@ def _monopoly_flags(p: argparse.ArgumentParser) -> None:
     _common(p, cost=False)
     p.add_argument("--t", type=float, default=6.0, help="encounters parameter of exp(-t theta)")
     p.add_argument("--rational", action="store_true")
-    p.add_argument("--grid-step", type=float, default=1e-3)
 
 
 def _bank_flags(p: argparse.ArgumentParser) -> None:
@@ -464,7 +463,7 @@ def _run(args) -> int:
     if cmd == "enumerate":
         from .equilibrium import enumerate_cosesi
 
-        res = enumerate_cosesi(args.cost, args.n, args.rho, args.grid_step)
+        res = enumerate_cosesi(args.cost, args.n, args.rho)
         rows = [[i, r] for i, r in enumerate(res.roots)]
         _emit(args, ["root_index", "theta_star"], rows, [("num_roots", len(res.roots))] + [
             (f"theta_{i}", r) for i, r in enumerate(res.roots)])
@@ -505,8 +504,7 @@ def _run(args) -> int:
     if cmd == "monopoly":
         from .applications import monopoly_optimize
 
-        out = monopoly_optimize(rho=args.rho, t=args.t, n=args.n, G=args.inference,
-                                price_grid_step=args.grid_step, rational=args.rational)
+        out = monopoly_optimize(rho=args.rho, t=args.t, n=args.n, G=args.inference, rational=args.rational)
         rows = [[p, q] for p, q in out.demand_curve]
         _emit(args, ["price", "demand"], rows,
               [("price_star", out.price_star), ("quantity_star", out.quantity_star),

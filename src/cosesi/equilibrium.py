@@ -39,8 +39,8 @@ and the cost grid is non-decreasing, the residual falls with slope at most
 -1: :func:`_monotone_roots` solves it by one row of the same clamped solve,
 scanning nothing, within 1e-13 of its one root.  A residual that vanishes
 on all of [0, 1] raises :class:`ContinuumOfEquilibria` instead of a list of
-rounding roots, as do the rho = 1 closed form's scalar solves where
-C_{n,0} = 1 and C_{n,1} = 0.
+rounding roots, as does the rho = 1 closed form, of one pair of end costs
+or of many, where C_{n,0} = 1 and C_{n,1} = 0.
 """
 
 from __future__ import annotations
@@ -266,8 +266,10 @@ def solve_cosesi(
 ) -> EquilibriumResult:
     """Simple CoSESI: root of 1 - theta = Psi_n(theta, rho; C_n).
 
-    Unique for any increasing cost, n, G, and rho in [0, 1]; rho = 0 is the
-    SESI and rho = 1 is the closed form of :func:`cosesi_rho1_closed`.
+    rho = 0 is the SESI and rho = 1 is the closed form of :func:`cosesi_rho1_closed`.
+    The root is the only one where the cost grid C_{n,y/n} does not fall in y (as
+    for an increasing cost); on any other grid it may be one of several, which
+    ``solve_with_dgp(c, G, n, RhoMixture(rho))`` lists (exp:6, MLE, n = 2, rho = 0: 0; 0 and 0.9973).
     """
     _check_mixture_rho(rho)
     if rho == 1.0:
@@ -284,7 +286,7 @@ def solve_cosesi(
 def _cosesi_root(costs: ExpectedCosts, rho: float) -> tuple[float, float]:
     """The root of 1 - theta = costs.psi(theta, rho) and its |residual|."""
     if rho == 1.0:
-        return _rho1_scalar_root(*costs.ends)
+        return _rho1_root(*costs.ends)
     return _root(lambda t: costs.psi(t, rho))
 
 
@@ -325,29 +327,34 @@ def _roots(
     ``numerics.isolate_roots`` cannot rule out, and the two end cells, where
     a count law may put a point mass at theta = 0 or 1; otherwise, and where
     every coefficient lies within its bound (which rules nothing out), all
-    cells.  After a scan of all cells (so a law's own error still comes from
-    the scan), :class:`ContinuumOfEquilibria` is raised instead of a list of
+    cells.  :class:`ContinuumOfEquilibria` is raised instead of a list of
     rounding roots when the residual is within ``_CONTINUUM_TOL`` (1e-12) of
-    0 at every node of a 0.1 grid.
+    0 at every node of a 0.1 grid: before the scan where finite coefficients
+    rule out no cell (their laws accept every theta), else after a scan of
+    all cells (so a law's own error still comes from the scan).
     The certificate reads ``certified k`` when every kept interval has
     exactly one sign variation, with its coefficients beyond their bounds,
     and holds exactly one of the roots found, and the k roots are all that
     was found, each in one interval; else ``>= k found``.
     """
     n_cells = scan_cells(grid_step)
-    # with no coefficients, as with all of them within their bounds, no cell is ruled out
-    coeffs, errs = poly() or (np.zeros(1), np.zeros(1))
+    got = poly()
+    finite = got is not None and all(np.isfinite(a).all() for a in got)
     cells, kept = None, None
-    if np.isfinite(coeffs).all() and np.isfinite(errs).all() and (np.abs(coeffs) > errs).any():
-        kept = isolate_roots(coeffs, errs, _split_depth(len(coeffs), n_cells))
+    if finite and (np.abs(got[0]) > got[1]).any():
+        kept = isolate_roots(*got, _split_depth(len(got[0]), n_cells))
         scanned = np.zeros(n_cells, dtype=bool)
         scanned[[0, -1]] = True
         for iv in kept:
             scanned[math.floor(iv.lo * n_cells) : math.ceil(iv.hi * n_cells)] = True
         cells = np.flatnonzero(scanned)
-    found = find_roots(res, grid_step, cells=cells)
+    early = kept is None and finite  # laws with such coefficients accept every theta: testing first pre-empts no error
+    if not early:
+        found = find_roots(res, grid_step, cells=cells)
     if kept is None and (np.abs(res(np.arange(11) / 10)) <= _CONTINUUM_TOL).all():
         raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
+    if early:
+        found = find_roots(res, grid_step)
     roots: list[float] = []
     for r in found:
         if not roots or r - roots[-1] > 1e-6:
@@ -414,20 +421,21 @@ def _in_blocks(n: int, rhs: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.
     return lambda xs: np.concatenate([rhs(xs[i : i + rows]) for i in range(0, len(xs), rows)])
 
 
-def _rho1_root(c0: float, c1: float) -> tuple[float, float]:
-    theta = (1.0 - c0) / (1.0 - c0 + c1)
-    return theta, abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0))
-
-
-def _rho1_scalar_root(c0: float, c1: float) -> tuple[float, float]:
-    """:func:`_rho1_root` of one pair of end costs.  Where 1 - C_{n,0} + C_{n,1} = 0
-    the residual is the constant 1 - C_{n,0}: every theta solves at C_{n,0} = 1
+def _rho1_root(c0: float | np.ndarray, c1: float | np.ndarray) -> tuple:
+    """theta* = (1 - C_{n,0}) / (1 - C_{n,0} + C_{n,1}) and its |residual|, of
+    one pair of end costs (floats) or of many (arrays, entry by entry).  Where
+    1 - C_{n,0} + C_{n,1} = 0 the residual is the constant 1 - C_{n,0}; at
+    the first such pair, every theta solves if C_{n,0} = 1, so C_{n,1} = 0
     (:class:`ContinuumOfEquilibria`), and none otherwise (``NoSignChange``)."""
-    if c0 == 1.0 and c1 == 0.0:
-        raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
-    if 1.0 - c0 + c1 == 0.0:
-        raise NoSignChange(f"no equilibrium at rho = 1: the residual is the constant 1 - C_n,0 = {1.0 - c0!r}")
-    return _rho1_root(c0, c1)
+    denom = 1.0 - c0 + c1
+    flat = np.flatnonzero(denom == 0.0)
+    if flat.size:
+        f0 = float(np.ravel(c0)[flat[0]])
+        if f0 == 1.0:
+            raise ContinuumOfEquilibria("a continuum of equilibria: every theta in [0,1] solves")
+        raise NoSignChange(f"no equilibrium at rho = 1: the residual is the constant 1 - C_n,0 = {1.0 - f0!r}")
+    theta = (1.0 - c0) / denom
+    return theta, abs(1.0 - theta - (theta * c1 + (1.0 - theta) * c0))
 
 
 def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> EquilibriumResult:
@@ -440,24 +448,22 @@ def cosesi_rho1_closed(c: CostFunction, G: InferenceProcedure, n: float) -> Equi
     else:
         m = _check_n(n)
         ends = G.expected_cells(m, np.array([0, m]), c).tolist()
-    theta, residual = _rho1_scalar_root(*ends)
+    theta, residual = _rho1_root(*ends)
     return EquilibriumResult(theta, "CoSESI", residual, {"cost": c.name, "G": G.kind, "n": n})
 
 
-def enumerate_cosesi(
-    c: CostFunction, n: int, rho: float, grid_step: float = 1e-4
-) -> EquilibriumResult:
+def enumerate_cosesi(c: CostFunction, n: int, rho: float) -> EquilibriumResult:
     """All CoSESIs of the cooperative benefit-form game theta = Psi_n(theta, rho; c).
 
     Intended for S-shaped benefit curves under MLE (so C_n = c); there is at
     least one and at most three roots, exactly one when rho = 1 unless c(0) = 0
-    and c(1) = 1.  At finite n the ``grid_step`` scan takes only the cells
-    that the residual's Bernstein coefficients cannot rule out, and
-    ``params["certificate"]`` states the root count and ``params["method"]``
-    the route (see :func:`_roots`).  The large-n limit scans every cell.
-    Where the residual vanishes identically (rho = 1 with c(0) = 0 and
-    c(1) = 1, or a linear cost at any rho), its coefficients rule out no
-    cell, and the scan of every cell raises :class:`ContinuumOfEquilibria`.
+    and c(1) = 1.  The scan is on a 1e-4 grid, as in :func:`solve_with_dgp`;
+    at finite n it takes only the cells that the residual's Bernstein
+    coefficients cannot rule out, ``params["certificate"]`` states the root
+    count and ``params["method"]`` the route (see :func:`_roots`), and a
+    residual that vanishes identically (rho = 1 with c(0) = 0 and c(1) = 1,
+    or a linear cost) raises :class:`ContinuumOfEquilibria` before any scan.
+    The large-n limit scans every cell.
     """
     costs = expected_costs(MLE(), n, c)
 
@@ -466,7 +472,7 @@ def enumerate_cosesi(
             return None
         return bernstein_residual(RhoMixture(rho), costs.n, costs.values, benefit=True)
 
-    roots, residual, certificate, method = _roots(lambda xs: xs - costs.psi_rows(xs, rho), grid_step, poly)
+    roots, residual, certificate, method = _roots(lambda xs: xs - costs.psi_rows(xs, rho), 1e-4, poly)
     params = {"cost": c.name, "n": n, "rho": rho, "certificate": certificate, "method": method}
     return EquilibriumResult(roots, "CoSESI", residual, params)
 

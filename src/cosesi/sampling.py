@@ -110,9 +110,9 @@ class JointPMF:
                     out[i] += p
         return out
 
-    def is_identically_distributed(self, tol: float = 1e-9) -> bool:
+    def is_identically_distributed(self) -> bool:
         m = self.marginals()
-        return bool(np.ptp(m) <= tol)
+        return bool(np.ptp(m) <= 1e-9)
 
     def count_pmf(self) -> ActionCountPMF:
         return ActionCountPMF(self.n, joint_count_probs(self.n, self.probs))
@@ -257,8 +257,8 @@ class BalanceReport:
     targets: tuple[float, ...]
 
 
-def balance_check(joint: JointPMF, theta: float, tol: float = 1e-12) -> BalanceReport:
-    """Test the balance equations W_j = C(n,j) theta^j for j = 1..n.
+def balance_check(joint: JointPMF, theta: float) -> BalanceReport:
+    """Test the balance equations W_j = C(n,j) theta^j for j = 1..n, each to 1e-12.
 
     W_j sums E[x_{i1} ... x_{ij}] over all j-subsets; the equations hold for
     every j exactly when the count distribution is Binomial(n, theta).
@@ -272,7 +272,7 @@ def balance_check(joint: JointPMF, theta: float, tol: float = 1e-12) -> BalanceR
         target = math.comb(n, j) * theta**j
         moments.append(w)
         targets.append(target)
-        if abs(w - target) > tol:
+        if abs(w - target) > 1e-12:
             holds = False
     return BalanceReport(holds, tuple(moments), tuple(targets))
 
@@ -290,13 +290,11 @@ def informativeness(n: int, pmf: ActionCountPMF, theta: float) -> float:
     return 1.0 - tv
 
 
-def chi_square_gof(
-    counts: Sequence[float], probs: Sequence[float], min_expected: float = 5.0
-) -> tuple[float, float, int]:
+def chi_square_gof(counts: Sequence[float], probs: Sequence[float]) -> tuple[float, float, int]:
     """Chi-square goodness of fit with pooling of sparse adjacent bins.
 
-    Adjacent bins are merged until every expected count reaches
-    ``min_expected`` (mass concentrates on {0, n} when rho is near one).
+    Adjacent bins are merged until every expected count reaches 5 (mass
+    concentrates on {0, n} when rho is near one).
     Returns (statistic, p-value, degrees of freedom).
     """
     counts = np.asarray(counts, dtype=float)
@@ -309,7 +307,7 @@ def chi_square_gof(
     for o, e in zip(counts, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             merged_obs.append(acc_o)
             merged_exp.append(acc_e)
             acc_o = acc_e = 0.0

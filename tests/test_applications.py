@@ -200,10 +200,6 @@ class TestMonopoly:
         ]
         assert all(b >= a - 1e-9 for a, b in zip(profits, profits[1:]))
 
-    def test_grid_step_validated(self):
-        with pytest.raises(ApplicationError):
-            monopoly_optimize(rho=0.0, price_grid_step=0.01)
-
     @pytest.mark.parametrize("n", [2, 200_000])
     def test_inadmissible_rho(self, n):
         with pytest.raises(InadmissibleCorrelation):

@@ -360,14 +360,6 @@ class TestCommands:
         assert out == ""
         assert err == f"solver error: supply shock needs |eps| < 1, got {eps}\n"
 
-    @pytest.mark.parametrize("step", ["0", "-0.001", "nan"])
-    def test_monopoly_grid_step_outside_its_interval_exits_1(self, step, capsys, monkeypatch):
-        monkeypatch.setattr(applications, "_demand_curve", _not_solved)
-        code, out, err = run_cli(["monopoly", "--grid-step", step], capsys)
-        assert code == 1
-        assert out == ""
-        assert err == f"solver error: price grid step must be in (0, 1e-3], got {step}\n"
-
     def test_nan_tax_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(applications, "expected_costs", _not_solved)
         code, out, err = run_cli(["tax", "--tax", "nan"], capsys)
@@ -559,6 +551,17 @@ class TestConfigAndDeterminism:
         code, out, err = _exit_and_output(lambda: main([cmd, "--config", str(cfg)]), capsys)
         assert code == 2 and out == ""
         assert err.endswith(message)
+
+    @pytest.mark.parametrize("cmd, step", [("enumerate", "1e-3"), ("monopoly", "1e-4")])
+    def test_grid_step_is_not_settable(self, cmd, step, capsys, tmp_path):
+        # both commands scan on a fixed grid: neither the flag nor the config key exists
+        code, out, err = _exit_and_output(lambda: main([cmd, "--grid-step", step]), capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"cosesi: error: unrecognized arguments: --grid-step {step}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_step = 1e-3\n")
+        code, out, err = _exit_and_output(lambda: main([cmd, "--config", str(cfg)]), capsys)
+        assert (code, out, err) == (2, "", f"config error: unknown config keys for '{cmd}': ['grid_step']\n")
 
     def test_config_store_true_flag(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

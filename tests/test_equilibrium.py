@@ -29,6 +29,7 @@ from cosesi.model import (
     power_cost,
     s_shaped_cost,
     action_count_pmf,
+    bernstein_residual,
     count_pmf_grid,
     parse_cost,
     row_dots,
@@ -270,6 +271,27 @@ class TestClosedFormRhoOne:
             with pytest.raises(NoSignChange, match=r"^no equilibrium at rho = 1: .* = -9\.094947017729282e-13$"):
                 solve()
 
+    def test_lockstep_continuum_raises(self, mle, pow3):
+        # C_{3,0} = 0 and C_{3,1} = 1 mapped by q (1 - v): the row q = 1 has ends 1 and 0,
+        # where the lockstep closed form divided 0 by 0 and returned nan
+        costs = expected_costs(mle, 3, pow3)
+        f = lambda v, q: q * (1.0 - v)
+        with pytest.raises(ContinuumOfEquilibria, match=r"^a continuum of equilibria: every theta in \[0,1\] solves$"):
+            equilibrium._cosesi_roots(costs, 1.0, f, np.array([0.5, 1.0, 0.7]))
+        with pytest.raises(ContinuumOfEquilibria, match=r"^a continuum of equilibria: every theta in \[0,1\] solves$"):
+            equilibrium._cosesi_root(costs.map(lambda v: f(v, 1.0)), 1.0)
+
+    def test_lockstep_constant_residual_raises_at_its_first_row(self, mle):
+        # rows 1 and 2 have the ends of test_constant_residual_without_a_root_raises;
+        # the message names row 1's constant, as the one-row root of that row does
+        costs = expected_costs(mle, 3, affine_cost(1.0000000000009095, -1.0))
+        f = lambda v, q: q * v
+        message = r"^no equilibrium at rho = 1: the residual is the constant 1 - C_n,0 = -9\.094947017729282e-13$"
+        with pytest.raises(NoSignChange, match=message):
+            equilibrium._cosesi_roots(costs, 1.0, f, np.array([0.5, 1.0, 1.0]))
+        with pytest.raises(NoSignChange, match=message):
+            equilibrium._cosesi_root(costs.map(lambda v: f(v, 1.0)), 1.0)
+
     def test_direct_substitution(self, mle, pow2):
         # C_{2,0} = 0 and C_{2,1} = 1 give (1-0)/(1-0+1) = 1/2
         assert cosesi_rho1_closed(pow2, mle, 2).theta == pytest.approx(0.5, abs=1e-14)
@@ -333,6 +355,23 @@ class TestEnumerate:
         # and 7 009, 7 009 and 10 001 for the last three
         with pytest.raises(ContinuumOfEquilibria, match=r"^a continuum of equilibria: every theta in \[0,1\] solves$"):
             enumerate_cosesi(c, n, rho)
+
+    def test_continuum_reads_eleven_thetas(self):
+        # coefficients that all lie within their bounds: the 0.1-grid test runs before
+        # any scan, where a scan of every cell read 10 357, 10 012 and 10 013 thetas
+        psi_rows = equilibrium.ExpectedCosts.psi_rows
+        for c, n, rho in [(linear_cost(), 12, 0.3), (linear_cost(), 200, 0.3),
+                          (linear_cost(), 1000, 0.3), (power_cost(3.0), 2, 1.0)]:
+            seen = []
+            spy = lambda self, thetas, *a: seen.append(len(thetas)) or psi_rows(self, thetas, *a)
+            with mock.patch.object(equilibrium.ExpectedCosts, "psi_rows", spy):
+                with pytest.raises(ContinuumOfEquilibria):
+                    enumerate_cosesi(c, n, rho)
+            assert sum(seen) <= 11
+        # a residual with such coefficients that does not vanish is still scanned
+        got = solve_with_dgp(affine_cost(0.9, -0.5), MLE(), 4, CMB(1e16))
+        assert got.theta_star == (0.35,)
+        assert got.params["method"] == "scan"
 
     def test_continuum_is_a_value_error(self):
         assert issubclass(ContinuumOfEquilibria, ValueError)
@@ -919,16 +958,15 @@ class TestArrayScan:
     def test_enumerate_is_the_scalar_scan(self, c, n, rho, grid_step):
         grid = cost_grid(MLE(), n, c)
         ref = _scalar_scan_roots(lambda t: t - weighted_bernstein(n, t, rho, grid), grid_step)
-        got = enumerate_cosesi(c, n, rho, grid_step)
-        assert (got.theta_star, got.residual) == ref
+        assert _benefit_roots(c, n, rho, grid_step)[:2] == ref
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
     def test_enumerate_in_the_limit_is_the_scalar_scan(self, rho):
         # n above LARGE_N: the limit cost, called node by node
         c = s_shaped_cost(0.05, 0.95, 20.0, 0.5)
         ends = (c(0.0), c(1.0))
-        ref = _scalar_scan_roots(lambda t: t - weighted_limit(t, rho, c, ends), 1e-3)
-        got = enumerate_cosesi(c, 200_000, rho, 1e-3)
+        ref = _scalar_scan_roots(lambda t: t - weighted_limit(t, rho, c, ends), 1e-4)
+        got = enumerate_cosesi(c, 200_000, rho)
         assert (got.theta_star, got.residual) == ref
         assert len(ref[0]) == (1 if rho == 1.0 else 3)
 
@@ -939,10 +977,11 @@ class TestArrayScan:
 
     def test_scan_memory_is_flat_in_n(self):
         # 1001 nodes at n = 50 000 would be 400 MB as one array; blocks keep it to a few rows
-        c = s_shaped_cost()
+        costs = expected_costs(MLE(), 50_000, s_shaped_cost())
+        poly = lambda: bernstein_residual(RhoMixture(0.3), 50_000, costs.values, benefit=True)
         tracemalloc.start()
         try:
-            enumerate_cosesi(c, 50_000, 0.3, 1e-3)
+            equilibrium._roots(lambda xs: xs - costs.psi_rows(xs, 0.3), 1e-3, poly)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -964,6 +1003,19 @@ def _array_residual(dgp, n, grid, benefit=False, rows=None):
     else:
         rhs = lambda xs: np.concatenate([row(xs[i : i + rows]) for i in range(0, len(xs), rows)])
     return (lambda xs: xs - rhs(xs)) if benefit else (lambda xs: 1.0 - xs - rhs(xs))
+
+
+def _benefit_roots(c, n, rho, grid_step):
+    """``_roots`` at ``grid_step`` on the residual and the Bernstein coefficients
+    that ``enumerate_cosesi(c, n, rho)`` scans; at 1e-4, its fixed step, these
+    are ``enumerate_cosesi``'s outputs."""
+    grid = cost_grid(MLE(), n, c)
+    poly = lambda: bernstein_residual(RhoMixture(rho), n, grid, benefit=True)
+    got = equilibrium._roots(_array_residual(RhoMixture(rho), n, grid, True), grid_step, poly)
+    if grid_step == 1e-4:
+        res = enumerate_cosesi(c, n, rho)
+        assert got == (res.theta_star, res.residual, res.params["certificate"], res.params["method"])
+    return got
 
 
 def _full_scan(res, grid_step):
@@ -1030,14 +1082,14 @@ class TestIsolatedScan:
         grid = cost_grid(MLE(), n, c)
         res = _array_residual(RhoMixture(rho), n, grid, True)
         try:
-            got = enumerate_cosesi(c, n, rho, grid_step)
+            roots, residual, certificate, _ = _benefit_roots(c, n, rho, grid_step)
         except ContinuumOfEquilibria:
             # every node the full scan reads is a root to the solvers' tolerance
             nodes = np.arange(scan_cells(grid_step) + 1) / scan_cells(grid_step)
             assert np.abs(res(nodes)).max() <= SOLVE_TOL.abs_tol
             return
-        assert (got.theta_star, got.residual) == _full_scan(res, grid_step)
-        assert re.match(_CERTIFICATE, got.params["certificate"])
+        assert (roots, residual) == _full_scan(res, grid_step)
+        assert re.match(_CERTIFICATE, certificate)
 
     def test_split_point_root_is_one_half(self):
         # the residual is flat at its symmetric middle root, so a |f| stop far from 0.5 would show here
@@ -1220,11 +1272,6 @@ class TestIsolatedScanErrors:
             solve_with_dgp(power_cost(3.0), MLE(), n, CMB(2.0))
         with pytest.raises(UnsupportedN, match=f"^n must be a positive integer, got {n:g}$"):
             enumerate_cosesi(s_shaped_cost(), n, 0.3)
-
-    @pytest.mark.parametrize("grid_step", [0, 0.5])
-    def test_grid_step(self, grid_step):
-        with pytest.raises(DomainError, match=rf"^grid_step must be in \(0, 0\.01\], got {grid_step}$"):
-            enumerate_cosesi(s_shaped_cost(), 12, 0.3, grid_step)
 
 
 class TestNonFiniteCoefficients:

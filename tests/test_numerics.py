@@ -232,6 +232,11 @@ class TestFindSignChanges:
         with pytest.raises(DomainError):
             find_sign_changes(lambda t: t, 0.5)
 
+    @pytest.mark.parametrize("grid_step", [0, 0.5])
+    def test_grid_step(self, grid_step):
+        with pytest.raises(DomainError, match=rf"^grid_step must be in \(0, 0\.01\], got {grid_step}$"):
+            find_sign_changes(lambda ts: ts - 0.3, grid_step)
+
     @pytest.mark.parametrize("grid_step, n", [(1e-4, 10_000), (1e-3, 1000)])
     def test_one_call_on_the_nodes_i_over_n(self, grid_step, n):
         seen = []
