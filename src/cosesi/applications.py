@@ -457,7 +457,7 @@ def _bank_residual(spec: CreditSpec) -> Callable[[np.ndarray], np.ndarray]:
 
     qs = expected_costs(spec.G, spec.n, shutdown_cost).map(quantile)
     if gaussian:
-        tails = qs.map(lambda q: 1.0 - norm_cdf(q))
+        tails = qs.map(lambda q: 1.0 - norm_cdf_array(q))
         return lambda thetas: thetas - tails.psi_rows(thetas, rho)
     tail = lambda q, theta: 1.0 - norm_cdf_array((q - omega * theta) / math.sqrt(rho))
     return lambda thetas: thetas - qs.psi_rows(thetas, rho, tail, thetas)
@@ -510,9 +510,9 @@ def tax_policy_check(
     if not tau >= 0.0:
         raise ApplicationError(f"tax must be >= 0, got {tau}")
     costs = expected_costs(G, n, c)
-    taxed = costs.map(lambda v: min(v + tau, 1.0))
+    taxed = costs.map(lambda v: np.minimum(v + tau, 1.0))
     theta_tau = _cosesi_root(taxed, rho)[0]
-    theta_zero = theta_tau if tau == 0.0 else _cosesi_root(costs.map(lambda v: min(v, 1.0)), rho)[0]
+    theta_zero = theta_tau if tau == 0.0 else _cosesi_root(costs.map(lambda v: np.minimum(v, 1.0)), rho)[0]
     c_at = c(theta_tau)
     # int_a^1 (eta - c) d eta = (1 - a^2)/2 - c (1 - a), per count cell
     welfare = taxed.map(lambda a: (1.0 - a * a) / 2.0 - c_at * (1.0 - a)).psi(theta_tau, rho)

@@ -10,14 +10,15 @@ relevant action-count law:
 * variants:  assortative, Bayesian partial neglect, heterogeneous groups,
              general count laws.
 
-Under a rho-mixture law the right side is ``ExpectedCosts.psi``: the kernel
-``model.weighted_bernstein`` on the cost grid, or its large-n limit
-``model.weighted_limit`` on the cost itself.  ``ExpectedCosts.psi_rows`` is
-the one array form of it, bit for bit, for many thetas (each with its own
-mapped costs, if asked), in blocks of grid cells or one limit call per
-theta.  :func:`_takes_limit` is the one place that picks between grid and
-limit: MLE requests with n above ``LARGE_N`` and infinite n (hence NE) use
-the limit B_n(theta; C_n) -> c(theta).
+Under a rho-mixture law the right side is ``ExpectedCosts.psi``: the one
+mixing step ``model.weighted_limit`` on the Bernstein part of the cost grid
+(``model.weighted_bernstein``), or on the cost itself in the large-n limit.
+``ExpectedCosts.psi_rows`` is the one array form of it, bit for bit, for many
+thetas (each with its own mapped costs, if asked), in blocks of grid cells
+or one limit call per theta; ``ExpectedCosts.map`` maps a grid in one call.
+:func:`_takes_limit` is the one place that picks between grid and limit: MLE
+requests with n above ``LARGE_N`` and infinite n (hence NE) use the limit
+B_n(theta; C_n) -> c(theta).
 The rho-mixture equations are solved, at the default
 ``numerics.SOLVE_TOL``, by :func:`_cosesi_root` (the unique root for
 increasing costs: a closed form at rho = 1, else the clamped solve
@@ -55,6 +56,7 @@ from .numerics import (
     DomainError,
     NoSignChange,
     RootInterval,
+    _evaluate,
     find_roots,
     integrate,
     isolate_roots,
@@ -198,14 +200,15 @@ class ExpectedCosts:
         return weighted_bernstein(self.n, theta, rho, self.values)
 
     def map(self, f: Callable[[float], float]) -> ExpectedCosts:
-        """``f``, a caller's float function, called on every grid value, or composed
-        with the limit cost (endpoint images from ``ends``); ``ends`` are kept either way."""
+        """The costs mapped by ``f``: one call on the grid array, as costs are called
+        (``numerics._evaluate``; a float-only ``f`` per value, with the same cells),
+        or composed with the limit cost; ``ends`` become their images."""
         values = self.values
         if callable(values):
             f0, f1 = self.ends
-            return ExpectedCosts(self.n, lambda x: f(values(x)), (f(f0), f(f1)))
-        cells = [f(v) for v in values.tolist()]
-        return ExpectedCosts(self.n, np.array(cells), (cells[0], cells[-1]))
+            return ExpectedCosts(self.n, lambda x: f(values(x)), (float(f(f0)), float(f(f1))))
+        cells = _evaluate(f, values)
+        return ExpectedCosts(self.n, cells, (float(cells[0]), float(cells[-1])))
 
     def psi_rows(
         self,
@@ -373,19 +376,16 @@ def _monotone_roots(res: Callable[[np.ndarray], np.ndarray]) -> tuple[tuple[floa
     as |theta - theta*| <= |res(theta)|.  There is a root, ``certified 1``,
     exactly when res(0) >= 0 >= res(1); else the solve clamps to an end
     where ``res`` is not 0, and the result is ``certified 0`` with no root.
-    A value that is not finite sends the solve to the scan of every cell,
-    which raises at the first such node."""
+    Raises ``numerics.DomainError`` at the first theta where the solve meets
+    a value that is not finite, as the scan does at its first such node."""
 
     def row(thetas: np.ndarray, rows: np.ndarray) -> np.ndarray:
         fs = res(thetas)
         if not np.isfinite(fs).all():
-            raise DomainError("a residual value is not finite")
+            raise DomainError(f"f is not finite at theta = {float(thetas[0])}: {float(fs[0])}")
         return fs
 
-    try:
-        theta = float(solve_decreasing_rows(row, 1)[0])
-    except DomainError:
-        return _roots(res, 1e-4)
+    theta = float(solve_decreasing_rows(row, 1)[0])
     value = float(res(np.array([theta]))[0])
     if (theta == 0.0 and value < 0.0) or (theta == 1.0 and value > 0.0):  # res(0) < 0 or res(1) > 0
         return (), math.inf, "certified 0", "monotone"
@@ -516,11 +516,7 @@ def solve_assortative(
     """
     lam_of = lambda cval: integrate(rho_fn, np.clip(cval, 0.0, 1.0), 1.0)
     costs = expected_costs(G, n, c)
-    if callable(costs.values):
-        lam = costs.map(lam_of)
-    else:
-        cells = lam_of(costs.values)
-        lam = ExpectedCosts(costs.n, cells, (float(cells[0]), float(cells[-1])))
+    lam = costs.map(lam_of)
     theta, residual = _root(lambda t: costs.psi(t, 0.0) + lam.psi(t, 0.0) - lam.psi(t, 1.0))
     return EquilibriumResult(
         theta, "AssortativeCoSESI", residual, {"cost": c.name, "G": G.kind, "n": n}

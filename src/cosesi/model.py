@@ -17,8 +17,9 @@ signals as independent.  This module supplies:
   additive-binomial, Bahadur joints for n <= 3, sequential sampling; each
   written once, on an array of thetas (``count_pmf_grid``, which the root
   scans evaluate in blocks), with ``action_count_pmf`` its row at one theta,
-* plain and rho-weighted Bernstein polynomial evaluation (the expectation
-  under a rho-mixture) and the large-n limit of the latter,
+* the rho-weighted Bernstein polynomial (the expectation under a
+  rho-mixture), at one theta or many, and its large-n limit: one mixing
+  step, ``weighted_limit``, on a Bernstein part or the limit cost,
 * ``row_dots``, the expectation of a grid under each of many pmf rows, each
   row rounded as its one-row product,
 * ``bernstein_residual``, the Bernstein coefficients of a count-law residual
@@ -572,17 +573,11 @@ def _check_mixture_rho(rho: float) -> None:
 
 
 def weighted_bernstein(n: int, theta: float, rho: float, values: Sequence[float]) -> float:
-    """rho-weighted Bernstein polynomial Psi_n(theta, rho; C).
-
-    (1 - rho) * B_n(theta; C) + rho * [theta C(1) + (1 - theta) C(0)], the
-    right-hand side of the equilibrium equation under the rho-mixture law.
-    """
-    _check_mixture_rho(rho)
+    """rho-weighted Bernstein polynomial Psi_n(theta, rho; C): :func:`weighted_limit`
+    with the Bernstein part :func:`bernstein` and the end cells C(0), C(1)."""
     values = np.asarray(values, dtype=float)
-    polarized = theta * float(values[-1]) + (1.0 - theta) * float(values[0])
-    if rho == 1.0:
-        return float(polarized)
-    return float((1.0 - rho) * bernstein(n, theta, values) + rho * polarized)
+    ends = (float(values[0]), float(values[-1]))
+    return float(weighted_limit(theta, rho, lambda t: bernstein(n, t, values), ends))
 
 
 def row_dots(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -599,24 +594,19 @@ def weighted_bernstein_rows(n: int, thetas: np.ndarray, rho: float, values: np.n
     ``values`` an (m, n + 1) array, or one grid of n + 1 values for every
     theta.  Each ``_binom_rows`` row meets its grid in :func:`row_dots`.
     """
-    _check_mixture_rho(rho)
-    polarized = thetas * values[..., -1] + (1.0 - thetas) * values[..., 0]
-    if rho == 1.0:
-        return polarized
-    return (1.0 - rho) * row_dots(_binom_rows(n, thetas), values) + rho * polarized
+    bern = lambda ts: row_dots(_binom_rows(n, ts), values)
+    return weighted_limit(thetas, rho, bern, (values[..., 0], values[..., -1]))
 
 
 def weighted_limit(
     theta: float, rho: float, fn: Callable[[float], float], ends: tuple[float, float]
 ) -> float:
-    """Large-n limit of :func:`weighted_bernstein`, where B_n(theta; C) -> fn(theta).
-
-    (1 - rho) * fn(theta) + rho * [theta fn(1) + (1 - theta) fn(0)], with the
-    same rho check and the polarized term alone at rho = 1.  ``ends`` is
-    (fn(0), fn(1)), evaluated once by the caller; ``fn`` itself is called
-    only when rho < 1.  On arrays of thetas and ends, with ``fn`` mapping
-    the thetas to an array, it is the same arithmetic elementwise.
-    """
+    """The one mixing step of Psi_n, (1 - rho) fn(theta) + rho [theta C(1) + (1 - theta) C(0)],
+    after the rho check; at rho = 1 the polarized term alone, and ``fn`` is not
+    called.  ``fn`` is the Bernstein part B_n(theta; C) (:func:`weighted_bernstein`
+    and its rows) or the large-n limit's cost, ``ends`` is (C(0), C(1)), evaluated
+    once by the caller.  On arrays of thetas and ends it is the same arithmetic
+    elementwise."""
     _check_mixture_rho(rho)
     f0, f1 = ends
     polarized = theta * f1 + (1.0 - theta) * f0
@@ -878,21 +868,34 @@ def _binom_rows(n: int, thetas: np.ndarray) -> np.ndarray:
     return probs
 
 
+@lru_cache(maxsize=256)
+def _cmb_log_weights(n: int, nu: float) -> np.ndarray:
+    """log comb(n, y)**nu over y = 0..n for nu in [-inf, inf], less its largest value.
+    Exactly equal at y and n - y (``_binom_terms`` is not, and nu multiplies the
+    gap), with no product 0 * inf at the largest weights and none above 0 (one
+    below the largest float is -inf), so a huge finite nu gives the law of +-inf."""
+    logc = _binom_terms(n)[0]
+    logc = np.minimum(logc, logc[::-1])
+    gap = logc - (logc.max() if nu > 0.0 else logc.min())  # nu * gap <= 0
+    out = np.zeros(n + 1)
+    off = gap != 0.0
+    with np.errstate(over="ignore"):
+        out[off] = nu * gap[off]
+    out.setflags(write=False)  # one array per (n, nu), shared by every call
+    return out
+
+
 def _cmb_rows(n: int, thetas: np.ndarray, nu: float) -> np.ndarray:
     """Conway-Maxwell-Binomial rows: weights comb(n, y)**nu theta**y (1-theta)**(n-y),
     normalised.  At nu = -inf only the extreme counts {0, n} keep their
     binomial weight theta**y (1-theta)**(n-y), at nu = +inf only the central
-    count(s)."""
+    count(s) (:func:`_cmb_log_weights`)."""
     probs, inner = _edge_rows(n, thetas)
     lt, l1 = _log_columns(thetas[inner])
-    if math.isinf(nu):
-        cols = [0, n] if nu < 0 else ([n // 2] if n % 2 == 0 else [n // 2, n // 2 + 1])
-        y = np.array(cols, dtype=float)
-        logw = y * lt + (n - y) * l1
-    else:
-        cols = list(range(n + 1))
-        logc, y, u = _binom_terms(n)
-        logw = nu * logc + y * lt + u * l1
+    t = _cmb_log_weights(n, nu)
+    cols = np.flatnonzero(t > -np.inf)  # a zero weight needs no column: +-inf keeps one or two
+    _, y, u = _binom_terms(n)
+    logw = t[cols] + y[cols] * lt + u[cols] * l1
     w = np.exp(logw - logw.max(axis=1, keepdims=True))
     probs[np.ix_(np.flatnonzero(inner), cols)] = w / w.sum(axis=1, keepdims=True)
     return probs
@@ -1024,8 +1027,8 @@ def bernstein_residual(
 
     * rho-mixtures: ``r_y = 1 - y/n - (1-rho) C_y - rho (C_0 + (y/n)(C_n - C_0))``.
     * CMB: ``Z (1 - theta) - sum_y z_y C_y b_{n,y}`` of degree n + 1, with
-      ``z_y = comb(n, y)**(nu - 1)`` (scaled) and ``Z = sum_y z_y b_{n,y}``
-      the law's normaliser.  At nu = -inf only z_0 = z_n = 1 are left; at
+      ``z_y = comb(n, y)**(nu - 1)`` (``_cmb_log_weights``, scaled) and ``Z =
+      sum_y z_y b_{n,y}`` the law's normaliser.  At nu = -inf only z_0 = z_n = 1 are left; at
       nu = +inf the residual is linear inside (0, 1), where the central
       count(s) carry the weights 1 - theta and theta.
     * Sequential: the backward recursion over (signal, count) run on
@@ -1052,9 +1055,9 @@ def bernstein_residual(
         elif nu == -math.inf:
             z = np.zeros(n + 1)
             z[[0, n]] = 1.0
-        else:
-            t = (nu - 1.0) * _binom_terms(n)[0]
-            z, terms = np.exp(t - t.max()), terms + (1.0 + abs(nu)) * math.lgamma(n + 1)
+        else:  # a finite bound: an infinite one times a zero weight is nan
+            terms = min(terms + (1.0 + abs(nu)) * math.lgamma(n + 1), np.finfo(float).max)
+            z = np.exp(_cmb_log_weights(n, nu - 1.0))
         k = np.arange(len(z) + 1) / len(z)
         elevate = lambda v: k * np.r_[0.0, v] + (1.0 - k) * np.r_[v, 0.0]
         target = k * np.r_[0.0, z] if benefit else (1.0 - k) * np.r_[z, 0.0]

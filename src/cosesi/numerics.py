@@ -131,11 +131,11 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def norm_cdf_array(x: np.ndarray) -> np.ndarray:
-    """:func:`norm_cdf` at every entry of ``x``, bit for bit: the quotient
-    taken by numpy, ``math.erfc`` per entry: numpy has no erfc, and the grid
-    path may not import scipy's."""
-    z = (-x / _SQRT2).ravel().tolist()
+def norm_cdf_array(x: np.ndarray | float) -> np.ndarray | float:
+    """:func:`norm_cdf` at every entry of ``x`` (an array or a float), bit for
+    bit: the quotient taken by numpy, ``math.erfc`` per entry: numpy has no
+    erfc, and the grid path may not import scipy's."""
+    z = np.ravel(-x / _SQRT2).tolist()
     return 0.5 * np.fromiter(map(math.erfc, z), float, len(z)).reshape(np.shape(x))
 
 

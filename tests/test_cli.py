@@ -248,6 +248,28 @@ class TestCommands:
         fields = dict(line.split("=") for line in out.strip().splitlines())
         assert float(fields["theta_hat"]) == pytest.approx(0.6046, abs=0.01)
 
+    @pytest.mark.parametrize("cost, want", [("pow:3", "0.831578947368"), ("affine:0.9,-0.5", "0.338461538462")])
+    def test_cmb_1e15_prints_the_infinite_law(self, cost, want, capsys):
+        # comb(7, 3)**nu and comb(7, 4)**nu must be equal: nu times a one-ulp gap in
+        # their logs moves the central pair's weights (0.818, 0.182 against 0.7, 0.3)
+        for nu in ("1e15", "inf"):
+            code, out, _ = run_cli(["cosesi", "--cost", cost, "--n", "7", "--dgp", f"cmb:{nu}"], capsys)
+            assert (code, out) == (0, f"theta_star={want}\n")
+
+    @pytest.mark.parametrize("args", [
+        ["cosesi", "--cost", "pow:3", "--n", "10"],
+        ["cosesi", "--cost", "affine:0.9,-0.5", "--n", "10"],
+        ["cosesi", "--cost", "pow:3", "--n", "7"],
+        ["info", "--n", "10", "--theta", "0.3"],
+        ["mc", "--cost", "exp:2", "--n", "7", "--agents", "10000", "--seed", "3"],
+    ])
+    @pytest.mark.parametrize("nu", ["1e308", "-1e308"])
+    def test_cmb_1e308_is_the_infinite_law(self, args, nu, capsys):
+        # nu log comb(n, y) overflows: each such weight must be 0, with no RuntimeWarning
+        want = run_cli(args + ["--dgp", "cmb:" + nu.replace("1e308", "inf")], capsys)
+        assert want[0] == 0
+        assert run_cli(args + ["--dgp", f"cmb:{nu}"], capsys) == want
+
     @pytest.mark.parametrize("args", [
         ["monopoly", "--rho", "1.5"],
         ["tax", "--cost", "pow:2", "--rho", "-0.2", "--tax", "0.1"],

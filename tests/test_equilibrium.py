@@ -620,6 +620,23 @@ class TestExpectedCosts:
         assert costs.ends == (float(costs.values[0]), float(costs.values[-1]))
         assert costs.ends == (1.0 - 2.0 * pow3(0.0), 1.0 - 2.0 * pow3(1.0))
 
+    def test_map_calls_an_elementwise_f_once_on_the_grid(self, beta_est, pow3):
+        costs = expected_costs(beta_est, 9, pow3)
+        seen = []
+        got = costs.map(lambda v: seen.append(np.shape(v)) or np.minimum(v + 0.2, 1.0))
+        assert seen == [(10,)]
+        assert got.values.tobytes() == np.minimum(costs.values + 0.2, 1.0).tobytes()
+
+    def test_map_of_a_float_only_f_is_the_same_cells(self, beta_est, pow3):
+        # min() refuses an array, so each value is mapped on its own
+        costs = expected_costs(beta_est, 9, pow3)
+        floats = costs.map(lambda v: min(v + 0.2, 1.0))
+        arrays = costs.map(lambda v: np.minimum(v + 0.2, 1.0))
+        assert floats.values.tobytes() == arrays.values.tobytes()
+        assert floats.values.tolist() == [min(v + 0.2, 1.0) for v in costs.values.tolist()]
+        assert floats.ends == arrays.ends == (floats.values[0], floats.values[-1])
+        assert all(type(e) is float for e in floats.ends + arrays.ends)
+
     def test_map_in_limit_composes(self, mle, pow3):
         costs = expected_costs(mle, math.inf, pow3).map(lambda v: 2.0 * v)
         assert costs.psi(0.4, 0.0) == 2.0 * pow3(0.4)
@@ -1227,17 +1244,28 @@ class TestMonotoneRoute:
         assert set(rows) == {1}
         assert len(rows) <= 10
 
-    @pytest.mark.parametrize("nu, n", [(1e308, 5), (1e300, 4), (-1e300, 4)])
+    @pytest.mark.parametrize("nu, n", [(1e308, 5), (-1e308, 5), (1e300, 5), (1e15, 7)])
     def test_extreme_nu_is_the_full_scan(self, nu, n):
-        # at nu = 1e308 the law's log-weights overflow to nan, and the solve hands
-        # itself to the full scan, which names the first nan node; at |nu| = 1e300
-        # the root (0.875 or 0.5) is a grid node, and both routes find it exactly
+        # a huge finite nu keeps the central counts (the end counts at nu < 0)
+        # alone, as nu = +-inf does, at odd n too, where the central pair's
+        # weights must be equal, and where nu log comb(n, y) overflows
         c = power_cost(3.0)
-        solve = lambda: (lambda r: (r.theta_star, r.residual))(solve_with_dgp(c, MLE(), n, CMB(nu)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = _outcome(solve)
-            assert got == _outcome(lambda: _full_scan(_array_residual(CMB(nu), n, cost_grid(MLE(), n, c)), 1e-4))
-        assert (got[0] is DomainError) == (nu == 1e308)
+        got = solve_with_dgp(c, MLE(), n, CMB(nu))
+        want = solve_with_dgp(c, MLE(), n, CMB(math.copysign(math.inf, nu)))
+        outputs = lambda r: (r.theta_star, r.residual, r.params["certificate"], r.params["method"])
+        assert outputs(got) == outputs(want)
+        res = _array_residual(CMB(nu), n, cost_grid(MLE(), n, c))
+        _assert_near_the_scan(got, _full_scan(res, 1e-4)[0], res)
+
+    def test_non_finite_value_raises_where_the_solve_meets_it(self, monkeypatch):
+        # no built-in law gives one on this route; the solve names the theta and scans no cell
+        monkeypatch.setattr(equilibrium, "find_roots", lambda *a, **k: pytest.fail("a cell was scanned"))
+        res = lambda xs: np.where(xs > 0.0, 0.5 - xs, math.nan)
+        with pytest.raises(DomainError, match=r"^f is not finite at theta = 0\.0: nan$"):
+            equilibrium._monotone_roots(res)
+        res = lambda xs: np.where((xs > 0.2) & (xs < 0.8), math.inf, 0.5 - xs)  # the first step is 0.5
+        with pytest.raises(DomainError, match=r"^f is not finite at theta = 0\.5: inf$"):
+            equilibrium._monotone_roots(res)
 
     @pytest.mark.parametrize("nu", [1e16, 1e30])
     def test_bounds_that_swallow_every_coefficient_scan_every_cell(self, nu):
@@ -1403,6 +1431,14 @@ class TestComputedOnce:
                 assert doubled.psi(t, rho) == 2.0 * costs.psi(t, rho)
         assert calls.count((0.0,)) == 1 and calls.count((1.0,)) == 1
         assert doubled.ends == (0.0, 2.0)
+
+    def test_assortative_grid_one_quadrature(self, mle, pow3, monkeypatch):
+        want = solve_assortative(pow3, mle, 12, lambda eta: eta**0.5)
+        quads = []
+        monkeypatch.setattr(equilibrium, "integrate", _counting(quads, equilibrium.integrate))
+        got = solve_assortative(pow3, mle, 12, lambda eta: eta**0.5)
+        assert (got.theta, got.residual) == (want.theta, want.residual)
+        assert len(quads) == 1  # all 13 tail integrals, through ExpectedCosts.map
 
     def test_assortative_limit_one_quadrature_per_residual(self, monkeypatch):
         rho_fn = lambda eta: eta**1.5

@@ -854,6 +854,25 @@ class TestCountPmfGrid:
             return
         assert [row.tolist() for row in got] == [count_pmf_grid(dgp, n, [t])[0].tolist() for t in thetas]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 10, 31, 200])
+    @pytest.mark.parametrize("nu", [1e15, -1e15, 1e17, 1e300, -1e300, 1e308, -1e308])
+    def test_huge_finite_cmb_is_the_infinite_law(self, nu, n):
+        # lgamma gives log comb(n, y) and log comb(n, n - y) apart in the last bits,
+        # which nu multiplies, and nu log comb(n, y) overflows at |nu| = 1e308
+        thetas = np.concatenate([[0.0, 1e-300, 0.3, 0.5, 0.7, 1.0 - 2**-53, 1.0], np.linspace(0.01, 0.99, 25)])
+        got = count_pmf_grid(CMB(nu), n, thetas)
+        assert got.tobytes() == count_pmf_grid(CMB(math.copysign(math.inf, nu)), n, thetas).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 200])
+    @pytest.mark.parametrize("nu", [-math.inf, -1e308, -2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 1e15, 1e308, math.inf])
+    def test_cmb_log_weights(self, nu, n):
+        t = model._cmb_log_weights(n, nu)
+        assert t.tolist() == t[::-1].tolist()  # exactly symmetric in y <-> n - y
+        assert t.max() == 0.0 and not np.isnan(t).any()
+        logc = np.array([math.lgamma(n + 1) - math.lgamma(y + 1) - math.lgamma(n - y + 1) for y in range(n + 1)])
+        if math.isfinite(nu) and abs(nu) <= 3.0:
+            np.testing.assert_allclose(t, nu * logc - (nu * logc).max(), rtol=0.0, atol=1e-12)
+
     @settings(max_examples=100, deadline=None)
     @given(
         rho=st.floats(-0.02, 0.1),
