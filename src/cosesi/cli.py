@@ -556,10 +556,8 @@ def _run(args) -> int:
               [("theta_final", traj.final_theta()), ("rho_final", float(traj.rho[-1]))])
         return 0
     if cmd == "simulate":
-        import numpy as np
-
         from .model import RhoMixture, action_count_pmf
-        from .sampling import SeedableRng, pairwise_correlation, sample_correlated
+        from .sampling import SeedableRng, _bit_sums, _mean_correlation, sample_correlated
 
         if not isinstance(args.dgp, RhoMixture):
             raise ConfigError("simulate currently draws from rho-mixture laws (rho:<value>)")
@@ -567,10 +565,10 @@ def _run(args) -> int:
             raise ConfigError(f"--draws must be at least 2, got {args.draws}")
         bits = sample_correlated(args.n, args.theta, args.dgp.rho, SeedableRng(args.seed),
                                  size=args.draws)
-        counts = np.bincount(bits.sum(axis=1), minlength=args.n + 1)
+        counts, cooccur = _bit_sums(bits)
         pmf = action_count_pmf(args.dgp, args.n, args.theta)
         rows = [[y, int(counts[y]), pmf.probs[y]] for y in range(args.n + 1)]
-        corr = pairwise_correlation(bits) if args.n > 1 else 0.0
+        corr = _mean_correlation(args.draws, cooccur) if args.n > 1 else 0.0
         _emit(args, ["count", "observed", "exact_prob"], rows,
               [("draws", args.draws), ("pairwise_correlation", corr)])
         return 0

@@ -12,6 +12,14 @@ sampling.
 
 All randomness flows through :class:`SeedableRng`; identical seed and stream
 id reproduce identical draws, and distinct stream ids are independent.
+
+Draws are int8 arrays of 0s and 1s, one byte per signal and draw, and
+``pairwise_correlation`` takes such 0/1 input (of any dtype).
+``sample_correlated`` and the sums behind ``pairwise_correlation`` work in
+blocks of about ``_BLOCK`` cells, so neither builds a float copy of a whole
+(draws, n) array: the count histogram and the sample correlations come from
+integer sums over the blocks, the number of draws with each row total and
+the co-occurrence counts of each pair of signals.
 """
 
 from __future__ import annotations
@@ -62,6 +70,26 @@ class SamplingError(Exception):
 
 class LambdaOutOfRange(SamplingError, ValueError):
     """Normal approximation requested for lambda >= 1/2 where it is invalid."""
+
+
+# Uniforms (or bits) per block of the sampler and of the bit sums: a block
+# holds 8 bytes of uniforms, or 4 of float32 bits, per cell, and each block
+# sum stays below 2**24, where float32 counts exactly.
+_BLOCK = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    """Draws of n signals per block: ``_BLOCK`` cells, but never fewer draws
+    than signals, so that a block's product is no thinner than the n x n
+    counts it adds to (and holds no more cells than they do)."""
+    return max(_BLOCK // n, n)
+
+
+def _check_size(size: int) -> int:
+    """size as an int; refuses a number of draws that is not a positive integer."""
+    if not isinstance(size, (int, np.integer)) or size < 1:
+        raise SamplingError(f"need a positive integer number of draws, got size={size}")
+    return int(size)
 
 
 @dataclass(frozen=True)
@@ -132,20 +160,44 @@ def sample_correlated(
     """Draws of n signals under the compound-lottery representation.
 
     With probability rho all n bits duplicate a single Bernoulli(theta) draw;
-    otherwise the bits are iid Bernoulli(theta).  Returns a (size, n) 0/1
-    array; a size below 1 raises :class:`SamplingError`.  n, theta and rho
-    are checked before anything is drawn.
+    otherwise the bits are iid Bernoulli(theta).  Returns a (size, n) int8
+    array of 0s and 1s, the input contract of :func:`pairwise_correlation`;
+    a size that is not a positive integer raises :class:`SamplingError`, as
+    does an array that cannot be allocated.  n, theta, rho and size are
+    checked, and the array allocated, before anything is drawn.
+
+    The generator's uniforms are read in one fixed order, size for the
+    polarized coins, size for the shared bits, then size * n for the iid
+    bits, so the draws do not depend on the block size.  They are read
+    ``_block_rows(n)`` draws at a time, and the sampler holds that block's
+    float64 uniforms besides its n bytes per draw.
     """
     n = _check_n(n)
     _unit_thetas([theta])
     RhoMixture(rho)  # the law's constructor checks rho
-    if size < 1:
-        raise SamplingError(f"need at least one draw, got size={size}")
-    gen = rng.generator()
-    polarized = gen.random(size) < rho
-    shared = (gen.random(size) < theta).astype(np.int8)
-    iid = (gen.random((size, n)) < theta).astype(np.int8)
-    out = np.where(polarized[:, None], shared[:, None], iid)
+    size = _check_size(size)
+    try:
+        out = np.empty((size, n), dtype=np.int8)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can count
+        raise SamplingError(
+            f"cannot allocate {size} draws of {n} signals: they need {size * n} bytes"
+        ) from None
+    # three generators on the one stream, each started at its own part of it
+    polarized, shared, iid = (rng.generator() for _ in range(3))
+    shared.bit_generator.advance(size)
+    iid.bit_generator.advance(2 * size)
+    # a row's bits are its uniforms below a cut: theta for an iid row; for a
+    # polarized row -1 or 2, below or above every uniform, as its shared bit is 0 or 1
+    cuts = np.array([theta, theta, -1.0, 2.0])
+    rows = _block_rows(n)
+    uniforms = np.empty(min(rows, size) * n)
+    for start in range(0, size, rows):
+        block = out[start:start + rows]
+        m = len(block)
+        row_cuts = cuts[2 * (polarized.random(m) < rho) + (shared.random(m) < theta)]
+        draw = uniforms[: block.size].reshape(block.shape)
+        iid.random(out=draw)
+        np.less(draw, row_cuts[:, None], out=block.view(np.bool_))
     return out
 
 
@@ -164,11 +216,12 @@ def sequential_sample(
     the law ``Sequential(lambdas)``, so a scalar or a short list is padded by
     ``Sequential.weights``.  Simulation is well defined for any lambda in
     [0, 1); only the normal-approximation formula restricts lambda further.
-    n, theta and the weights are checked before anything is drawn.
+    n, theta, the weights and size are checked before anything is drawn.
     """
     n = _check_n(n)
     _unit_thetas([theta])
     lams = Sequential((lambdas,) if np.isscalar(lambdas) else tuple(lambdas)).weights(n)
+    size = _check_size(size)
     gen = rng.generator()
     bits = np.empty((size, n), dtype=np.int8)
     bits[:, 0] = gen.random(size) < theta
@@ -345,19 +398,52 @@ def _chi_square_tail(x: float, k: int) -> float:
 def pairwise_correlation(bits: np.ndarray) -> float:
     """Average sample correlation over all signal pairs of a (draws, n) array.
 
-    A sample correlation needs two signals, two draws and every signal taking
-    both values; without them :class:`SamplingError` is raised.
+    ``bits`` holds 0s and 1s (of any dtype), as the samplers return them;
+    the correlations are taken from integer counts, the draws in which each
+    pair of signals are both one, which rest on that contract.  A sample
+    correlation needs two signals, two draws and every signal taking both
+    values; without them :class:`SamplingError` is raised.
     """
-    bits = np.asarray(bits, dtype=float)
+    bits = np.asarray(bits)
     draws, n = bits.shape
     if n < 2:
         raise SamplingError("need at least two signals per draw")
     if draws < 2:
         raise SamplingError(f"need at least two draws, got {draws}")
-    with np.errstate(invalid="ignore", divide="ignore"):  # a constant signal's row is 0/0
-        corr = np.corrcoef(bits, rowvar=False)
-    constant = np.flatnonzero(np.isnan(np.diag(corr)))
+    return _mean_correlation(draws, _bit_sums(bits)[1])
+
+
+def _bit_sums(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of a (draws, n) 0/1 array, taken ``_block_rows(n)`` draws at a
+    time: the number of draws with each row total y = 0..n, and the co-occurrence
+    counts S_ij = sum_k b_ki b_kj (so S_ii = S_i, the draws where signal i is
+    one).  Each block is cast to float32, exact for every sum of one block,
+    and the counts add up as int64."""
+    draws, n = bits.shape
+    totals = np.zeros(n + 1, dtype=np.int64)
+    cooccur = np.zeros((n, n), dtype=np.int64)
+    ones = np.ones(n, dtype=np.float32)
+    rows = _block_rows(n)
+    for start in range(0, draws, rows):
+        block = bits[start:start + rows].astype(np.float32)
+        totals += np.bincount((block @ ones).astype(np.intp), minlength=n + 1)
+        cooccur += (block.T @ block).astype(np.int64)
+    return totals, cooccur
+
+
+def _mean_correlation(draws: int, cooccur: np.ndarray) -> float:
+    """Mean sample correlation over the signal pairs of ``draws`` 0/1 rows
+    whose co-occurrence counts are ``cooccur`` (see :func:`_bit_sums`):
+    corr_ij = (N S_ij - S_i S_j) / sqrt((N S_i - S_i^2)(N S_j - S_j^2)).
+    The numerators are exact integers: int64 below 2**31 draws, where N S_ij
+    < 2**62, and Python integers beyond.  A signal whose denominator term is
+    zero takes one value in every draw."""
+    s = cooccur if draws < 2**31 else cooccur.astype(object)
+    num = draws * s - np.outer(s.diagonal(), s.diagonal())
+    var = num.diagonal()
+    constant = np.flatnonzero(var == 0)
     if len(constant):
         raise SamplingError(f"signal {constant[0]} takes one value in every draw: no sample correlation")
-    upper = corr[np.triu_indices(n, k=1)]
-    return float(np.mean(upper))
+    scale = np.sqrt(var.astype(float))
+    corr = np.clip(num.astype(float) / np.outer(scale, scale), -1.0, 1.0)
+    return float(np.mean(corr[np.triu_indices(len(var), k=1)]))

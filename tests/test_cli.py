@@ -442,6 +442,9 @@ class TestCommands:
         (["simulate", "--theta", "1.5", "--n", "3", "--draws", "1000"], 1, "theta must be in [0,1], got 1.5"),
         (["market", "--kappa", "2"], 1, "kappa must be in [0,1], got 2.0"),
         (["simulate", "--n", "0", "--draws", "1000"], 1, "n must be a positive integer, got 0"),
+        # 2**52 bytes: no address space holds them, so no host reaches the draws
+        (["simulate", "--n", "4", "--draws", str(2**50)], 1,
+         f"cannot allocate {2**50} draws of 4 signals: they need {2**52} bytes"),
     ])
     def test_parameter_outside_its_region_is_refused_before_solving(self, args, code, message, capsys, monkeypatch):
         # cli imports each solver from its home module when the command runs

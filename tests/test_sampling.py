@@ -1,9 +1,13 @@
 import math
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cosesi.model import (
     ActionCountPMF,
@@ -16,7 +20,10 @@ from cosesi.sampling import (
     LambdaOutOfRange,
     SamplingError,
     SeedableRng,
+    _bit_sums,
+    _block_rows,
     _chi_square_tail,
+    _mean_correlation,
     asymptotic_action_prob,
     bahadur_joint,
     balance_check,
@@ -57,6 +64,18 @@ def test_sample_size_refused_before_drawing(n, draw):
     # n = 0 used to give an empty draw or an IndexError, -1 and 2.5 numpy's errors
     with pytest.raises(UnsupportedN, match=f"^n must be a positive integer, got {n:g}$"):
         draw(n, _NoDraws(0))
+
+
+@pytest.mark.parametrize("size", [0, -1, -3, 2.5, 4.0, "4"])
+@pytest.mark.parametrize("draw", [
+    lambda size, rng: sample_correlated(3, 0.5, 0.5, rng, size=size),
+    lambda size, rng: sequential_sample(3, 0.5, 0.3, rng, size=size),
+])
+def test_draw_count_refused_before_drawing(size, draw):
+    # sequential_sample used to return an empty array at 0 and raise numpy's
+    # errors at -1 and 2.5, as sample_correlated did at 2.5
+    with pytest.raises(SamplingError, match=f"^need a positive integer number of draws, got size={size}$"):
+        draw(size, _NoDraws(0))
 
 
 class TestSeedableRng:
@@ -144,10 +163,106 @@ class TestSampleCorrelated:
         with pytest.raises(InadmissibleCorrelation):
             sample_correlated(3, 0.5, 1.2, rng)
 
-    @pytest.mark.parametrize("size", [0, -3])
-    def test_no_draws_refused(self, rng, size):
-        with pytest.raises(SamplingError, match=rf"^need at least one draw, got size={size}$"):
-            sample_correlated(3, 0.5, 0.5, rng, size=size)
+    @pytest.mark.parametrize("size", [2**50, 2**62])
+    def test_unallocatable_draws_refused_before_drawing(self, size):
+        # 2**52 bytes lie beyond any process's address space, whatever the
+        # host's overcommit setting, so the allocation fails without touching
+        # memory; 2**64 bytes are more than numpy can index
+        with pytest.raises(SamplingError, match=f"^cannot allocate {size} draws of 4 signals: they need {4 * size} bytes$"):
+            sample_correlated(4, 0.4, 0.6, _NoDraws(0), size=size)
+
+
+def _one_call_sample(n, theta, rho, rng, size):
+    """The sampler as three one-call draws of the whole stream, the reference
+    that the blocked sampler must equal bit for bit."""
+    gen = rng.generator()
+    polarized = gen.random(size) < rho
+    shared = (gen.random(size) < theta).astype(np.int8)
+    iid = (gen.random((size, n)) < theta).astype(np.int8)
+    return np.where(polarized[:, None], shared[:, None], iid)
+
+
+class TestBlockedSampler:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])  # past 256 signals a block holds n draws
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    @pytest.mark.parametrize("theta, rho", [(0.4, 0.6), (0.5, 0.0), (0.3, 1.0), (0.0, 0.5), (1.0, 0.2)])
+    def test_equals_the_one_call_draws(self, n, blocks, extra, theta, rho):
+        size = blocks * _block_rows(n) + extra
+        rng = SeedableRng(11, n)
+        got = sample_correlated(n, theta, rho, rng, size=size)
+        want = _one_call_sample(n, theta, rho, rng, size)
+        assert got.dtype == np.int8 and got.shape == (size, n)
+        assert np.array_equal(got, want)
+
+    def test_memory_is_the_output_and_one_block(self, rng):
+        # the int8 draws themselves are 4 MB; a float64 copy of them is 32 MB
+        tracemalloc.start()
+        try:
+            bits = sample_correlated(4, 0.4, 0.6, rng, size=10**6)
+            _, cooccur = _bit_sums(bits)
+            _mean_correlation(10**6, cooccur)
+            pairwise_correlation(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 10**6
+
+
+def _bits(shape, seed, dtype):
+    """0/1 draws of the given shape, each signal with its own probability in
+    {0, 0.1, ..., 1}, so that some signals may be constant."""
+    gen = np.random.default_rng(seed)
+    probs = gen.integers(0, 11, shape[1]) / 10
+    return (gen.random(shape) < probs).astype(dtype)
+
+
+class TestBitSums:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 7), blocks=st.integers(0, 2), extra=st.integers(-1, 40),
+           seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.int8, np.bool_, np.int64, np.float64]))
+    @example(n=3, blocks=1, extra=1, seed=0, dtype=np.int8)
+    @example(n=2, blocks=0, extra=2, seed=0, dtype=np.int8)
+    def test_correlation_is_corrcoef(self, n, blocks, extra, seed, dtype):
+        draws = max(2, blocks * _block_rows(n) + extra)  # block - 1, block and block + 1 included
+        bits = _bits((draws, n), seed, dtype)
+        self._check(bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(bits=hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=12),
+                           elements=st.integers(0, 1)))
+    def test_correlation_of_small_arrays_is_corrcoef(self, bits):
+        self._check(bits)
+
+    @staticmethod
+    def _check(bits):
+        draws, n = bits.shape
+        totals, cooccur = _bit_sums(bits)
+        wide = bits.astype(np.int64)
+        assert np.array_equal(totals, np.bincount(wide.sum(axis=1), minlength=n + 1))
+        assert np.array_equal(cooccur, wide.T @ wide)
+        constant = np.flatnonzero(wide.min(axis=0) == wide.max(axis=0))
+        if len(constant):
+            message = f"^signal {constant[0]} takes one value in every draw: no sample correlation$"
+            with pytest.raises(SamplingError, match=message):
+                pairwise_correlation(bits)
+            return
+        corr = np.corrcoef(bits.astype(float), rowvar=False)
+        want = float(np.mean(corr[np.triu_indices(n, k=1)]))
+        assert abs(pairwise_correlation(bits) - want) <= 1e-12
+
+    def test_wide_draws_are_corrcoef(self):
+        n = 300  # past 256 signals a block holds n draws, not _BLOCK // n
+        self._check(sample_correlated(n, 0.4, 0.6, SeedableRng(3), size=2 * _block_rows(n) + 1))
+
+    @pytest.mark.parametrize("draws", [2**31 - 1, 2**31, 2**40 + 3])
+    def test_correlation_of_many_draws_is_exact(self, draws):
+        # past 2**31 draws N S_ij overflows int64, so the counts go to Python integers
+        s_i, s_j, s_ij = draws // 2 + 5, draws // 2 - 7, int(0.325 * draws) + 1
+        cooccur = np.array([[s_i, s_ij], [s_ij, s_j]], dtype=np.int64)
+        num = draws * s_ij - s_i * s_j
+        den = (draws * s_i - s_i**2) * (draws * s_j - s_j**2)
+        want = float(Fraction(num * 10**40, math.isqrt(den * 10**80)))
+        assert _mean_correlation(draws, cooccur) == pytest.approx(want, rel=4e-16, abs=0.0)
 
 
 class TestSequentialSample:
